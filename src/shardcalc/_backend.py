@@ -1,18 +1,6 @@
-"""Backend selection: compiled extension if built, pure Python otherwise.
+"""The numeric kernel: `kernel` exposes pivot_step, sign_eval and
+quick_check, implemented in pure Python in _kernel_py."""
 
-Set SHARDCALC_PURE=1 to force the pure backend even when the extension is
-available.  `kernel` exposes pivot_step, sign_eval, quick_check; `BACKEND`
-names the active implementation.
-"""
+from . import _kernel_py as kernel
 
-import os
-
-if os.environ.get("SHARDCALC_PURE") == "1":
-    from . import _kernel_py as kernel
-else:
-    try:
-        from . import _kernel as kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel_py as kernel
-
-BACKEND = kernel.BACKEND_NAME
+BACKEND = "pure"

@@ -1,13 +1,10 @@
-"""Pure-Python compute kernels.
+"""Compute kernels, reached as shardcalc._backend.kernel.
 
-Same surface as the compiled extension in _kernel.pyx; the backend module
-picks one at import time.  Three hot loops live here: the simplex tableau
-pivot, exact sign evaluation of subset sums at a rational point, and the
-superadditivity quick-rejection test used to prune sign patterns before
-they reach the LP.
+Three hot loops live here: the simplex tableau pivot, exact sign
+evaluation of subset sums at a rational point, and the superadditivity
+quick-rejection test used to prune sign patterns before they reach the
+LP.
 """
-
-BACKEND_NAME = "pure"
 
 
 def pivot_step(tab, r, c):

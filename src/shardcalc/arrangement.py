@@ -18,6 +18,7 @@ patterns as an independent oracle for small cases.
 """
 
 import random
+from math import gcd
 
 from . import exactla
 from ._backend import kernel
@@ -230,15 +231,9 @@ def _coords_to_nums(coords):
     lcm = 1
     for q in coords:
         d = int(q.denominator)
-        g = _gcd(lcm, d)
+        g = gcd(lcm, d)
         lcm = lcm // g * d
     return [int(q.numerator) * (lcm // int(q.denominator)) for q in coords]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _key_signs_at(ctx, coords):

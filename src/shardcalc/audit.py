@@ -2,10 +2,15 @@
 
 Each verify_* function checks one family of claims at a given ground size
 and returns an AuditReport: one AuditEntry per claim with the instance
-count and, on failure, the first counterexample found, serialized so that
-replay_counterexample can re-run it in isolation.  full_audit merges every
-suite, running each claim at the largest size it supports up to the
+count and, on failure, the first counterexample found.  full_audit merges
+every suite, running each claim at the largest size it supports up to the
 requested one.
+
+Every claim has one witness function: given an instance it returns None
+if the claim holds there, else the serialized counterexample.  The
+exhaustive sweep, the seeded sampler and replay_counterexample all call
+that same function; replay parses the counterexample back into the
+witness's arguments.
 
 Exhaustive checks cover ground sizes up to four; size five is covered by
 fixed-seed sampling (SAMPLE_SEED) plus the exhaustive-in-one-parameter
@@ -245,6 +250,30 @@ def _entry(claim, n, instances, counterexample, notes=None):
                       counterexample is None, counterexample, notes)
 
 
+def _sweep(witness, instances):
+    """Run a witness over instance argument tuples until one fails.
+
+    Returns (instances checked, first counterexample or None).
+    """
+    count = 0
+    for args in instances:
+        count += 1
+        ce = witness(*args)
+        if ce is not None:
+            return count, ce
+    return count, None
+
+
+def _functionals_checked(functionals, ce):
+    """How many of a batch of functionals ran before `ce` was found."""
+    objs = [f.to_json_obj() for f in functionals]
+    return objs.index(ce["functional"]) + 1
+
+
+def _counterexample(claim, g, **fields):
+    return {"claim": claim, "ground": list(g.labels), **fields}
+
+
 def _shard_ref(X):
     return {"support": X.support.format(), "id": X.id()}
 
@@ -267,6 +296,8 @@ def _load_vector(ground, ref):
 
 
 def _load_functional(ground, ref):
+    if ref is None:
+        return None
     return Functional(
         Partition.parse(ground, ref["support"]),
         {k: rat(c) for k, c in ref["values"].items()})
@@ -290,107 +321,73 @@ def _nonempty_submasks(mask):
 
 # ---------------------------------------------------------------- lie axioms
 
+# blocks grouped under each bracket: two for antisymmetry, three for Jacobi
+_BRACKET_PARTS = {"lie.antisymmetry": 2, "lie.jacobi": 3}
+
+
 def _cancellation_witness(claim, forests, shards):
+    """The dual derivatives of `forests` must sum to zero on each shard."""
     for X in shards:
         total = None
         for F in forests:
             d = dual_forest_derivative(F, X)
             total = d if total is None else total + d
         if not total.is_zero():
-            return {
-                "claim": claim,
-                "ground": list(X.ground.labels),
-                "forests": [format_forest(F) for F in forests],
-                "shard": _shard_ref(X),
-            }
+            return _counterexample(
+                claim, X.ground,
+                forests=[format_forest(F) for F in forests],
+                shard=_shard_ref(X))
     return None
 
 
-def _bracket_pair(g, merged, split, B1, B2, inner):
-    A = compose(cut_forest(merged, B1 | B2, B1), inner)
-    B = compose(cut_forest(merged, B1 | B2, B2), inner)
-    return A, B
+def _bracket_terms(g, split, others, Bs, trees):
+    """The forests of one bracket instance, composed over the inner forest
+    made of `trees` (one per group block in Bs, over `split`): the two
+    sides of the root cut for two groups, the three cyclic double cuts
+    for three."""
+    top = _union(Bs)
+    merged = Partition(g, others + [top])
+    inner = LayeredForest(split, [c for D in trees for c in D.cuts])
+    if len(Bs) == 2:
+        skeletons = [cut_forest(merged, top, B) for B in Bs]
+    else:
+        B1, B2, B3 = Bs
+        skeletons = [
+            LayeredForest(merged, [Cut(g, top, Ba | Bb), Cut(g, Ba | Bb, Ba)])
+            for Ba, Bb in ((B1, B2), (B3, B1), (B2, B3))]
+    return [compose(S, inner) for S in skeletons]
 
 
-def _jacobi_terms(g, merged, B1, B2, B3, inner):
-    B123 = B1 | B2 | B3
-    terms = []
-    for Ba, Bb in ((B1, B2), (B3, B1), (B2, B3)):
-        skel = LayeredForest(
-            merged, [Cut(g, B123, Ba | Bb), Cut(g, Ba | Bb, Ba)])
-        terms.append(compose(skel, inner))
-    return terms
+def _ordered_groups(free, k, low=0):
+    """Tuples of k disjoint nonempty submasks of `free` whose least bits
+    increase, each above `low`."""
+    if not k:
+        yield ()
+        return
+    for s in _nonempty_submasks(free):
+        if (s & -s) > low:
+            for rest in _ordered_groups(free ^ s, k - 1, s & -s):
+                yield (s,) + rest
 
 
-def _check_antisymmetry(g):
-    instances = 0
+def _bracket_instances(g, claim):
+    """Every instance of a bracket claim, with all shards of its support."""
+    k = _BRACKET_PARTS[claim]
     for P in all_partitions(g):
         blocks = list(P.blocks)
-        k = len(blocks)
-        if k < 2:
+        if len(blocks) < k:
             continue
         shards = enumerate_shards(P)
-        full = (1 << k) - 1
-        for s1 in _nonempty_submasks(full):
-            for s2 in _nonempty_submasks(full ^ s1):
-                if (s1 & -s1) > (s2 & -s2):
-                    continue
-                part1 = [blocks[i] for i in iter_bits(s1)]
-                part2 = [blocks[i] for i in iter_bits(s2)]
-                B1, B2 = _union(part1), _union(part2)
-                others = [blocks[i] for i in iter_bits(full ^ s1 ^ s2)]
-                split = Partition(g, others + [B1, B2])
-                merged = Partition(g, others + [B1 | B2])
-                for D1 in all_trees(split, B1, part1):
-                    for D2 in all_trees(split, B2, part2):
-                        inner = LayeredForest(
-                            split, list(D1.cuts) + list(D2.cuts))
-                        pair = _bracket_pair(g, merged, split, B1, B2, inner)
-                        instances += 1
-                        ce = _cancellation_witness(
-                            "lie.antisymmetry", pair, shards)
-                        if ce is not None:
-                            return instances, ce
-    return instances, None
-
-
-def _check_jacobi(g):
-    instances = 0
-    for P in all_partitions(g):
-        blocks = list(P.blocks)
-        k = len(blocks)
-        if k < 3:
-            continue
-        shards = enumerate_shards(P)
-        full = (1 << k) - 1
-        for s1 in _nonempty_submasks(full):
-            for s2 in _nonempty_submasks(full ^ s1):
-                if (s1 & -s1) > (s2 & -s2):
-                    continue
-                for s3 in _nonempty_submasks(full ^ s1 ^ s2):
-                    if (s2 & -s2) > (s3 & -s3):
-                        continue
-                    parts = [[blocks[i] for i in iter_bits(s)]
-                             for s in (s1, s2, s3)]
-                    B1, B2, B3 = (_union(p) for p in parts)
-                    others = [blocks[i]
-                              for i in iter_bits(full ^ s1 ^ s2 ^ s3)]
-                    split = Partition(g, others + [B1, B2, B3])
-                    merged = Partition(g, others + [B1 | B2 | B3])
-                    for D1 in all_trees(split, B1, parts[0]):
-                        for D2 in all_trees(split, B2, parts[1]):
-                            for D3 in all_trees(split, B3, parts[2]):
-                                inner = LayeredForest(
-                                    split,
-                                    list(D1.cuts) + list(D2.cuts) + list(D3.cuts))
-                                terms = _jacobi_terms(
-                                    g, merged, B1, B2, B3, inner)
-                                instances += 1
-                                ce = _cancellation_witness(
-                                    "lie.jacobi", terms, shards)
-                                if ce is not None:
-                                    return instances, ce
-    return instances, None
+        full = (1 << len(blocks)) - 1
+        for masks in _ordered_groups(full, k):
+            groups = [[blocks[i] for i in iter_bits(s)] for s in masks]
+            others = [blocks[i] for i in iter_bits(full ^ _union(masks))]
+            Bs = [_union(p) for p in groups]
+            split = Partition(g, others + Bs)
+            choices = [all_trees(split, B, p) for B, p in zip(Bs, groups)]
+            for trees in itertools.product(*choices):
+                yield (claim, _bracket_terms(g, split, others, Bs, trees),
+                       shards)
 
 
 def _sample_parts(rng, blocks, count):
@@ -407,54 +404,28 @@ def _sample_parts(rng, blocks, count):
 
 def _lie_sampled(g, per_claim=500, seed=SAMPLE_SEED):
     rng = random.Random(seed)
-    anti_parts = [P for P in all_partitions(g) if len(P.blocks) >= 2]
-    jac_parts = [P for P in anti_parts if len(P.blocks) >= 3]
-    census = {"antisymmetry": {}, "jacobi": {}}
-
-    anti_ce = None
-    for _ in range(per_claim):
-        P = rng.choice(anti_parts)
-        blocks = list(P.blocks)
-        (part1, part2), others = _sample_parts(rng, blocks, 2)
-        B1, B2 = _union(part1), _union(part2)
-        split = Partition(g, others + [B1, B2])
-        merged = Partition(g, others + [B1 | B2])
-        D1 = rng.choice(all_trees(split, B1, part1))
-        D2 = rng.choice(all_trees(split, B2, part2))
-        inner = LayeredForest(split, list(D1.cuts) + list(D2.cuts))
-        pair = _bracket_pair(g, merged, split, B1, B2, inner)
-        X = rng.choice(enumerate_shards(P))
-        depth = str(len(pair[0].cuts))
-        census["antisymmetry"][depth] = census["antisymmetry"].get(depth, 0) + 1
-        if anti_ce is None:
-            ce = _cancellation_witness("lie.antisymmetry", pair, [X])
-            if ce is not None:
-                anti_ce = ce
-
-    jac_ce = None
-    for _ in range(per_claim):
-        P = rng.choice(jac_parts)
-        blocks = list(P.blocks)
-        (part1, part2, part3), others = _sample_parts(rng, blocks, 3)
-        B1, B2, B3 = _union(part1), _union(part2), _union(part3)
-        split = Partition(g, others + [B1, B2, B3])
-        merged = Partition(g, others + [B1 | B2 | B3])
-        D1 = rng.choice(all_trees(split, B1, part1))
-        D2 = rng.choice(all_trees(split, B2, part2))
-        D3 = rng.choice(all_trees(split, B3, part3))
-        inner = LayeredForest(
-            split, list(D1.cuts) + list(D2.cuts) + list(D3.cuts))
-        terms = _jacobi_terms(g, merged, B1, B2, B3, inner)
-        X = rng.choice(enumerate_shards(P))
-        depth = str(len(terms[0].cuts))
-        census["jacobi"][depth] = census["jacobi"].get(depth, 0) + 1
-        if jac_ce is None:
-            ce = _cancellation_witness("lie.jacobi", terms, [X])
-            if ce is not None:
-                jac_ce = ce
-
+    census = {}
     notes = {"seed": seed, "cut_census": census}
-    return (per_claim, anti_ce, notes), (per_claim, jac_ce, notes)
+    out = []
+    for claim, k in _BRACKET_PARTS.items():
+        supports = [P for P in all_partitions(g) if len(P.blocks) >= k]
+        depths = census.setdefault(claim.split(".")[1], {})
+        ce = None
+        for _ in range(per_claim):
+            P = rng.choice(supports)
+            groups, others = _sample_parts(rng, list(P.blocks), k)
+            Bs = [_union(p) for p in groups]
+            split = Partition(g, others + Bs)
+            trees = [rng.choice(all_trees(split, B, p))
+                     for B, p in zip(Bs, groups)]
+            terms = _bracket_terms(g, split, others, Bs, trees)
+            X = rng.choice(enumerate_shards(P))
+            depth = str(len(terms[0].cuts))
+            depths[depth] = depths.get(depth, 0) + 1
+            if ce is None:
+                ce = _cancellation_witness(claim, terms, [X])
+        out.append((per_claim, ce, notes))
+    return out
 
 
 def verify_lie_axioms(n, seed=SAMPLE_SEED):
@@ -464,52 +435,52 @@ def verify_lie_axioms(n, seed=SAMPLE_SEED):
     g = GroundSet.of_size(n)
     report = AuditReport("lie", n)
     if n <= 4:
-        report.add(_entry("lie.antisymmetry", n, *_check_antisymmetry(g)))
-        report.add(_entry("lie.jacobi", n, *_check_jacobi(g)))
+        for claim in _BRACKET_PARTS:
+            report.add(_entry(claim, n, *_sweep(
+                _cancellation_witness, _bracket_instances(g, claim))))
     else:
-        anti, jac = _lie_sampled(g, seed=seed)
-        report.add(_entry("lie.antisymmetry", n, *anti))
-        report.add(_entry("lie.jacobi", n, *jac))
+        for claim, result in zip(_BRACKET_PARTS, _lie_sampled(g, seed=seed)):
+            report.add(_entry(claim, n, *result))
     return report
 
 
 # -------------------------------------------------------------- module axioms
 
-def _check_module_unit(g):
-    instances = 0
+def _unit_witness(F, X):
+    if dual_forest_derivative(F, X) != ShardVector.basis(X):
+        return _counterexample(
+            "module.unit", X.ground,
+            forests=[format_forest(F)], shard=_shard_ref(X))
+    return None
+
+
+def _unit_instances(g):
     for P in all_partitions(g):
         F = identity_forest(P)
         for X in enumerate_shards(P):
-            instances += 1
-            if dual_forest_derivative(F, X) != ShardVector.basis(X):
-                return instances, {
-                    "claim": "module.unit",
-                    "ground": list(g.labels),
-                    "forests": [format_forest(F)],
-                    "shard": _shard_ref(X),
-                }
-    return instances, None
+            yield F, X
 
 
-def _check_module_action(g, max_outer=2, max_inner=2):
-    one = Partition.one_block(g)
-    instances = 0
-    for T in iter_forests(one, max_outer):
+def _composite_witness(claim, outer, inner, shards):
+    """Deriving along compose(outer, inner) must equal deriving along
+    inner, then along outer, on each shard of the inner target."""
+    C = compose(outer, inner)
+    for X in shards:
+        direct = dual_forest_derivative(C, X)
+        staged = dual_forest_derivative(
+            outer, dual_forest_derivative(inner, X))
+        if direct != staged:
+            return _counterexample(
+                claim, X.ground,
+                forests=[format_forest(outer), format_forest(inner)],
+                shard=_shard_ref(X))
+    return None
+
+
+def _action_instances(g, max_outer=2, max_inner=2):
+    for T in iter_forests(Partition.one_block(g), max_outer):
         for F in iter_forests(T.target, max_inner):
-            C = compose(T, F)
-            instances += 1
-            for X in enumerate_shards(C.target):
-                direct = dual_forest_derivative(C, X)
-                staged = dual_forest_derivative(
-                    T, dual_forest_derivative(F, X))
-                if direct != staged:
-                    return instances, {
-                        "claim": "module.action",
-                        "ground": list(g.labels),
-                        "forests": [format_forest(T), format_forest(F)],
-                        "shard": _shard_ref(X),
-                    }
-    return instances, None
+            yield "module.action", T, F, enumerate_shards(F.target)
 
 
 def _sub_ground(g, mask):
@@ -554,54 +525,47 @@ def _blockwise_kernel_vectors(Q):
     return vectors
 
 
-def _check_module_coset_kernel(g, max_cuts):
-    one = Partition.one_block(g)
-    stein = quotient_space(g)
+def _coset_witness(T, v):
+    if not quotient_space(T.ground).contains(dual_forest_derivative(T, v)):
+        return _counterexample(
+            "module.coset_kernel", T.ground,
+            forests=[format_forest(T)], vector=_vector_ref(v))
+    return None
+
+
+def _coset_instances(g, max_cuts):
     kernels = {}
-    instances = 0
-    for T in iter_forests(one, max_cuts):
+    for T in iter_forests(Partition.one_block(g), max_cuts):
         Q = T.target
         if Q.blocks not in kernels:
             kernels[Q.blocks] = _blockwise_kernel_vectors(Q)
         for v in kernels[Q.blocks]:
-            instances += 1
-            if not stein.contains(dual_forest_derivative(T, v)):
-                return instances, {
-                    "claim": "module.coset_kernel",
-                    "ground": list(g.labels),
-                    "forests": [format_forest(T)],
-                    "vector": _vector_ref(v),
-                }
-    return instances, None
+            yield T, v
 
 
-def _layering_groups(g, max_cuts):
-    one = Partition.one_block(g)
+def _layering_pairs(g, max_cuts):
+    """(first layering, other layering) of every delayered forest of the
+    one-block support with more than one layering."""
     groups = {}
-    for F in iter_forests(one, max_cuts):
+    for F in iter_forests(Partition.one_block(g), max_cuts):
         groups.setdefault(frozenset(c.serial() for c in F.cuts), []).append(F)
-    return [ms for ms in groups.values() if len(ms) > 1]
+    return [(ms[0], Fi) for ms in groups.values() for Fi in ms[1:]]
 
 
-def _check_module_layering(g, max_cuts):
-    stein = quotient_space(g)
-    instances = 0
-    for members in _layering_groups(g, max_cuts):
-        F0 = members[0]
-        shards = enumerate_shards(F0.target)
-        for Fi in members[1:]:
-            for X in shards:
-                diff = (dual_forest_derivative(F0, X)
-                        - dual_forest_derivative(Fi, X))
-                instances += 1
-                if not stein.contains(diff):
-                    return instances, {
-                        "claim": "module.layering",
-                        "ground": list(g.labels),
-                        "forests": [format_forest(F0), format_forest(Fi)],
-                        "shard": _shard_ref(X),
-                    }
-    return instances, None
+def _layering_witness(F0, F1, X):
+    diff = dual_forest_derivative(F0, X) - dual_forest_derivative(F1, X)
+    if not quotient_space(F0.ground).contains(diff):
+        return _counterexample(
+            "module.layering", F0.ground,
+            forests=[format_forest(F0), format_forest(F1)],
+            shard=_shard_ref(X))
+    return None
+
+
+def _layering_instances(g, max_cuts):
+    for F0, Fi in _layering_pairs(g, max_cuts):
+        for X in enumerate_shards(F0.target):
+            yield F0, Fi, X
 
 
 def verify_module_axioms(n):
@@ -610,12 +574,14 @@ def verify_module_axioms(n):
         raise ValueError("module axioms are checked exhaustively at sizes 2..4")
     g = GroundSet.of_size(n)
     report = AuditReport("module", n)
-    report.add(_entry("module.unit", n, *_check_module_unit(g)))
-    report.add(_entry("module.action", n, *_check_module_action(g)))
-    report.add(_entry(
-        "module.coset_kernel", n, *_check_module_coset_kernel(g, n - 1)))
-    report.add(_entry(
-        "module.layering", n, *_check_module_layering(g, n - 1)))
+    report.add(_entry("module.unit", n, *_sweep(
+        _unit_witness, _unit_instances(g))))
+    report.add(_entry("module.action", n, *_sweep(
+        _composite_witness, _action_instances(g))))
+    report.add(_entry("module.coset_kernel", n, *_sweep(
+        _coset_witness, _coset_instances(g, n - 1))))
+    report.add(_entry("module.layering", n, *_sweep(
+        _layering_witness, _layering_instances(g, n - 1))))
     return report
 
 
@@ -625,62 +591,48 @@ def _component_key(R, X):
     return tuple(Y.id() for Y in project(R, X))
 
 
-def _check_kernel_span(g):
-    instances = 0
+def _nested_pairs(g):
     for P in all_partitions(g):
-        shards = enumerate_shards(P)
-        ids = [X.id() for X in shards]
         for R in coarser_partitions(g, P):
-            keys = {X: _component_key(R, X) for X in shards}
-            inc = RationalMatrix(sorted(set(keys.values())))
-            for X in shards:
-                inc.add_row({keys[X]: ONE})
-            dim_kernel = len(shards) - rank(inc)
-            diffs = RationalMatrix(ids)
-            contained = True
-            for cls in steinmann_classes(P, R):
-                X0 = cls[0]
-                for X in cls[1:]:
-                    if keys[X] != keys[X0]:
-                        contained = False
-                    diffs.add_row({X.id(): ONE, X0.id(): -ONE})
-            span = rank(diffs)
-            instances += 1
-            if not contained or span != dim_kernel:
-                return instances, {
-                    "claim": "kernel.span",
-                    "ground": list(g.labels),
-                    "fine": P.format(),
-                    "coarse": R.format(),
-                    "difference_rank": span,
-                    "kernel_dim": dim_kernel,
-                    "contained": contained,
-                }
-    return instances, None
+            yield P, R
 
 
-def _check_kernel_surjective(g):
-    instances = 0
-    for P in all_partitions(g):
-        shards = enumerate_shards(P)
-        for R in coarser_partitions(g, P):
-            got = {_component_key(R, X) for X in shards}
-            expected = 1
-            for T in R.blocks:
-                blocks = [b for b in P.blocks if b & T]
-                blocks += [1 << i for i in iter_bits(g.full_mask ^ T)]
-                expected *= len(enumerate_shards(Partition(g, blocks)))
-            instances += 1
-            if len(got) != expected:
-                return instances, {
-                    "claim": "kernel.surjective",
-                    "ground": list(g.labels),
-                    "fine": P.format(),
-                    "coarse": R.format(),
-                    "realized": len(got),
-                    "expected": expected,
-                }
-    return instances, None
+def _span_witness(P, R):
+    shards = enumerate_shards(P)
+    keys = {X: _component_key(R, X) for X in shards}
+    inc = RationalMatrix(sorted(set(keys.values())))
+    for X in shards:
+        inc.add_row({keys[X]: ONE})
+    dim_kernel = len(shards) - rank(inc)
+    diffs = RationalMatrix([X.id() for X in shards])
+    contained = True
+    for cls in steinmann_classes(P, R):
+        X0 = cls[0]
+        for X in cls[1:]:
+            if keys[X] != keys[X0]:
+                contained = False
+            diffs.add_row({X.id(): ONE, X0.id(): -ONE})
+    span = rank(diffs)
+    if not contained or span != dim_kernel:
+        return _counterexample(
+            "kernel.span", P.ground, fine=P.format(), coarse=R.format(),
+            difference_rank=span, kernel_dim=dim_kernel, contained=contained)
+    return None
+
+
+def _surjective_witness(P, R):
+    g = P.ground
+    got = {_component_key(R, X) for X in enumerate_shards(P)}
+    expected = 1
+    for T in R.blocks:
+        blocks = [b for b in P.blocks if b & T]
+        blocks += [1 << i for i in iter_bits(g.full_mask ^ T)]
+        expected *= len(enumerate_shards(Partition(g, blocks)))
+    if len(got) != expected:
+        return _counterexample(
+            "kernel.surjective", g, fine=P.format(), coarse=R.format(),
+            realized=len(got), expected=expected)
+    return None
 
 
 def verify_kernel_theorem(n):
@@ -692,11 +644,11 @@ def verify_kernel_theorem(n):
     if not 2 <= n <= 5:
         raise ValueError("kernel checks are run at sizes 2..5")
     report = AuditReport("kernel", n)
-    report.add(_entry(
-        "kernel.span", n, *_check_kernel_span(GroundSet.of_size(n))))
+    report.add(_entry("kernel.span", n, *_sweep(
+        _span_witness, _nested_pairs(GroundSet.of_size(n)))))
     m = min(n, 4)
-    report.add(_entry(
-        "kernel.surjective", m, *_check_kernel_surjective(GroundSet.of_size(m))))
+    report.add(_entry("kernel.surjective", m, *_sweep(
+        _surjective_witness, _nested_pairs(GroundSet.of_size(m)))))
     return report
 
 
@@ -713,55 +665,50 @@ def _block_subforests(P, F):
     return [LayeredForest(simple_flat(P, T), subcuts[T]) for T in P.blocks]
 
 
-def _check_factorization_diagram(g, max_cuts=3, spot_cuts=2, seed=SAMPLE_SEED):
-    instances = 0
-    for P in all_partitions(g):
-        if len(P.blocks) < 2:
-            continue
+def _diagram_witness(P, F, shards, factors=None):
+    """Dual derivatives along F must split blockwise on each shard, and
+    deriving the product of `factors` (one functional per block) must
+    give the product of the blockwise derivatives."""
+    subforests = _block_subforests(P, F)
+    for X in shards:
+        lhs = {}
+        for Y, c in dual_forest_derivative(F, X):
+            key = _component_key(P, Y)
+            lhs[key] = lhs.get(key, ZERO) + c
+        lhs = {k: v for k, v in lhs.items() if v != ZERO}
+        rhs = {(): ONE}
+        for Fj, Xj in zip(subforests, project(P, X)):
+            dj = dual_forest_derivative(Fj, Xj).items()
+            rhs = {key + (Z.id(),): c * cz
+                   for key, c in rhs.items() for Z, cz in dj}
+        rhs = {k: v for k, v in rhs.items() if v != ZERO}
+        if lhs != rhs:
+            return _counterexample(
+                "factorization.diagram", P.ground, support=P.format(),
+                forests=[format_forest(F)], shard=_shard_ref(X))
+    if factors is not None:
+        derived = [forest_derivative(Fj, fj)
+                   for Fj, fj in zip(subforests, factors)]
+        if forest_derivative(F, product(P, factors)) != product(P, derived):
+            return _counterexample(
+                "factorization.diagram", P.ground, support=P.format(),
+                forests=[format_forest(F)],
+                functionals=[fj.to_json_obj() for fj in factors])
+    return None
+
+
+def _diagram_instances(g, max_cuts=3, spot_cuts=2, seed=SAMPLE_SEED):
+    """Every forest on each multi-block support against all shards, then
+    the same square at the level of functionals on fixed-seed factors."""
+    supports = [P for P in all_partitions(g) if len(P.blocks) >= 2]
+    for P in supports:
         for F in iter_forests(P, max_cuts):
-            subforests = _block_subforests(P, F)
-            instances += 1
-            for X in enumerate_shards(F.target):
-                lhs = {}
-                for Y, c in dual_forest_derivative(F, X):
-                    key = _component_key(P, Y)
-                    lhs[key] = lhs.get(key, ZERO) + c
-                lhs = {k: v for k, v in lhs.items() if v != ZERO}
-                rhs = {(): ONE}
-                for Fj, Xj in zip(subforests, project(P, X)):
-                    dj = dual_forest_derivative(Fj, Xj).items()
-                    rhs = {key + (Z.id(),): c * cz
-                           for key, c in rhs.items() for Z, cz in dj}
-                rhs = {k: v for k, v in rhs.items() if v != ZERO}
-                if lhs != rhs:
-                    return instances, {
-                        "claim": "factorization.diagram",
-                        "ground": list(g.labels),
-                        "support": P.format(),
-                        "forests": [format_forest(F)],
-                        "shard": _shard_ref(X),
-                    }
-    # the same square at the level of functionals, on fixed-seed factors
-    for P in all_partitions(g):
-        if len(P.blocks) < 2:
-            continue
+            yield P, F, enumerate_shards(F.target)
+    for P in supports:
         factors = [random_functional(simple_flat(P, T), seed + j)
                    for j, T in enumerate(P.blocks)]
-        f = product(P, factors)
         for F in iter_forests(P, spot_cuts):
-            subforests = _block_subforests(P, F)
-            derived = [forest_derivative(Fj, fj)
-                       for Fj, fj in zip(subforests, factors)]
-            instances += 1
-            if forest_derivative(F, f) != product(P, derived):
-                return instances, {
-                    "claim": "factorization.diagram",
-                    "ground": list(g.labels),
-                    "support": P.format(),
-                    "forests": [format_forest(F)],
-                    "functionals": [fj.to_json_obj() for fj in factors],
-                }
-    return instances, None
+            yield P, F, (), factors
 
 
 _DIMENSION_SAMPLE = {
@@ -804,30 +751,19 @@ def _solvable_dim(P):
     return len(shards) - rank(M)
 
 
-def _check_factorization_dimension(g, partitions=None):
-    if partitions is None:
-        parts = all_partitions(g)
-    else:
-        parts = [Partition.parse(g, t) for t in partitions]
-    instances = 0
-    for P in parts:
-        bases = [flat_annihilator_basis(P, T) for T in P.blocks]
-        expected = 1
-        for T in P.blocks:
-            expected *= quotient_dim(_sub_ground(g, T))
-        got_rank = _product_rank(P, bases)
-        got_dim = _solvable_dim(P)
-        instances += 1
-        if got_rank != expected or got_dim != expected:
-            return instances, {
-                "claim": "factorization.dimension",
-                "ground": list(g.labels),
-                "support": P.format(),
-                "expected": expected,
-                "product_rank": got_rank,
-                "solvable_dim": got_dim,
-            }
-    return instances, None
+def _dimension_witness(P):
+    g = P.ground
+    expected = 1
+    for T in P.blocks:
+        expected *= quotient_dim(_sub_ground(g, T))
+    got_rank = _product_rank(
+        P, [flat_annihilator_basis(P, T) for T in P.blocks])
+    got_dim = _solvable_dim(P)
+    if got_rank != expected or got_dim != expected:
+        return _counterexample(
+            "factorization.dimension", g, support=P.format(),
+            expected=expected, product_rank=got_rank, solvable_dim=got_dim)
+    return None
 
 
 def verify_factorization(n, seed=SAMPLE_SEED):
@@ -838,11 +774,13 @@ def verify_factorization(n, seed=SAMPLE_SEED):
         raise ValueError("factorization checks are run at sizes 2..5")
     report = AuditReport("factorization", n)
     m = min(n, 4)
-    report.add(_entry(
-        "factorization.diagram", m,
-        *_check_factorization_diagram(GroundSet.of_size(m), seed=seed)))
+    report.add(_entry("factorization.diagram", m, *_sweep(
+        _diagram_witness, _diagram_instances(GroundSet.of_size(m), seed=seed))))
+    g = GroundSet.of_size(n)
     sample = _DIMENSION_SAMPLE.get(n)
-    inst, ce = _check_factorization_dimension(GroundSet.of_size(n), sample)
+    parts = ([Partition.parse(g, t) for t in sample] if sample
+             else all_partitions(g))
+    inst, ce = _sweep(_dimension_witness, ((P,) for P in parts))
     notes = {"partitions": list(sample)} if sample else None
     report.add(_entry("factorization.dimension", n, inst, ce, notes))
     return report
@@ -850,29 +788,45 @@ def verify_factorization(n, seed=SAMPLE_SEED):
 
 # --------------------------------------------------- main theorem, delayering
 
+def _annihilator_witness(F, functionals, classes):
+    """Each functional must take one value on the dual derivatives along
+    F of every shard in each class."""
+    duals = {X: dual_forest_derivative(F, X) for cls in classes for X in cls}
+    for f in functionals:
+        for cls in classes:
+            v0 = f.evaluate_vector(duals[cls[0]])
+            for X in cls[1:]:
+                if f.evaluate_vector(duals[X]) != v0:
+                    return _counterexample(
+                        "maintheorem.annihilator", F.ground,
+                        forests=[format_forest(F)],
+                        functional=f.to_json_obj(),
+                        shards=[_shard_ref(cls[0]), _shard_ref(X)])
+    return None
+
+
 def _check_maintheorem_annihilator(g, max_cuts):
-    one = Partition.one_block(g)
     basis = steinmann_relations(g).annihilator_basis()
     instances = 0
-    for F in iter_forests(one, max_cuts):
-        duals = {X: dual_forest_derivative(F, X)
-                 for X in enumerate_shards(F.target)}
+    for F in iter_forests(Partition.one_block(g), max_cuts):
         classes = [cls for cls in steinmann_classes(F.target, F.target)
                    if len(cls) > 1]
-        for f in basis:
-            instances += 1
-            for cls in classes:
-                v0 = f.evaluate_vector(duals[cls[0]])
-                for X in cls[1:]:
-                    if f.evaluate_vector(duals[X]) != v0:
-                        return instances, {
-                            "claim": "maintheorem.annihilator",
-                            "ground": list(g.labels),
-                            "forests": [format_forest(F)],
-                            "functional": f.to_json_obj(),
-                            "shards": [_shard_ref(cls[0]), _shard_ref(X)],
-                        }
+        ce = _annihilator_witness(F, basis, classes)
+        if ce is not None:
+            return instances + _functionals_checked(basis, ce), ce
+        instances += len(basis)
     return instances, None
+
+
+def _converse_witness(g, f):
+    """f, a functional pairing with a relation (None if the search found
+    none), must have a non-semisimple single-cut derivative."""
+    if f is not None and any(not is_semisimple(forest_derivative(F, f))
+                             for F in _single_cut_forests(f.support)):
+        return None
+    return _counterexample(
+        "maintheorem.converse", g,
+        functional=None if f is None else f.to_json_obj())
 
 
 def _check_maintheorem_converse(g, seed=SAMPLE_SEED):
@@ -881,99 +835,86 @@ def _check_maintheorem_converse(g, seed=SAMPLE_SEED):
     for attempt in range(32):
         f = random_functional(one, seed + attempt)
         if any(f.evaluate_vector(v) != ZERO for v in rels.relations):
-            break
-    else:
-        return 1, {
-            "claim": "maintheorem.converse",
-            "ground": list(g.labels),
-            "functional": None,
-        }, None
-    notes = {"seed": seed + attempt}
-    for F in _single_cut_forests(one):
-        if not is_semisimple(forest_derivative(F, f)):
-            return 1, None, notes
-    return 1, {
-        "claim": "maintheorem.converse",
-        "ground": list(g.labels),
-        "functional": f.to_json_obj(),
-    }, notes
+            return 1, _converse_witness(g, f), {"seed": seed + attempt}
+    return 1, _converse_witness(g, None), None
+
+
+def _delayering_witness(F0, F1, functionals, shards):
+    """Each functional must agree on the dual derivatives along the two
+    layerings F0 and F1 of each shard."""
+    duals0 = {X: dual_forest_derivative(F0, X) for X in shards}
+    duals1 = {X: dual_forest_derivative(F1, X) for X in shards}
+    for f in functionals:
+        for X in shards:
+            if f.evaluate_vector(duals0[X]) != f.evaluate_vector(duals1[X]):
+                return _counterexample(
+                    "delayering.annihilator", F0.ground,
+                    forests=[format_forest(F0), format_forest(F1)],
+                    functional=f.to_json_obj(), shard=_shard_ref(X))
+    return None
 
 
 def _check_delayering_annihilator(g, max_cuts):
     basis = steinmann_relations(g).annihilator_basis()
     instances = 0
-    for members in _layering_groups(g, max_cuts):
-        F0 = members[0]
-        shards = enumerate_shards(F0.target)
-        duals0 = {X: dual_forest_derivative(F0, X) for X in shards}
-        for Fi in members[1:]:
-            dualsi = {X: dual_forest_derivative(Fi, X) for X in shards}
-            for f in basis:
-                instances += 1
-                for X in shards:
-                    if (f.evaluate_vector(duals0[X])
-                            != f.evaluate_vector(dualsi[X])):
-                        return instances, {
-                            "claim": "delayering.annihilator",
-                            "ground": list(g.labels),
-                            "forests": [format_forest(F0), format_forest(Fi)],
-                            "functional": f.to_json_obj(),
-                            "shard": _shard_ref(X),
-                        }
+    for F0, Fi in _layering_pairs(g, max_cuts):
+        ce = _delayering_witness(F0, Fi, basis, enumerate_shards(F0.target))
+        if ce is not None:
+            return instances + _functionals_checked(basis, ce), ce
+        instances += len(basis)
     return instances, None
 
 
-def _check_delayering_separation(g, max_cuts, seed=SAMPLE_SEED):
-    one = Partition.one_block(g)
-    f = random_functional(one, seed)
-    notes = {"seed": seed}
+def _separation_witness(g, seed):
+    """The functional drawn from `seed` must tell apart the two layerings
+    of some layering pair of the one-block support (forests of up to
+    n - 1 cuts).  Returns (pairs examined, counterexample or None)."""
+    f = random_functional(Partition.one_block(g), seed)
     instances = 0
-    for members in _layering_groups(g, max_cuts):
-        F0 = members[0]
-        for Fi in members[1:]:
-            instances += 1
-            for X in enumerate_shards(F0.target):
-                if (f.evaluate_vector(dual_forest_derivative(F0, X))
-                        != f.evaluate_vector(dual_forest_derivative(Fi, X))):
-                    return instances, None, notes
-    return instances, {
-        "claim": "delayering.separation",
-        "ground": list(g.labels),
-        "seed": seed,
-    }, notes
+    for F0, Fi in _layering_pairs(g, g.n - 1):
+        instances += 1
+        for X in enumerate_shards(F0.target):
+            if (f.evaluate_vector(dual_forest_derivative(F0, X))
+                    != f.evaluate_vector(dual_forest_derivative(Fi, X))):
+                return instances, None
+    return instances, _counterexample(
+        "delayering.separation", g, seed=seed)
 
 
 # --------------------------------------------------- remaining global claims
 
-def _check_counts(n):
-    for k in range(1, n + 1):
-        g = GroundSet.of_size(k)
-        got = len(enumerate_shards(Partition.one_block(g)))
-        if got != CHAMBER_COUNTS[k]:
-            return k, {
-                "claim": "counts.maximal_shards",
-                "ground": list(g.labels),
-                "expected": CHAMBER_COUNTS[k],
-                "got": got,
-            }
-    return n, None
+def _counts_witness(g):
+    got = len(enumerate_shards(Partition.one_block(g)))
+    if got != CHAMBER_COUNTS[g.n]:
+        return _counterexample(
+            "counts.maximal_shards", g, expected=CHAMBER_COUNTS[g.n], got=got)
+    return None
 
 
-def _check_dims_series(n):
-    for k in range(1, n + 1):
-        got = quotient_dim(GroundSet.of_size(k))
-        want = zie_dimension(k)
-        if got != want:
-            return k, {
-                "claim": "dims.series",
-                "ground": list(GroundSet.of_size(k).labels),
-                "expected": want,
-                "got": got,
-            }
-    return n, None
+def _dims_witness(g):
+    got = quotient_dim(g)
+    want = zie_dimension(g.n)
+    if got != want:
+        return _counterexample("dims.series", g, expected=want, got=got)
+    return None
 
 
-def _check_duality(g, seed=SAMPLE_SEED):
+def _sizes(n):
+    return ((GroundSet.of_size(k),) for k in range(1, n + 1))
+
+
+def _duality_witness(f):
+    rels = steinmann_relations(f.ground)
+    kills = all(f.evaluate_vector(v) == ZERO for v in rels.relations)
+    smooth = is_semisimply_differentiable(f)
+    if kills != smooth:
+        return _counterexample(
+            "duality.relations", f.ground, functional=f.to_json_obj(),
+            kills_relations=kills, semisimply_differentiable=smooth)
+    return None
+
+
+def _duality_sample(g, seed=SAMPLE_SEED):
     one = Partition.one_block(g)
     rels = steinmann_relations(g)
     sample = list(rels.annihilator_basis()[:3])
@@ -982,67 +923,29 @@ def _check_duality(g, seed=SAMPLE_SEED):
     if rels.relations:
         X0 = rels.relations[0].items()[0][0]
         sample.append(Functional.indicator(X0))
-    instances = 0
-    for f in sample:
-        kills = all(f.evaluate_vector(v) == ZERO for v in rels.relations)
-        smooth = is_semisimply_differentiable(f)
-        instances += 1
-        if kills != smooth:
-            return instances, {
-                "claim": "duality.relations",
-                "ground": list(g.labels),
-                "functional": f.to_json_obj(),
-                "kills_relations": kills,
-                "semisimply_differentiable": smooth,
-            }
-    return instances, None
+    return [(f,) for f in sample]
 
 
-def _check_functoriality_exhaustive(g, budget=2):
-    instances = 0
+def _functoriality_instances(g, budget=2):
     for P in all_partitions(g):
         for F1 in iter_forests(P, budget):
             for F2 in iter_forests(F1.target, budget):
-                C = compose(F1, F2)
-                instances += 1
-                for X in enumerate_shards(C.target):
-                    lhs = dual_forest_derivative(C, X)
-                    rhs = dual_forest_derivative(
-                        F1, dual_forest_derivative(F2, X))
-                    if lhs != rhs:
-                        return instances, {
-                            "claim": "calculus.functoriality",
-                            "ground": list(g.labels),
-                            "forests": [format_forest(F1), format_forest(F2)],
-                            "shard": _shard_ref(X),
-                        }
-    return instances, None
+                yield ("calculus.functoriality", F1, F2,
+                       enumerate_shards(F2.target))
 
 
-def _check_functoriality_sampled(g, count=200, budget=2, seed=SAMPLE_SEED):
+def _functoriality_draws(g, count=200, budget=2, seed=SAMPLE_SEED):
     rng = random.Random(seed)
     parts = all_partitions(g)
     cache = {}
-    instances = 0
     for _ in range(count):
         P = rng.choice(parts)
         if P.blocks not in cache:
             cache[P.blocks] = iter_forests(P, budget)
         F1 = rng.choice(cache[P.blocks])
         F2 = rng.choice(iter_forests(F1.target, budget))
-        C = compose(F1, F2)
-        X = rng.choice(enumerate_shards(C.target))
-        instances += 1
-        lhs = dual_forest_derivative(C, X)
-        rhs = dual_forest_derivative(F1, dual_forest_derivative(F2, X))
-        if lhs != rhs:
-            return instances, {
-                "claim": "calculus.functoriality",
-                "ground": list(g.labels),
-                "forests": [format_forest(F1), format_forest(F2)],
-                "shard": _shard_ref(X),
-            }, {"seed": seed}
-    return instances, None, {"seed": seed}
+        X = rng.choice(enumerate_shards(F2.target))
+        yield "calculus.functoriality", F1, F2, [X]
 
 
 def full_audit(n, seed=SAMPLE_SEED):
@@ -1059,16 +962,18 @@ def full_audit(n, seed=SAMPLE_SEED):
     gm = GroundSet.of_size(m)
 
     report = AuditReport("full", n)
-    report.add(_entry("counts.maximal_shards", n, *_check_counts(n)))
-    report.add(_entry("dims.series", n, *_check_dims_series(n)))
-    report.add(_entry("duality.relations", n, *_check_duality(g, seed=seed)))
+    report.add(_entry("counts.maximal_shards", n, *_sweep(
+        _counts_witness, _sizes(n))))
+    report.add(_entry("dims.series", n, *_sweep(_dims_witness, _sizes(n))))
+    report.add(_entry("duality.relations", n, *_sweep(
+        _duality_witness, _duality_sample(g, seed=seed))))
     if n <= 4:
-        report.add(_entry(
-            "calculus.functoriality", n, *_check_functoriality_exhaustive(g)))
+        report.add(_entry("calculus.functoriality", n, *_sweep(
+            _composite_witness, _functoriality_instances(g))))
     else:
-        report.add(_entry(
-            "calculus.functoriality", n,
-            *_check_functoriality_sampled(g, seed=seed)))
+        report.add(_entry("calculus.functoriality", n, *_sweep(
+            _composite_witness, _functoriality_draws(g, seed=seed)),
+            {"seed": seed}))
     max_cuts = n - 1 if n <= 4 else 3
     report.add(_entry(
         "maintheorem.annihilator", n,
@@ -1082,8 +987,8 @@ def full_audit(n, seed=SAMPLE_SEED):
             "delayering.annihilator", m,
             *_check_delayering_annihilator(gm, m - 1)))
         report.add(_entry(
-            "delayering.separation", m,
-            *_check_delayering_separation(gm, m - 1, seed=seed)))
+            "delayering.separation", m, *_separation_witness(gm, seed),
+            {"seed": seed}))
 
     pieces = [
         verify_lie_axioms(n, seed=seed),
@@ -1097,132 +1002,67 @@ def full_audit(n, seed=SAMPLE_SEED):
 
 # -------------------------------------------------------------------- replay
 
-def _replay_cancellation(g, ce):
-    forests = [parse_forest(g, t) for t in ce["forests"]]
-    X = _load_shard(g, ce["shard"])
-    total = None
-    for F in forests:
-        d = dual_forest_derivative(F, X)
-        total = d if total is None else total + d
-    return total.is_zero()
+def _forests(g, ce):
+    return [parse_forest(g, t) for t in ce["forests"]]
+
+
+def _shards(g, ce):
+    return [_load_shard(g, ce["shard"])]
+
+
+def _fine_coarse(g, ce):
+    return Partition.parse(g, ce["fine"]), Partition.parse(g, ce["coarse"])
+
+
+def _functionals(g, ce):
+    return [_load_functional(g, ce["functional"])]
+
+
+# claim -> (ground, counterexample) -> the claim's witness on that instance
+_REPLAY = {
+    "counts.maximal_shards": lambda g, ce: _counts_witness(g),
+    "dims.series": lambda g, ce: _dims_witness(g),
+    "duality.relations": lambda g, ce: _duality_witness(*_functionals(g, ce)),
+    "lie.antisymmetry": lambda g, ce: _cancellation_witness(
+        "lie.antisymmetry", _forests(g, ce), _shards(g, ce)),
+    "lie.jacobi": lambda g, ce: _cancellation_witness(
+        "lie.jacobi", _forests(g, ce), _shards(g, ce)),
+    "module.unit": lambda g, ce: _unit_witness(
+        *_forests(g, ce), *_shards(g, ce)),
+    "module.action": lambda g, ce: _composite_witness(
+        "module.action", *_forests(g, ce), _shards(g, ce)),
+    "module.coset_kernel": lambda g, ce: _coset_witness(
+        *_forests(g, ce), _load_vector(g, ce["vector"])),
+    "module.layering": lambda g, ce: _layering_witness(
+        *_forests(g, ce), *_shards(g, ce)),
+    "kernel.span": lambda g, ce: _span_witness(*_fine_coarse(g, ce)),
+    "kernel.surjective": lambda g, ce: _surjective_witness(
+        *_fine_coarse(g, ce)),
+    "factorization.diagram": lambda g, ce: _diagram_witness(
+        Partition.parse(g, ce["support"]), *_forests(g, ce),
+        _shards(g, ce) if "shard" in ce else (),
+        [_load_functional(g, obj) for obj in ce.get("functionals", ())]
+        or None),
+    "factorization.dimension": lambda g, ce: _dimension_witness(
+        Partition.parse(g, ce["support"])),
+    "maintheorem.annihilator": lambda g, ce: _annihilator_witness(
+        *_forests(g, ce), _functionals(g, ce),
+        [[_load_shard(g, ref) for ref in ce["shards"]]]),
+    "maintheorem.converse": lambda g, ce: _converse_witness(
+        g, *_functionals(g, ce)),
+    "delayering.annihilator": lambda g, ce: _delayering_witness(
+        *_forests(g, ce), _functionals(g, ce), _shards(g, ce)),
+    "delayering.separation": lambda g, ce: _separation_witness(
+        g, ce["seed"])[1],
+    "calculus.functoriality": lambda g, ce: _composite_witness(
+        "calculus.functoriality", *_forests(g, ce), _shards(g, ce)),
+}
 
 
 def replay_counterexample(ce):
-    """Re-run one serialized counterexample; True means the claim holds
-    on that instance after all."""
-    claim = ce["claim"]
-    g = GroundSet(ce["ground"])
-    if claim in ("lie.antisymmetry", "lie.jacobi"):
-        return _replay_cancellation(g, ce)
-    if claim == "module.unit":
-        F = parse_forest(g, ce["forests"][0])
-        X = _load_shard(g, ce["shard"])
-        return dual_forest_derivative(F, X) == ShardVector.basis(X)
-    if claim in ("module.action", "calculus.functoriality"):
-        outer = parse_forest(g, ce["forests"][0])
-        inner = parse_forest(g, ce["forests"][1])
-        X = _load_shard(g, ce["shard"])
-        direct = dual_forest_derivative(compose(outer, inner), X)
-        staged = dual_forest_derivative(
-            outer, dual_forest_derivative(inner, X))
-        return direct == staged
-    if claim == "module.coset_kernel":
-        T = parse_forest(g, ce["forests"][0])
-        v = _load_vector(g, ce["vector"])
-        return quotient_space(g).contains(dual_forest_derivative(T, v))
-    if claim == "module.layering":
-        F0 = parse_forest(g, ce["forests"][0])
-        F1 = parse_forest(g, ce["forests"][1])
-        X = _load_shard(g, ce["shard"])
-        diff = dual_forest_derivative(F0, X) - dual_forest_derivative(F1, X)
-        return quotient_space(g).contains(diff)
-    if claim == "kernel.span":
-        P = Partition.parse(g, ce["fine"])
-        R = Partition.parse(g, ce["coarse"])
-        shards = enumerate_shards(P)
-        keys = {X: _component_key(R, X) for X in shards}
-        inc = RationalMatrix(sorted(set(keys.values())))
-        for X in shards:
-            inc.add_row({keys[X]: ONE})
-        diffs = RationalMatrix([X.id() for X in shards])
-        for cls in steinmann_classes(P, R):
-            for X in cls[1:]:
-                if keys[X] != keys[cls[0]]:
-                    return False
-                diffs.add_row({X.id(): ONE, cls[0].id(): -ONE})
-        return rank(diffs) == len(shards) - rank(inc)
-    if claim == "kernel.surjective":
-        P = Partition.parse(g, ce["fine"])
-        R = Partition.parse(g, ce["coarse"])
-        got = {_component_key(R, X) for X in enumerate_shards(P)}
-        expected = 1
-        for T in R.blocks:
-            blocks = [b for b in P.blocks if b & T]
-            blocks += [1 << i for i in iter_bits(g.full_mask ^ T)]
-            expected *= len(enumerate_shards(Partition(g, blocks)))
-        return len(got) == expected
-    if claim == "factorization.diagram":
-        P = Partition.parse(g, ce["support"])
-        F = parse_forest(g, ce["forests"][0])
-        subforests = _block_subforests(P, F)
-        if "shard" in ce:
-            X = _load_shard(g, ce["shard"])
-            lhs = {}
-            for Y, c in dual_forest_derivative(F, X):
-                key = _component_key(P, Y)
-                lhs[key] = lhs.get(key, ZERO) + c
-            lhs = {k: v for k, v in lhs.items() if v != ZERO}
-            rhs = {(): ONE}
-            for Fj, Xj in zip(subforests, project(P, X)):
-                dj = dual_forest_derivative(Fj, Xj).items()
-                rhs = {key + (Z.id(),): c * cz
-                       for key, c in rhs.items() for Z, cz in dj}
-            rhs = {k: v for k, v in rhs.items() if v != ZERO}
-            return lhs == rhs
-        factors = [_load_functional(g, obj) for obj in ce["functionals"]]
-        derived = [forest_derivative(Fj, fj)
-                   for Fj, fj in zip(subforests, factors)]
-        return forest_derivative(F, product(P, factors)) == product(P, derived)
-    if claim == "factorization.dimension":
-        P = Partition.parse(g, ce["support"])
-        bases = [flat_annihilator_basis(P, T) for T in P.blocks]
-        expected = 1
-        for T in P.blocks:
-            expected *= quotient_dim(_sub_ground(g, T))
-        return (_product_rank(P, bases) == expected
-                and _solvable_dim(P) == expected)
-    if claim == "maintheorem.annihilator":
-        F = parse_forest(g, ce["forests"][0])
-        f = _load_functional(g, ce["functional"])
-        X1 = _load_shard(g, ce["shards"][0])
-        X2 = _load_shard(g, ce["shards"][1])
-        return (f.evaluate_vector(dual_forest_derivative(F, X1))
-                == f.evaluate_vector(dual_forest_derivative(F, X2)))
-    if claim == "maintheorem.converse":
-        if ce["functional"] is None:
-            return False
-        f = _load_functional(g, ce["functional"])
-        return any(not is_semisimple(forest_derivative(F, f))
-                   for F in _single_cut_forests(f.support))
-    if claim == "delayering.annihilator":
-        F0 = parse_forest(g, ce["forests"][0])
-        F1 = parse_forest(g, ce["forests"][1])
-        f = _load_functional(g, ce["functional"])
-        X = _load_shard(g, ce["shard"])
-        return (f.evaluate_vector(dual_forest_derivative(F0, X))
-                == f.evaluate_vector(dual_forest_derivative(F1, X)))
-    if claim == "delayering.separation":
-        n = len(g.labels)
-        inst, ce2, _ = _check_delayering_separation(g, n - 1)
-        return ce2 is None
-    if claim == "duality.relations":
-        f = _load_functional(g, ce["functional"])
-        rels = steinmann_relations(g)
-        kills = all(f.evaluate_vector(v) == ZERO for v in rels.relations)
-        return kills == is_semisimply_differentiable(f)
-    if claim == "counts.maximal_shards":
-        got = len(enumerate_shards(Partition.one_block(g)))
-        return got == CHAMBER_COUNTS[len(g.labels)]
-    if claim == "dims.series":
-        return quotient_dim(g) == zie_dimension(len(g.labels))
-    raise ValueError("unknown claim %r" % (claim,))
+    """Re-run one serialized counterexample through its claim's witness;
+    True means the claim holds on that instance after all."""
+    replay = _REPLAY.get(ce["claim"])
+    if replay is None:
+        raise ValueError("unknown claim %r" % (ce["claim"],))
+    return replay(GroundSet(ce["ground"]), ce) is None

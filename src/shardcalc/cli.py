@@ -23,7 +23,7 @@ stderr).
 Rendering keeps every coordinate exact (rational, or rational multiples
 of a single square root) and rounds only when emitting decimal strings,
 via integer square roots, so the SVG bytes are reproducible across
-platforms and numeric backends.  The n=3 scene is the arrangement of
+platforms.  The n=3 scene is the arrangement of
 three concurrent lines with its six chambers labeled by sign vectors.
 The n=4 scene is the stereographic image of the trace of the seven walls
 on the unit sphere of the sum-zero space: seven circles bounding the 32
@@ -37,7 +37,7 @@ import hashlib
 import json
 import os
 import sys
-from math import isqrt
+from math import gcd, isqrt
 
 from .arrangement import (
     canonical_keys,
@@ -213,7 +213,6 @@ class RenderScene:
 
     def to_svg(self):
         h = self.half
-        heavy = any(w["steinmann"] for w in self.walls)
         style = _SVG_STYLE % {
             "plain": _fmt(h * _SCALE // 300),
             "heavy": _fmt(h * _SCALE // 170),
@@ -228,7 +227,6 @@ class RenderScene:
             "text{font-size:%dpx}" % self.font_px,
             "</style>",
         ]
-        del heavy
 
         clipped = [r for r in self.regions if "sides" in r]
         if clipped:
@@ -339,18 +337,10 @@ def _primitive(vec):
     for x in vec:
         den = den * int(rat(x).denominator)
     ints = [int(rat(x) * den) for x in vec]
-    g = 0
-    for t in ints:
-        g = _gcd(g, abs(t))
+    g = gcd(*ints)
     if g > 1:
         ints = [t // g for t in ints]
     return tuple(ints)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _carries_relations(ground, mask):
@@ -754,6 +744,12 @@ def _values_of(obj):
         values = None
     if not isinstance(values, dict):
         raise ValueError("expected a JSON map of shard id to rational")
+    for key, val in values.items():
+        # JSON true/false are ints to Python, and floats are inexact
+        if isinstance(val, bool) or not isinstance(val, (int, str)):
+            raise ValueError(
+                "value of shard %r must be an integer or a rational "
+                "string, got %s" % (key, json.dumps(val)))
     return values
 
 

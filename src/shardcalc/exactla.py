@@ -1,8 +1,7 @@
 """Exact rational linear algebra and strict-feasibility LP.
 
-All arithmetic is over arbitrary-precision rationals (gmpy2.mpq when
-available, fractions.Fraction otherwise; force the latter with
-SHARDCALC_FRACTION=1).  Matrices are sparse rows over a shared ordered
+All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
+exported as Rational.  Matrices are sparse rows over a shared ordered
 column basis of arbitrary hashable keys.  rank and kernel_basis use
 fraction-free integer elimination with content reduction; the columns at
 play downstream are shard bases, so rows are mostly small incidence data.
@@ -15,37 +14,24 @@ the largest absolute entry is 1 (a zero witness, possible only for the
 all-zero sign pattern, is returned unscaled).
 """
 
-import os
-from fractions import Fraction
+from fractions import Fraction as Rational
 from math import gcd
 
 from ._backend import kernel
-
-if os.environ.get("SHARDCALC_FRACTION") == "1":
-    Rational = Fraction
-    RATIONAL_IMPL = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as Rational
-
-        RATIONAL_IMPL = "gmpy2"
-    except ImportError:
-        Rational = Fraction
-        RATIONAL_IMPL = "fraction"
 
 ZERO = Rational(0)
 ONE = Rational(1)
 
 
 def rat(x):
-    """Coerce int / string / rational to the active Rational type."""
+    """Coerce int / string / rational to Rational."""
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact arithmetic")
     return Rational(x)
 
 
 def rat_str(q):
-    """Serialize a rational as 'p/q' or 'p'. Stable across both backends."""
+    """Serialize a rational as 'p/q' or 'p'."""
     return str(q)
 
 
@@ -59,7 +45,7 @@ class SparseVector:
         if entries is not None:
             items = entries.items() if isinstance(entries, dict) else entries
             for k, v in items:
-                v = v if type(v) is type(ONE) else rat(v)
+                v = v if type(v) is Rational else rat(v)
                 if v:
                     self.entries[k] = v
 
@@ -110,7 +96,7 @@ class SparseVector:
         return r
 
     def scale(self, c):
-        c = c if type(c) is type(ONE) else rat(c)
+        c = c if type(c) is Rational else rat(c)
         r = SparseVector()
         if c:
             r.entries = {k: c * v for k, v in self.entries.items()}
@@ -157,7 +143,7 @@ class RationalMatrix:
         for k, v in entries.items():
             if k not in self.col_index:
                 raise KeyError("row key %r outside the column basis" % (k,))
-            v = v if type(v) is type(ONE) else rat(v)
+            v = v if type(v) is Rational else rat(v)
             if v:
                 out[self.col_index[k]] = v
         self.rows.append(out)
@@ -300,7 +286,7 @@ def rowspace_reducer(M):
         for key, val in entries.items():
             if key not in index:
                 raise KeyError("vector key %r outside the column basis" % (key,))
-            val = val if type(val) is type(ONE) else rat(val)
+            val = val if type(val) is Rational else rat(val)
             if val:
                 work[index[key]] = val
         for col in sorted(pivots):

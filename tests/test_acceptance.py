@@ -7,7 +7,6 @@ the end of the session (see conftest.py).
 
 import functools
 import json
-import os
 import subprocess
 import sys
 import time
@@ -60,11 +59,8 @@ def criterion(num, label):
 
 
 def _cli(args):
-    env = dict(os.environ)
-    env.pop("SHARDCALC_PURE", None)
-    env.pop("SHARDCALC_FRACTION", None)
     r = subprocess.run([sys.executable, "-m", "shardcalc", *args],
-                       capture_output=True, env=env)
+                       capture_output=True)
     assert r.returncode == 0, (args, r.stderr)
     return r.stdout
 

@@ -1,8 +1,11 @@
+import itertools
 import json
+import types
 from fractions import Fraction
 
 import pytest
 
+from shardcalc import audit
 from shardcalc.arrangement import enumerate_shards
 from shardcalc.audit import (
     CHAMBER_COUNTS,
@@ -22,6 +25,7 @@ from shardcalc.audit import (
     zie_series,
 )
 from shardcalc.calculus import (
+    Functional,
     InvariantViolation,
     ShardVector,
     random_functional,
@@ -36,9 +40,10 @@ from shardcalc.forests import (
     identity_forest,
     parse_forest,
 )
-from shardcalc.ground import GroundSet, Partition
+from shardcalc.ground import GroundSet, Partition, all_partitions
 from shardcalc.steinmann import steinmann_classes, steinmann_relations
 
+G3 = GroundSet.of_size(3)
 G4 = GroundSet.of_size(4)
 
 
@@ -416,3 +421,114 @@ def test_replay_maintheorem_and_global_claims():
 
 def test_chamber_counts_table():
     assert CHAMBER_COUNTS == {1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}
+
+
+def test_replay_uses_the_recorded_seed(monkeypatch):
+    real = audit.random_functional
+    monkeypatch.setattr(
+        audit, "random_functional",
+        lambda P, seed: Functional.zero(P) if seed == 1 else real(P, seed))
+    ce = {"claim": "delayering.separation", "ground": list(G4.labels)}
+    assert replay_counterexample(dict(ce, seed=SAMPLE_SEED)) is True
+    assert replay_counterexample(dict(ce, seed=1)) is False
+
+
+def _distinct_values():
+    counter = itertools.count()
+    return lambda self, v: next(counter)
+
+
+def _doubled_outer(real):
+    # staged derivatives come out doubled, direct ones do not
+    return lambda F, v: (real(F, v).scale(2) if isinstance(v, ShardVector)
+                         else real(F, v))
+
+
+_never_contains = types.SimpleNamespace(contains=lambda v: False)
+
+# claim -> (its sweep at n <= 4, patches that make its first instance fail)
+_FIRST_FAILS = {
+    "counts.maximal_shards": (
+        lambda: audit._sweep(audit._counts_witness, audit._sizes(4)),
+        [(audit, "CHAMBER_COUNTS", dict.fromkeys(range(1, 7), -1))]),
+    "dims.series": (
+        lambda: audit._sweep(audit._dims_witness, audit._sizes(4)),
+        [(audit, "zie_dimension", lambda n: -1)]),
+    "duality.relations": (
+        lambda: audit._sweep(
+            audit._duality_witness, audit._duality_sample(G4)),
+        [(audit, "is_semisimply_differentiable", lambda f: None)]),
+    "lie.antisymmetry": (
+        lambda: audit._sweep(audit._cancellation_witness,
+                             audit._bracket_instances(G3, "lie.antisymmetry")),
+        [(ShardVector, "is_zero", lambda self: False)]),
+    "lie.jacobi": (
+        lambda: audit._sweep(audit._cancellation_witness,
+                             audit._bracket_instances(G3, "lie.jacobi")),
+        [(ShardVector, "is_zero", lambda self: False)]),
+    "module.unit": (
+        lambda: audit._sweep(audit._unit_witness, audit._unit_instances(G3)),
+        [(audit, "dual_forest_derivative",
+          lambda F, v: ShardVector.zero(F.source))]),
+    "module.action": (
+        lambda: audit._sweep(
+            audit._composite_witness, audit._action_instances(G3)),
+        [(audit, "dual_forest_derivative",
+          _doubled_outer(audit.dual_forest_derivative))]),
+    "module.coset_kernel": (
+        lambda: audit._sweep(
+            audit._coset_witness, audit._coset_instances(G4, 3)),
+        [(audit, "quotient_space", lambda g: _never_contains)]),
+    "module.layering": (
+        lambda: audit._sweep(
+            audit._layering_witness, audit._layering_instances(G4, 3)),
+        [(audit, "quotient_space", lambda g: _never_contains)]),
+    "kernel.span": (
+        lambda: audit._sweep(audit._span_witness, audit._nested_pairs(G3)),
+        [(audit, "rank", lambda M: -1)]),
+    "kernel.surjective": (
+        lambda: audit._sweep(
+            audit._surjective_witness, audit._nested_pairs(G3)),
+        [(audit, "enumerate_shards",
+          lambda P, real=audit.enumerate_shards: real(P) * 2)]),
+    "factorization.diagram": (
+        lambda: audit._sweep(
+            audit._diagram_witness, audit._diagram_instances(G3)),
+        [(audit, "_component_key", lambda P, Y: ())]),
+    "factorization.dimension": (
+        lambda: audit._sweep(audit._dimension_witness,
+                             ((P,) for P in all_partitions(G3))),
+        [(audit, "quotient_dim", lambda g: 0)]),
+    "maintheorem.annihilator": (
+        lambda: audit._check_maintheorem_annihilator(G4, 3),
+        [(Functional, "evaluate_vector", _distinct_values())]),
+    "maintheorem.converse": (
+        lambda: audit._check_maintheorem_converse(G4),
+        [(audit, "is_semisimple", lambda f: True)]),
+    "delayering.annihilator": (
+        lambda: audit._check_delayering_annihilator(G4, 3),
+        [(Functional, "evaluate_vector", _distinct_values())]),
+    "delayering.separation": (
+        lambda: audit._separation_witness(G4, SAMPLE_SEED),
+        [(Functional, "evaluate_vector", lambda self, v: 0)]),
+    "calculus.functoriality": (
+        lambda: audit._sweep(audit._composite_witness,
+                             audit._functoriality_instances(G3)),
+        [(audit, "dual_forest_derivative",
+          _doubled_outer(audit.dual_forest_derivative))]),
+}
+
+
+def test_every_claim_has_a_replay_entry():
+    assert set(audit._REPLAY) == set(audit._STATEMENTS) == set(_FIRST_FAILS)
+
+
+@pytest.mark.parametrize("claim", sorted(_FIRST_FAILS))
+def test_first_swept_instance_replays(claim, monkeypatch):
+    sweep, patches = _FIRST_FAILS[claim]
+    with monkeypatch.context() as m:
+        for target, name, value in patches:
+            m.setattr(target, name, value)
+        ce = sweep()[1]
+    assert ce is not None and ce["claim"] == claim
+    assert replay_counterexample(json.loads(json.dumps(ce))) is True

@@ -1,121 +1,21 @@
-"""Compiled and pure kernels must be interchangeable."""
+"""The numeric kernel: one pure-Python implementation."""
 
-import os
-import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+import shardcalc
 from shardcalc import _kernel_py
 from shardcalc._backend import BACKEND, kernel
 
 
-def _compiled():
-    try:
-        from shardcalc import _kernel
-        return _kernel
-    except ImportError:
-        return None
-
-
-compiled = _compiled()
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled kernel not built")
-
-
-def test_env_override_selects_pure_backend():
-    env = dict(os.environ, SHARDCALC_PURE="1")
-    r = subprocess.run(
-        [sys.executable, "-c",
-         "from shardcalc import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env)
-    assert r.stdout.strip() == "pure"
-
-
 def test_active_backend_is_reported():
-    assert BACKEND in ("compiled", "pure")
-    assert kernel.BACKEND_NAME == BACKEND
+    assert BACKEND == shardcalc.BACKEND == "pure"
+    assert kernel is _kernel_py
+    assert shardcalc.Rational is Fraction
 
 
-@needs_compiled
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=10),
-       st.data())
-@settings(max_examples=80, deadline=None)
-def test_sign_eval_agrees(nums, data):
-    n = len(nums)
-    masks = data.draw(st.lists(
-        st.integers(0, (1 << n) - 1), min_size=0, max_size=12))
-    assert compiled.sign_eval(masks, nums) == \
-        _kernel_py.sign_eval(masks, nums)
-
-
-@needs_compiled
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_pivot_step_agrees(seed):
-    rng = random.Random(seed)
-    rows = rng.randint(2, 6)
-    cols = rng.randint(2, 7)
-    base = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-             for _ in range(cols)] for _ in range(rows)]
-    spots = [(i, j) for i in range(rows) for j in range(cols)
-             if base[i][j] != 0]
-    if not spots:
-        return
-    r, c = rng.choice(spots)
-    a = [row[:] for row in base]
-    b = [row[:] for row in base]
-    compiled.pivot_step(a, r, c)
-    _kernel_py.pivot_step(b, r, c)
-    assert a == b
-
-
-@needs_compiled
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_quick_check_agrees(seed):
-    rng = random.Random(seed)
-    k = rng.randint(1, 8)
-    signs = [rng.choice((-1, 1)) for _ in range(k)]
-    quads = []
-    for _ in range(rng.randint(0, 20)):
-        quad = []
-        for _ in range(4):
-            idx = rng.randint(-1, k - 1)
-            ori = 0 if idx < 0 else rng.choice((-1, 1))
-            quad.extend((idx, ori))
-        quads.append(tuple(quad))
-    assert compiled.quick_check(signs, quads) == \
-        _kernel_py.quick_check(signs, quads)
-
-
-@needs_compiled
 def test_pivot_rejects_zero_pivot():
     tab = [[Fraction(0), Fraction(1)], [Fraction(2), Fraction(3)]]
     with pytest.raises(ZeroDivisionError):
-        compiled.pivot_step([row[:] for row in tab], 0, 0)
-    with pytest.raises(ZeroDivisionError):
-        _kernel_py.pivot_step([row[:] for row in tab], 0, 0)
-
-
-def test_enumeration_identical_across_backends():
-    script = (
-        "from shardcalc.ground import GroundSet, Partition\n"
-        "from shardcalc.arrangement import enumerate_shards\n"
-        "one = Partition.one_block(GroundSet.of_size(4))\n"
-        "print(\"|\".join(X.id() for X in enumerate_shards(one)))\n")
-    outs = []
-    for extra in ({}, {"SHARDCALC_PURE": "1", "SHARDCALC_FRACTION": "1"}):
-        env = dict(os.environ)
-        env.pop("SHARDCALC_PURE", None)
-        env.pop("SHARDCALC_FRACTION", None)
-        env.update(extra)
-        r = subprocess.run([sys.executable, "-c", script],
-                           capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(r.stdout)
-    assert outs[0] == outs[1]
-    assert outs[0].count("|") == 31
+        kernel.pivot_step([row[:] for row in tab], 0, 0)

@@ -1,7 +1,6 @@
 """Command-line behavior: payload shapes, exit codes, IO plumbing."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -393,6 +392,17 @@ def test_bad_json_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+def test_non_exact_value_is_usage_error(tmp_path, capsys, value):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(
+        {"support": "(12)", "values": {"+": value, "-": 1}}))
+    code, out, err = run_main(capsys, ["derive", "--forest", "[1,2]", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
@@ -407,14 +417,9 @@ def test_unknown_subcommand_exits_two(capsys):
 
 # -------------------------------------------------------- subprocesses
 
-def _run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("SHARDCALC_PURE", None)
-    env.pop("SHARDCALC_FRACTION", None)
-    env.update(env_extra or {})
+def _run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "shardcalc", *args],
-        capture_output=True, env=env)
+        [sys.executable, "-m", "shardcalc", *args], capture_output=True)
 
 
 def test_module_entry_point_round_trip():
@@ -422,11 +427,3 @@ def test_module_entry_point_round_trip():
     assert r.returncode == 0
     assert json.loads(r.stdout)["zie_dimension"] == 26
 
-
-def test_output_bytes_identical_across_backends():
-    args = ["render", "--n", "4", "--forest", "[[1,2],[3,4]]@012"]
-    fast = _run_cli(args)
-    pure = _run_cli(args, {"SHARDCALC_PURE": "1", "SHARDCALC_FRACTION": "1"})
-    assert fast.returncode == pure.returncode == 0
-    assert fast.stdout == pure.stdout
-    assert fast.stdout  # nonempty

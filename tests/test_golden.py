@@ -1,9 +1,7 @@
 """Golden-file determinism: rerunning a command must reproduce the
-checked-in bytes exactly, on either numeric backend."""
+checked-in bytes exactly."""
 
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -20,6 +18,8 @@ CASES = [
     (["oracle", "--n", "4"], "oracle_n4.json"),
     (["verify", "--n", "2", "--suite", "lie", "--format", "text"],
      "verify_n2_lie.txt"),
+    (["verify", "--n", "4"], "verify_n4.json"),
+    (["verify", "--n", "5", "--suite", "lie"], "verify_n5_lie.json"),
     (["render", "--n", "3"], "render_n3.svg"),
     (["render", "--n", "3", "--forest", "[[1,2],3]"], "render_n3_tree.svg"),
     (["render", "--n", "4"], "render_n4.svg"),
@@ -50,15 +50,3 @@ def test_two_layerings_share_walls_but_not_shading():
     walls = lambda s: s[s.index('<g id="walls">'):]
     assert walls(a) == walls(b)
 
-
-@pytest.mark.parametrize("name", [
-    "enumerate_n4.jsonl", "render_n4_layering012.svg"])
-def test_golden_bytes_on_pure_backend(name, tmp_path):
-    args = next(a for a, n in CASES if n == name)
-    env = dict(os.environ,
-               SHARDCALC_PURE="1", SHARDCALC_FRACTION="1")
-    r = subprocess.run(
-        [sys.executable, "-m", "shardcalc", *args],
-        capture_output=True, env=env)
-    assert r.returncode == 0
-    assert r.stdout == _golden(name)
