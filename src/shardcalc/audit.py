@@ -543,13 +543,13 @@ def _coset_instances(g, max_cuts):
             yield T, v
 
 
-def _layering_pairs(g, max_cuts):
-    """(first layering, other layering) of every delayered forest of the
-    one-block support with more than one layering."""
+def _layering_groups(g, max_cuts):
+    """The layerings, first layering first, of every delayered forest of
+    the one-block support with more than one layering."""
     groups = {}
     for F in iter_forests(Partition.one_block(g), max_cuts):
         groups.setdefault(frozenset(c.serial() for c in F.cuts), []).append(F)
-    return [(ms[0], Fi) for ms in groups.values() for Fi in ms[1:]]
+    return [ms for ms in groups.values() if len(ms) > 1]
 
 
 def _layering_witness(F0, F1, X):
@@ -563,9 +563,11 @@ def _layering_witness(F0, F1, X):
 
 
 def _layering_instances(g, max_cuts):
-    for F0, Fi in _layering_pairs(g, max_cuts):
-        for X in enumerate_shards(F0.target):
-            yield F0, Fi, X
+    for F0, *others in _layering_groups(g, max_cuts):
+        shards = enumerate_shards(F0.target)
+        for Fi in others:
+            for X in shards:
+                yield F0, Fi, X
 
 
 def verify_module_axioms(n):
@@ -788,10 +790,12 @@ def verify_factorization(n, seed=SAMPLE_SEED):
 
 # --------------------------------------------------- main theorem, delayering
 
-def _annihilator_witness(F, functionals, classes):
+def _annihilator_witness(F, functionals, shards, classes):
     """Each functional must take one value on the dual derivatives along
-    F of every shard in each class."""
-    duals = {X: dual_forest_derivative(F, X) for cls in classes for X in cls}
+    F of every shard in each class.  Every shard in `shards` is derived,
+    so the sweep (all shards of F.target) also runs the derivative's own
+    cross-check on shards in singleton classes."""
+    duals = {X: dual_forest_derivative(F, X) for X in shards}
     for f in functionals:
         for cls in classes:
             v0 = f.evaluate_vector(duals[cls[0]])
@@ -811,7 +815,8 @@ def _check_maintheorem_annihilator(g, max_cuts):
     for F in iter_forests(Partition.one_block(g), max_cuts):
         classes = [cls for cls in steinmann_classes(F.target, F.target)
                    if len(cls) > 1]
-        ce = _annihilator_witness(F, basis, classes)
+        ce = _annihilator_witness(
+            F, basis, enumerate_shards(F.target), classes)
         if ce is not None:
             return instances + _functionals_checked(basis, ce), ce
         instances += len(basis)
@@ -839,29 +844,35 @@ def _check_maintheorem_converse(g, seed=SAMPLE_SEED):
     return 1, _converse_witness(g, None), None
 
 
-def _delayering_witness(F0, F1, functionals, shards):
-    """Each functional must agree on the dual derivatives along the two
-    layerings F0 and F1 of each shard."""
+def _delayering_witness(F0, others, functionals, shards):
+    """Each functional must agree on the dual derivatives along the first
+    layering F0 and each other layering of each shard.  F0 is derived
+    once for the whole group."""
     duals0 = {X: dual_forest_derivative(F0, X) for X in shards}
-    duals1 = {X: dual_forest_derivative(F1, X) for X in shards}
-    for f in functionals:
-        for X in shards:
-            if f.evaluate_vector(duals0[X]) != f.evaluate_vector(duals1[X]):
-                return _counterexample(
-                    "delayering.annihilator", F0.ground,
-                    forests=[format_forest(F0), format_forest(F1)],
-                    functional=f.to_json_obj(), shard=_shard_ref(X))
+    for Fi in others:
+        dualsi = {X: dual_forest_derivative(Fi, X) for X in shards}
+        for f in functionals:
+            for X in shards:
+                if (f.evaluate_vector(duals0[X])
+                        != f.evaluate_vector(dualsi[X])):
+                    return _counterexample(
+                        "delayering.annihilator", F0.ground,
+                        forests=[format_forest(F0), format_forest(Fi)],
+                        functional=f.to_json_obj(), shard=_shard_ref(X))
     return None
 
 
 def _check_delayering_annihilator(g, max_cuts):
     basis = steinmann_relations(g).annihilator_basis()
     instances = 0
-    for F0, Fi in _layering_pairs(g, max_cuts):
-        ce = _delayering_witness(F0, Fi, basis, enumerate_shards(F0.target))
+    for F0, *others in _layering_groups(g, max_cuts):
+        ce = _delayering_witness(
+            F0, others, basis, enumerate_shards(F0.target))
         if ce is not None:
-            return instances + _functionals_checked(basis, ce), ce
-        instances += len(basis)
+            done = [format_forest(Fi) for Fi in others].index(ce["forests"][1])
+            return (instances + done * len(basis)
+                    + _functionals_checked(basis, ce)), ce
+        instances += len(others) * len(basis)
     return instances, None
 
 
@@ -871,12 +882,13 @@ def _separation_witness(g, seed):
     n - 1 cuts).  Returns (pairs examined, counterexample or None)."""
     f = random_functional(Partition.one_block(g), seed)
     instances = 0
-    for F0, Fi in _layering_pairs(g, g.n - 1):
-        instances += 1
-        for X in enumerate_shards(F0.target):
-            if (f.evaluate_vector(dual_forest_derivative(F0, X))
-                    != f.evaluate_vector(dual_forest_derivative(Fi, X))):
-                return instances, None
+    for F0, *others in _layering_groups(g, g.n - 1):
+        for Fi in others:
+            instances += 1
+            for X in enumerate_shards(F0.target):
+                if (f.evaluate_vector(dual_forest_derivative(F0, X))
+                        != f.evaluate_vector(dual_forest_derivative(Fi, X))):
+                    return instances, None
     return instances, _counterexample(
         "delayering.separation", g, seed=seed)
 
@@ -1010,6 +1022,18 @@ def _shards(g, ce):
     return [_load_shard(g, ce["shard"])]
 
 
+def _shard_class(g, ce):
+    """The recorded shard pair, as the shards to derive and their class."""
+    pair = [_load_shard(g, ref) for ref in ce["shards"]]
+    return pair, [pair]
+
+
+def _layering_group(g, ce):
+    """The recorded layerings, as a first layering and its others."""
+    F0, *others = _forests(g, ce)
+    return F0, others
+
+
 def _fine_coarse(g, ce):
     return Partition.parse(g, ce["fine"]), Partition.parse(g, ce["coarse"])
 
@@ -1046,12 +1070,11 @@ _REPLAY = {
     "factorization.dimension": lambda g, ce: _dimension_witness(
         Partition.parse(g, ce["support"])),
     "maintheorem.annihilator": lambda g, ce: _annihilator_witness(
-        *_forests(g, ce), _functionals(g, ce),
-        [[_load_shard(g, ref) for ref in ce["shards"]]]),
+        *_forests(g, ce), _functionals(g, ce), *_shard_class(g, ce)),
     "maintheorem.converse": lambda g, ce: _converse_witness(
         g, *_functionals(g, ce)),
     "delayering.annihilator": lambda g, ce: _delayering_witness(
-        *_forests(g, ce), _functionals(g, ce), _shards(g, ce)),
+        *_layering_group(g, ce), _functionals(g, ce), _shards(g, ce)),
     "delayering.separation": lambda g, ce: _separation_witness(
         g, ce["seed"])[1],
     "calculus.functoriality": lambda g, ce: _composite_witness(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import types
@@ -38,6 +39,7 @@ from shardcalc.forests import (
     cut_forest,
     format_forest,
     identity_forest,
+    iter_forests,
     parse_forest,
 )
 from shardcalc.ground import GroundSet, Partition, all_partitions
@@ -431,6 +433,38 @@ def test_replay_uses_the_recorded_seed(monkeypatch):
     ce = {"claim": "delayering.separation", "ground": list(G4.labels)}
     assert replay_counterexample(dict(ce, seed=SAMPLE_SEED)) is True
     assert replay_counterexample(dict(ce, seed=1)) is False
+
+
+def _counting_derivative(monkeypatch):
+    calls = collections.Counter()
+    real = audit.dual_forest_derivative
+
+    def counting(F, X):
+        calls[format_forest(F), X.id()] += 1
+        return real(F, X)
+    monkeypatch.setattr(audit, "dual_forest_derivative", counting)
+    return calls
+
+
+def test_maintheorem_sweep_derives_every_shard(monkeypatch):
+    # every derivation runs the derivative's own cut-by-cut cross-check,
+    # so shards in singleton Steinmann classes are derived too
+    calls = _counting_derivative(monkeypatch)
+    assert audit._check_maintheorem_annihilator(G4, 2)[1] is None
+    assert calls == collections.Counter(
+        (format_forest(F), X.id())
+        for F in iter_forests(Partition.one_block(G4), 2)
+        for X in enumerate_shards(F.target))
+
+
+def test_delayering_sweep_derives_each_layering_once(monkeypatch):
+    calls = _counting_derivative(monkeypatch)
+    assert audit._check_delayering_annihilator(G4, 3)[1] is None
+    assert calls == collections.Counter(
+        (format_forest(F), X.id())
+        for members in audit._layering_groups(G4, 3)
+        for F in members
+        for X in enumerate_shards(members[0].target))
 
 
 def _distinct_values():
