@@ -10,6 +10,7 @@ from .audit import (
     CHAMBER_COUNTS,
     SAMPLE_SEED,
     full_audit,
+    replay_counterexample,
     verify_factorization,
     verify_kernel_theorem,
     verify_lie_axioms,
@@ -24,7 +25,7 @@ from .calculus import (
     forest_derivative,
     random_functional,
 )
-from .cli import main, render
+from .cli import main
 from .exactla import Rational, RationalMatrix, rat, rat_str
 from .forests import (
     LayeredForest,
@@ -43,6 +44,7 @@ from .steinmann import (
     quotient_space,
     steinmann_relations,
 )
+from .svg import render
 
 __version__ = "0.1.0"
 
@@ -79,6 +81,7 @@ __all__ = [
     "rat",
     "rat_str",
     "render",
+    "replay_counterexample",
     "shard_from_signs",
     "steinmann_relations",
     "verify_factorization",

@@ -20,7 +20,6 @@ patterns as an independent oracle for small cases.
 import random
 from math import gcd
 
-from . import exactla
 from ._backend import kernel
 from .exactla import ONE, ZERO, Rational, RationalMatrix, strictly_feasible
 from .ground import (
@@ -34,18 +33,6 @@ from .ground import (
     popcount,
     reduction_mask,
 )
-
-
-class OnHyperplaneError(ValueError):
-    """The point lies on a hyperplane of the arrangement under its flat."""
-
-    def __init__(self, subset):
-        self.subset = subset
-        super().__init__("point lies on the hyperplane of %r" % (subset,))
-
-
-class NotInFlatError(ValueError):
-    """The point has a nonzero block sum, so it is outside the flat."""
 
 
 class SupportMismatchError(ValueError):
@@ -70,16 +57,12 @@ class SupportContext:
         self.keys = sorted(keys)
         self.K = len(self.keys)
         self.key_index = {r: k for k, r in enumerate(self.keys)}
-        self._key_subsets = [Subset(self.ground, r) for r in self.keys]
         self._quads = None
         self._normals = None
         self._memo = {}  # sign tuple -> witness coord tuple or None
         self._interned = {}
         self._enumerated = None
         self._block_of = [P.block_of(i) for i in range(self.n)]
-
-    def key_subsets(self):
-        return list(self._key_subsets)
 
     def lookup(self, mask):
         """Map a subset mask to (key index, orientation); (-1, 0) if zero."""
@@ -155,11 +138,6 @@ def context_for(P):
     return ctx
 
 
-def canonical_keys(P):
-    """The canonical key subsets of a support partition, in storage order."""
-    return context_for(P).key_subsets()
-
-
 class Shard:
     """A face of the arrangement spanning the flat of its support partition.
 
@@ -192,10 +170,6 @@ class Shard:
         if idx < 0:
             return 0
         return orient * self.signs[idx]
-
-    def sign_map(self):
-        """Canonical key mask -> sign, in storage order."""
-        return dict(zip(self.ctx.keys, self.signs))
 
     def id(self):
         """Sign string over the canonical keys, e.g. '++-+'."""
@@ -241,33 +215,6 @@ def _key_signs_at(ctx, coords):
     return kernel.sign_eval(ctx.keys, _coords_to_nums(coords))
 
 
-def shard_from_point(P, point):
-    """The shard whose sign data is the signature of a generic flat point.
-
-    point: rational coordinates in ground order.  Raises NotInFlatError if
-    some block sum is nonzero, OnHyperplaneError (carrying the subset) if
-    the point lies on a hyperplane live under the flat.
-    """
-    ctx = context_for(P)
-    coords = tuple(exactla.rat(x) for x in point)
-    if len(coords) != ctx.n:
-        raise ValueError("point has wrong dimension")
-    nums = _coords_to_nums(coords)
-    for b in P.blocks:
-        if sum(nums[i] for i in iter_bits(b)):
-            raise NotInFlatError(
-                "block %s has nonzero sum" % ctx.ground.mask_labels(b)
-            )
-    signs = kernel.sign_eval(ctx.keys, nums)
-    for r, s in zip(ctx.keys, signs):
-        if s == 0:
-            raise OnHyperplaneError(Subset(ctx.ground, r))
-    shard = ctx.intern(tuple(signs))
-    if shard.witness is None:
-        shard.witness = coords
-    return shard
-
-
 def shard_from_signs(P, signs, certify=False):
     """Build a shard from sign data without enumeration.
 
@@ -292,8 +239,9 @@ def shard_from_signs(P, signs, certify=False):
             idx, orient = ctx.lookup(mask)
             if idx < 0:
                 raise ValueError("subset is a union of blocks, carries no sign")
-            s = {1: 1, -1: -1, "+": 1, "-": -1}[v]
-            by_mask[idx] = orient * s
+            if v not in (1, -1, "+", "-"):
+                raise ValueError("sign of key %r must be +1, -1, '+' or '-'" % (k,))
+            by_mask[idx] = orient * (1 if v in (1, "+") else -1)
         if sorted(by_mask) != list(range(ctx.K)):
             raise ValueError("signs must cover every canonical key exactly once")
         tup = tuple(by_mask[k] for k in range(ctx.K))
@@ -359,9 +307,9 @@ def _feasible(ctx, signs, hint=None):
     return coords
 
 
-def _generic_flat_point(ctx, seed):
+def _generic_flat_point(ctx):
     """Fixed-seed rational point of the flat avoiding all key hyperplanes."""
-    rnd = random.Random("%s|%s|%s" % (ctx.ground.labels, ctx.P.blocks, seed))
+    rnd = random.Random("%s|%s|0" % (ctx.ground.labels, ctx.P.blocks))
     span = 9
     for _ in range(200):
         raw = [rnd.randint(-span, span) for _ in range(ctx.n)]
@@ -376,7 +324,7 @@ def _generic_flat_point(ctx, seed):
     raise AssertionError("could not sample a generic point of the flat")
 
 
-def enumerate_shards(P, method="bfs", seed=0):
+def enumerate_shards(P, method="bfs"):
     """All shards with support exactly P, sorted by sign string.
 
     method='bfs' (default) walks the chamber graph from a generic seed
@@ -407,7 +355,7 @@ def enumerate_shards(P, method="bfs", seed=0):
     if ctx._enumerated is not None:
         return list(ctx._enumerated)
 
-    start = _generic_flat_point(ctx, seed)
+    start = _generic_flat_point(ctx)
     first = tuple(_key_signs_at(ctx, start))
     ctx._memo[first] = start
     frontier = [first]
@@ -460,25 +408,6 @@ def project(R, X):
             signs.append(s)
         out.append(ctx_j.intern(tuple(signs)))
     return out
-
-
-def steinmann_adjacent(R, X1, X2):
-    """Witness key subset if X1, X2 differ exactly on one non-R-semisimple
-    canonical key class; None otherwise (including X1 = X2)."""
-    if X1.ctx is not X2.ctx and (
-        X1.ctx.ground != X2.ctx.ground or X1.ctx.P != X2.ctx.P
-    ):
-        raise SupportMismatchError("shards have different supports")
-    P = X1.support
-    if not is_finer(P, R):
-        raise NotFinerError("support %s is not finer than %s" % (P.format(), R.format()))
-    diff = [k for k in range(X1.ctx.K) if X1.signs[k] != X2.signs[k]]
-    if len(diff) != 1:
-        return None
-    E = Subset(P.ground, X1.ctx.keys[diff[0]])
-    if is_r_semisimple(P, R, E):
-        return None
-    return E
 
 
 class _UnionFind:

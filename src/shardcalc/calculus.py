@@ -31,7 +31,7 @@ def _merged_source(Q, V):
     return Partition(Q.ground, blocks)
 
 
-def arrow(X, V, certify=False):
+def arrow(X, V):
     """X^V: the shard one level coarser, positive toward V's left part.
 
     Per canonical key of the coarse support: the key representing the new
@@ -54,7 +54,7 @@ def arrow(X, V, certify=False):
                     "key %s vanished on the fine support" % Q.ground.mask_labels(rep)
                 )
             out.append("+" if s > 0 else "-")
-    return shard_from_signs(P, "".join(out), certify=certify)
+    return shard_from_signs(P, "".join(out))
 
 
 class ShardVector:
@@ -240,17 +240,17 @@ def random_functional(support, seed, span=9):
     )
 
 
-def _dual_cut(v, V, certify):
+def _dual_cut(v, V):
     coarse = context_for(_merged_source(v.support, V))
     entries = {}
     rev = V.reversed()
     for X, c in v.items():
-        for Y, s in ((arrow(X, V, certify), c), (arrow(X, rev, certify), -c)):
+        for Y, s in ((arrow(X, V), c), (arrow(X, rev), -c)):
             entries[Y] = entries.get(Y, ZERO) + s
     return ShardVector(coarse, entries)
 
 
-def dual_forest_derivative(F, v, certify=False):
+def dual_forest_derivative(F, v):
     """Push a shard vector from target(F) up to source(F).
 
     Evaluates twice: cut by cut (innermost first), and as the signed sum of
@@ -266,7 +266,7 @@ def dual_forest_derivative(F, v, certify=False):
         )
     out = v
     for V in reversed(F.cuts):
-        out = _dual_cut(out, V, certify)
+        out = _dual_cut(out, V)
 
     acc = {}
     for sign, G in antisymmetrize(F):
@@ -283,7 +283,7 @@ def dual_forest_derivative(F, v, certify=False):
     return out
 
 
-def forest_derivative(F, f, certify=False):
+def forest_derivative(F, f):
     """The functional on target(F) given by X -> f(dual derivative of X)."""
     if f.support != F.source or f.ground != F.ground:
         raise BoundaryMismatchError(
@@ -293,5 +293,5 @@ def forest_derivative(F, f, certify=False):
     fine = context_for(F.target)
     values = {}
     for X in enumerate_shards(fine.P):
-        values[X] = f.evaluate_vector(dual_forest_derivative(F, X, certify))
+        values[X] = f.evaluate_vector(dual_forest_derivative(F, X))
     return Functional(fine, values)

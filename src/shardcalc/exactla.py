@@ -61,11 +61,6 @@ class SparseVector:
     def is_zero(self):
         return not self.entries
 
-    def copy(self):
-        v = SparseVector()
-        v.entries = dict(self.entries)
-        return v
-
     def __add__(self, other):
         out = dict(self.entries)
         for k, v in other.entries.items():
@@ -147,24 +142,6 @@ class RationalMatrix:
             if v:
                 out[self.col_index[k]] = v
         self.rows.append(out)
-
-    def ncols(self):
-        return len(self.columns)
-
-    def nrows(self):
-        return len(self.rows)
-
-
-def transpose(M):
-    """Transpose; column keys of the result are the row indices of M."""
-    T = RationalMatrix(range(len(M.rows)))
-    cols = {}
-    for i, row in enumerate(M.rows):
-        for j, v in row.items():
-            cols.setdefault(j, {})[i] = v
-    for j in range(len(M.columns)):
-        T.rows.append(dict(cols.get(j, {})))
-    return T
 
 
 def _content_reduce(row):

@@ -12,8 +12,6 @@ layer order when more than one layering exists (with "@L"/"@R" sugar when
 there are exactly two).
 """
 
-from itertools import permutations
-
 from .ground import (
     GroundMismatchError,
     Partition,
@@ -99,20 +97,8 @@ class LayeredForest:
         self.target = Partition(source.ground, blocks)
         self.cuts = cuts
 
-    @classmethod
-    def identity(cls, P):
-        return cls(P, ())
-
-    def is_identity(self):
-        return not self.cuts
-
     def serial(self):
         return tuple(c.serial() for c in self.cuts)
-
-    def active_blocks(self):
-        """Blocks of the source that this forest actually splits."""
-        roots = set(self.source.blocks)
-        return frozenset(c.parent for c in self.cuts if c.parent in roots)
 
     def __eq__(self, other):
         return (
@@ -134,7 +120,7 @@ class LayeredForest:
 
 
 def identity_forest(P):
-    return LayeredForest.identity(P)
+    return LayeredForest(P, ())
 
 
 def cut_forest(P, parent, left):
@@ -158,20 +144,8 @@ def compose(F1, F2):
     return LayeredForest(F1.source, F1.cuts + F2.cuts)
 
 
-def merge(F1, F2):
-    """Union of forests over one source acting on disjoint sets of blocks.
-
-    Layering is F1's nodes then F2's.
-    """
-    if F1.source != F2.source:
-        raise BoundaryMismatchError("merge needs a shared source partition")
-    if F1.active_blocks() & F2.active_blocks():
-        raise ValueError("forests act on a common block, merge is ambiguous")
-    return LayeredForest(F1.source, F1.cuts + F2.cuts)
-
-
 def antisymmetrize(F):
-    """Signed sum over all left/right switches; original first, sign +1."""
+    """(sign, forest) pairs over all left/right switches; original first, +1."""
     l = len(F.cuts)
     terms = []
     for s in range(1 << l):
@@ -180,42 +154,7 @@ def antisymmetrize(F):
         ]
         sign = -1 if popcount(s) & 1 else 1
         terms.append((sign, LayeredForest(F.source, cuts)))
-    return SignedForestSum(terms)
-
-
-class SignedForestSum:
-    """Formal signed sum of layered forests sharing both endpoints."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        terms = tuple((int(s), f) for s, f in terms)
-        if terms:
-            src, tgt = terms[0][1].source, terms[0][1].target
-            for _, f in terms:
-                if f.source != src or f.target != tgt:
-                    raise BoundaryMismatchError("summands have mixed endpoints")
-        self.terms = terms
-
-    @property
-    def source(self):
-        return self.terms[0][1].source
-
-    @property
-    def target(self):
-        return self.terms[0][1].target
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        bits = []
-        for s, f in self.terms:
-            bits.append(("+ " if s > 0 else "- ") + format_forest(f))
-        return "SignedForestSum(%s)" % " ".join(bits)
+    return terms
 
 
 # ---- text notation ----
@@ -421,12 +360,9 @@ def format_forest(F):
 
     # preorder index of each cut, matching parse_forest's numbering
     order = []
-    counter = [0]
 
     def walk(mask):
         if mask in children:
-            idx = counter[0]
-            counter[0] += 1
             order.append(mask)
             l, r = children[mask]
             walk(l)

@@ -64,11 +64,6 @@ class GroundSet:
             m |= 1 << self.index[str(x)]
         return Subset(self, m)
 
-    def subset_from_mask(self, mask):
-        if mask & ~self.full_mask:
-            raise ValueError("mask has bits outside the ground set")
-        return Subset(self, mask)
-
     def mask_labels(self, mask):
         """Render a mask as its sorted label string, e.g. 13 or a1,b."""
         parts = [self.labels[i] for i in iter_bits(mask)]
@@ -198,13 +193,6 @@ class Partition:
                 return b
         raise ValueError("element index out of range")
 
-    def block_count(self):
-        return len(self.blocks)
-
-    def dim(self):
-        """Dimension of the flat of this partition: n minus number of blocks."""
-        return self.ground.n - len(self.blocks)
-
     def __eq__(self, other):
         return (
             isinstance(other, Partition)
@@ -244,15 +232,6 @@ def reduction_mask(P, emask):
         if (b & ~emask) == 0:
             m &= ~b
     return m
-
-
-def reduction(P, E):
-    """The subset E with every fully contained block of P removed.
-
-    Idempotent: reducing a reduced subset changes nothing.
-    """
-    _same_ground(P, E)
-    return Subset(P.ground, reduction_mask(P, E.mask))
 
 
 def is_r_semisimple(P, R, E):
@@ -299,29 +278,6 @@ def all_partitions(ground):
 
     rec(0, [])
     out.sort(key=lambda p: (len(p.blocks), p.blocks))
-    return out
-
-
-def partitions_of_mask(ground, mask):
-    """All partitions of the sub-ground set given by mask, as block tuples."""
-    bits = list(iter_bits(mask))
-    out = []
-
-    def rec(i, blocks):
-        if i == len(bits):
-            out.append(tuple(sorted(blocks, key=lambda b: b & -b)))
-            return
-        bit = 1 << bits[i]
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            rec(i + 1, blocks)
-            blocks[j] &= ~bit
-        blocks.append(bit)
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    out.sort(key=lambda bs: (len(bs), bs))
     return out
 
 

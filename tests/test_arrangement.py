@@ -3,29 +3,23 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardcalc.exactla import rat
 from shardcalc.ground import (
     GroundSet,
     NotFinerError,
     Partition,
-    Subset,
     all_partitions,
     coarser_partitions,
+    iter_bits,
     popcount,
     reduction_mask,
 )
 from shardcalc.arrangement import (
-    NotInFlatError,
-    OnHyperplaneError,
     Shard,
-    SupportMismatchError,
-    canonical_keys,
+    _key_signs_at,
     context_for,
     enumerate_shards,
     project,
-    shard_from_point,
     shard_from_signs,
-    steinmann_adjacent,
     steinmann_classes,
 )
 
@@ -55,47 +49,12 @@ def test_canonical_key_counts_match_product_formula():
         prod = 1
         for b in P.blocks:
             prod *= (1 << popcount(b)) - 1
-        assert len(canonical_keys(P)) == (prod - 1) // 2
+        assert len(context_for(P).keys) == (prod - 1) // 2
 
 
 def test_canonical_keys_are_reduced_class_minima():
     P = part(g(4), "(12|34)")
-    keys = [k.mask for k in canonical_keys(P)]
-    assert keys == [0b0001, 0b0100, 0b0101, 0b0110]  # {1},{3},{13},{23}
-
-
-def test_shard_from_point_n2():
-    P = one_block(2)
-    X = shard_from_point(P, [1, -1])
-    assert X.sign_of(Subset(g(2), 0b01)) == 1
-    assert X.sign_of(Subset(g(2), 0b10)) == -1
-    assert X.id() == "+"
-
-
-def test_shard_from_point_n3_all_subset_signs():
-    G = g(3)
-    X = shard_from_point(one_block(3), [2, -1, -1])
-    want = {"1": 1, "2": -1, "3": -1, "12": 1, "13": 1, "23": -1}
-    for text, s in want.items():
-        assert X.sign_of(G.subset(text)) == s
-
-
-def test_shard_from_point_zero_dimensional():
-    G = g(2)
-    P = part(G, "(1|2)")
-    X = shard_from_point(P, [0, 0])
-    assert X.signs == ()
-    assert X.sign_of(G.subset("1")) == 0
-
-
-def test_shard_from_point_errors():
-    with pytest.raises(NotInFlatError):
-        shard_from_point(one_block(2), [1, 1])
-    with pytest.raises(OnHyperplaneError) as info:
-        shard_from_point(one_block(3), [1, -1, 0])
-    assert isinstance(info.value.subset, Subset)
-    with pytest.raises(ValueError):
-        shard_from_point(one_block(3), [rat("1/2")] * 2)
+    assert context_for(P).keys == [0b0001, 0b0100, 0b0101, 0b0110]  # {1},{3},{13},{23}
 
 
 def test_enumerate_counts_small():
@@ -125,14 +84,10 @@ def test_enumerated_witnesses_realize_their_signs():
         ctx = context_for(P)
         for X in enumerate_shards(P):
             assert X.witness is not None
-            nums_signs = [
-                X.sign_of(r) for r in ctx.keys
-            ]
-            point_shard = (
-                shard_from_point(P, X.witness) if ctx.K else X
-            )
-            assert point_shard.signs == X.signs
-            assert nums_signs == list(X.signs)
+            for b in P.blocks:
+                assert sum(X.witness[i] for i in iter_bits(b)) == 0
+            assert tuple(_key_signs_at(ctx, X.witness)) == X.signs
+            assert [X.sign_of(r) for r in ctx.keys] == list(X.signs)
 
 
 def test_complement_and_reduction_sign_consistency():
@@ -153,7 +108,7 @@ def test_shard_from_signs_roundtrip():
     P = one_block(4)
     for X in enumerate_shards(P):
         assert shard_from_signs(P, X.id()) is X  # interned
-        assert shard_from_signs(P, X.sign_map()) is X
+        assert shard_from_signs(P, dict(zip(context_for(P).keys, X.signs))) is X
         assert shard_from_signs(P, X.to_json_obj()["signs"]) is X
 
 
@@ -224,27 +179,19 @@ def test_projection_surjective_n4():
             assert image == target, (P.format(), R.format())
 
 
-def test_steinmann_adjacent_basics():
-    G = g(4)
-    P = part(G, "(12|34)")
-    shards = enumerate_shards(P)
-    assert steinmann_adjacent(P, shards[0], shards[0]) is None
-    zero = enumerate_shards(part(G, "(1|2|3|4)"))[0]
-    assert steinmann_adjacent(part(G, "(12|34)"), zero, zero) is None
-    with pytest.raises(SupportMismatchError):
-        steinmann_adjacent(one_block(4), shards[0], zero)
-
-
 def test_steinmann_adjacent_witness_meets_two_blocks():
+    # members of one Steinmann class differ only on keys that meet both
+    # blocks of R; a class of two is one Steinmann-adjacent pair
     G = g(4)
     P = part(G, "(12|34)")
+    keys = context_for(P).keys
     found = 0
-    for X1 in enumerate_shards(P):
-        for X2 in enumerate_shards(P):
-            E = steinmann_adjacent(P, X1, X2)
-            if E is not None:
-                found += 1
-                red = reduction_mask(P, E.mask)
+    for cls in steinmann_classes(P, P):
+        for X1, X2 in itertools.combinations(cls, 2):
+            diff = [r for r, a, b in zip(keys, X1.signs, X2.signs) if a != b]
+            found += len(diff) == 1
+            for r in diff:
+                red = reduction_mask(P, r)
                 assert red & 0b0011 and red & 0b1100
     assert found > 0
 

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardcalc import calculus, forests
 from shardcalc.exactla import ZERO, ONE, rat
 from shardcalc.ground import GroundSet, Partition, GroundMismatchError
 from shardcalc.forests import (
@@ -11,7 +12,6 @@ from shardcalc.forests import (
     cut_forest,
     identity_forest,
     iter_forests,
-    merge,
     parse_forest,
 )
 from shardcalc.arrangement import context_for, enumerate_shards, shard_from_signs
@@ -37,8 +37,10 @@ def zero_dim_shard(g):
 def test_arrow_two_element_ground():
     X = zero_dim_shard(G2)
     V = Cut(G2, 0b11, 0b01)
-    up = arrow(X, V, certify=True)
-    down = arrow(X, V.reversed(), certify=True)
+    up = arrow(X, V)
+    down = arrow(X, V.reversed())
+    assert up in enumerate_shards(up.support)
+    assert down in enumerate_shards(down.support)
     assert up.sign_of(0b01) == 1
     assert down.sign_of(0b01) == -1
     assert up != down
@@ -52,8 +54,8 @@ def test_arrow_inherits_codim_one_signs():
     V = Cut(G4, 0b1111, 0b0011)
     ctxP = context_for(P)
     for X in enumerate_shards(Q):
-        up = arrow(X, V, certify=True)
-        down = arrow(X, V.reversed(), certify=True)
+        up = arrow(X, V)
+        down = arrow(X, V.reversed())
         # independent route: full-support shards agreeing with X wherever X
         # carries a sign are exactly the two sides of the wall
         nbrs = [
@@ -85,6 +87,22 @@ def test_dual_identity_forest():
     for X in enumerate_shards(P):
         v = ShardVector.basis(X)
         assert dual_forest_derivative(identity_forest(P), v) == v
+
+
+def test_dual_derivative_cross_check_catches_a_wrong_sign(monkeypatch):
+    # the antisymmetrized route runs on every call; one flipped sign in it
+    # must surface as InvariantViolation, not as a silently wrong vector
+    def one_sign_flipped(F):
+        terms = list(forests.antisymmetrize(F))
+        sign, G = terms[-1]
+        return terms[:-1] + [(-sign, G)]
+
+    F = parse_forest(G3, "[[1,2],3]")
+    X = zero_dim_shard(G3)
+    dual_forest_derivative(F, X)
+    monkeypatch.setattr(calculus, "antisymmetrize", one_sign_flipped)
+    with pytest.raises(InvariantViolation):
+        dual_forest_derivative(F, X)
 
 
 def test_dual_single_wall_sum_is_zero():

@@ -392,12 +392,37 @@ def test_bad_json_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("value", [1.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("value", [1.5, True, "1/0"],
+                         ids=["float", "bool", "zero-denominator"])
 def test_non_exact_value_is_usage_error(tmp_path, capsys, value):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(
         {"support": "(12)", "values": {"+": value, "-": 1}}))
     code, out, err = run_main(capsys, ["derive", "--forest", "[1,2]", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["derive", "--forest", "[1,2]"], {"support": 5, "values": {}}),
+    (["derive", "--dual", "--forest", "[1,2]"], {"support": 5, "values": {}}),
+    (["render", "--n", "4", "--vector"], {"support": 5, "values": {}}),
+    (["derive", "--dual", "--forest", "[1,2]"],
+     {"support": "(1|2)", "signs": 5}),
+    (["derive", "--dual", "--forest", "[12,3]"],
+     {"support": "(12|3)", "signs": {"1": "x"}}),
+    # sign strings of the right length that name no face of the support
+    (["derive", "--dual", "--forest", "[12,34]"],
+     {"support": "(12|34)", "values": {"++-+": 1}}),
+    (["render", "--n", "4", "--vector"],
+     {"support": "(1234)", "values": {"++++++-": 5}}),
+], ids=["support-number", "dual-support-number", "render-support-number",
+        "signs-number", "sign-value", "derive-no-face", "render-no-face"])
+def test_malformed_payload_is_usage_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, argv + [str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,14 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shardcalc.ground import GroundSet, Partition, GroundMismatchError
+from shardcalc.ground import GroundSet, Partition, GroundMismatchError, Subset
 from shardcalc.forests import (
     AmbiguousLayeringError,
     BoundaryMismatchError,
     Cut,
     ForestSyntaxError,
     LayeredForest,
-    SignedForestSum,
     all_trees,
     antisymmetrize,
     compose,
@@ -16,7 +15,6 @@ from shardcalc.forests import (
     format_forest,
     identity_forest,
     iter_forests,
-    merge,
     parse_forest,
 )
 
@@ -106,7 +104,7 @@ def test_identity_and_leaf_only_forests():
     P = Partition(G4, [0b0011, 0b1100])
     F = parse_forest(G4, "12|34")
     assert F == identity_forest(P)
-    assert F.is_identity()
+    assert not F.cuts
     assert format_forest(F) == "12|34"
 
 
@@ -154,19 +152,6 @@ def test_compose_keeps_outer_cuts_first():
     assert format_forest(c) == "[[1,2],[3,4]]@021"
 
 
-def test_merge_disjoint_blocks():
-    P = Partition(G4, [0b0011, 0b1100])
-    A = cut_forest(P, 0b0011, 0b0001)
-    B = cut_forest(P, 0b1100, 0b0100)
-    m = merge(A, B)
-    assert serials(m) == [(0b0011, 0b0001), (0b1100, 0b0100)]
-    with pytest.raises(ValueError):
-        merge(A, A)
-    Q = Partition(G4, [0b1111])
-    with pytest.raises(BoundaryMismatchError):
-        merge(A, cut_forest(Q, 0b1111, 0b0001))
-
-
 def test_antisymmetrize_single_cut():
     F = parse_forest(G3, "[12,3]")
     terms = list(antisymmetrize(F))
@@ -193,23 +178,13 @@ def test_antisymmetrize_signs_cancel():
         assert total == 0
 
 
-def test_signed_sum_endpoint_check():
-    P = Partition(G4, [0b1111])
-    F1 = cut_forest(P, 0b1111, 0b0011)
-    F2 = cut_forest(P, 0b1111, 0b1100)
-    s = SignedForestSum([(1, F1), (-1, F2)])
-    assert s.source == P
-    with pytest.raises(BoundaryMismatchError):
-        SignedForestSum([(1, F1), (1, cut_forest(F1.target, 0b0011, 0b0001))])
-
-
 def test_all_trees_examples():
     P = Partition(G3, [0b111])
-    sticks = all_trees(P, 0b111, [G3.subset_from_mask(0b111)])
+    sticks = all_trees(P, 0b111, [Subset(G3, 0b111)])
     assert sticks == [identity_forest(P)]
-    two = all_trees(P, 0b111, [G3.subset_from_mask(0b001), G3.subset_from_mask(0b110)])
+    two = all_trees(P, 0b111, [Subset(G3, 0b001), Subset(G3, 0b110)])
     assert [format_forest(t) for t in two] == ["[1,23]", "[23,1]"]
-    singles = [G3.subset_from_mask(1 << i) for i in range(3)]
+    singles = [Subset(G3, 1 << i) for i in range(3)]
     twelve = all_trees(P, 0b111, singles)
     assert len(twelve) == 12
     assert len({format_forest(t) for t in twelve}) == 12
@@ -222,7 +197,7 @@ def test_all_trees_against_merge_sequences():
     # independent construction: reverse every layered tree into an ordered
     # merge sequence; build all such sequences directly and compare
     P = Partition(G4, [0b1111])
-    singles = [G4.subset_from_mask(1 << i) for i in range(4)]
+    singles = [Subset(G4, 1 << i) for i in range(4)]
     built = {t.serial() for t in all_trees(P, 0b1111, singles)}
 
     seqs = set()
@@ -246,11 +221,11 @@ def test_all_trees_against_merge_sequences():
 def test_all_trees_validation():
     P = Partition(G4, [0b0011, 0b1100])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0111, [G4.subset_from_mask(0b0111)])
+        all_trees(P, 0b0111, [Subset(G4, 0b0111)])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0011, [G4.subset_from_mask(0b0001)])
+        all_trees(P, 0b0011, [Subset(G4, 0b0001)])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0011, [G4.subset_from_mask(0b0011), G4.subset_from_mask(0b0001)])
+        all_trees(P, 0b0011, [Subset(G4, 0b0011), Subset(G4, 0b0001)])
 
 
 def test_roundtrip_exhaustive_small():

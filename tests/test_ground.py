@@ -12,8 +12,7 @@ from shardcalc.ground import (
     coarser_partitions,
     is_finer,
     is_r_semisimple,
-    partitions_of_mask,
-    reduction,
+    reduction_mask,
 )
 
 
@@ -109,10 +108,10 @@ def test_is_finer_examples():
 def test_reduction_worked_examples():
     G = g(9)
     P = part(G, "(12|34|56|78|9)")
-    assert reduction(P, G.subset("3578")) == G.subset("35")
-    assert reduction(P, G.subset("135")) == G.subset("135")
-    assert reduction(P, G.subset("1278")) == G.subset("")
-    assert reduction(P, G.subset("789")) == G.subset("")
+    assert reduction_mask(P, G.subset("3578").mask) == G.subset("35").mask
+    assert reduction_mask(P, G.subset("135").mask) == G.subset("135").mask
+    assert reduction_mask(P, G.subset("1278").mask) == 0
+    assert reduction_mask(P, G.subset("789").mask) == 0
 
 
 def test_is_r_semisimple_worked_examples():
@@ -129,10 +128,9 @@ def test_is_r_semisimple_trivial_cases():
     top = Partition.one_block(G)
     # one-block R makes every admissible subset semisimple
     for m in range(1, G.full_mask):
-        E = Subset(G, m)
-        if reduction(P, E).mask == 0:
+        if reduction_mask(P, m) == 0:
             continue
-        assert is_r_semisimple(P, top, E) is True
+        assert is_r_semisimple(P, top, Subset(G, m)) is True
 
 
 def test_is_r_semisimple_errors_are_distinct():
@@ -145,8 +143,6 @@ def test_is_r_semisimple_errors_are_distinct():
     H = g(5)
     with pytest.raises(GroundMismatchError):
         is_r_semisimple(P, Partition.one_block(H), G.subset("1"))
-    with pytest.raises(GroundMismatchError):
-        reduction(P, H.subset("1"))
 
 
 def test_all_partitions_bell_counts():
@@ -159,14 +155,6 @@ def test_all_partitions_unique_and_deterministic():
     ps = all_partitions(G)
     assert len(set(p.blocks for p in ps)) == len(ps)
     assert ps == all_partitions(G)
-
-
-def test_partitions_of_mask_matches_full_case():
-    G = g(4)
-    whole = partitions_of_mask(G, G.full_mask)
-    assert len(whole) == 15
-    sub = partitions_of_mask(G, 0b0101)
-    assert len(sub) == 2
 
 
 def test_coarser_partitions():
@@ -182,10 +170,9 @@ def test_coarser_partitions():
 def test_reduction_idempotent_and_contained(gp):
     ground, P = gp
     for m in range(ground.full_mask + 1):
-        E = Subset(ground, m)
-        r = reduction(P, E)
-        assert r.mask & ~E.mask == 0
-        assert reduction(P, r) == r
+        r = reduction_mask(P, m)
+        assert r & ~m == 0
+        assert reduction_mask(P, r) == r
 
 
 @given(ground_and_partition(max_n=5), ground_and_partition(max_n=5))
@@ -209,9 +196,8 @@ def test_finer_than_own_coarsenings(gp):
 def test_semisimple_wrt_self_means_inside_one_block(gp):
     ground, P = gp
     for m in range(1, ground.full_mask + 1):
-        E = Subset(ground, m)
-        r = reduction(P, E)
-        if r.mask == 0:
+        r = reduction_mask(P, m)
+        if r == 0:
             continue
-        expect = any(r.mask & ~b == 0 for b in P.blocks)
-        assert is_r_semisimple(P, P, E) is expect
+        expect = any(r & ~b == 0 for b in P.blocks)
+        assert is_r_semisimple(P, P, Subset(ground, m)) is expect

@@ -1,0 +1,70 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+Every import in a module is used, and every public module-level function
+or class either belongs to the public API (shardcalc.__all__) or has a
+caller inside the package.  Code that only tests reach does not belong
+in src/.
+"""
+
+import ast
+from pathlib import Path
+
+import shardcalc
+
+PACKAGE = Path(shardcalc.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+# Modules whose imports are re-exports, not uses.
+REEXPORTS = {"__init__.py", "_backend.py"}
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_used(node):
+    """Names referenced under node, bare or as `module.name`."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            used.add(sub.attr)
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        if path.name in REEXPORTS:
+            continue
+        tree = _tree(path)
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert unused == []
+
+
+def test_every_public_definition_is_exported_or_called():
+    trees = {path.name: _tree(path) for path in MODULES}
+    # names referenced by each top-level statement, so a definition's own
+    # body (a recursive call, say) does not count as a caller
+    statements = [
+        (name, stmt, _names_used(stmt))
+        for name, tree in trees.items()
+        for stmt in tree.body
+    ]
+    orphans = []
+    for name, stmt, _ in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if stmt.name.startswith("_") or stmt.name in shardcalc.__all__:
+            continue
+        if not any(stmt.name in used
+                   for _, other, used in statements
+                   if other is not stmt):
+            orphans.append("%s:%s" % (name, stmt.name))
+    assert orphans == []

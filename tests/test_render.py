@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from shardcalc.cli import (
+from shardcalc.svg import (
     Exact,
     _digits,
     _fmt,
