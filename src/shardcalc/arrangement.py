@@ -141,11 +141,12 @@ def context_for(P):
 class Shard:
     """A face of the arrangement spanning the flat of its support partition.
 
-    Identity is (ground, support, signs); the cached witness point is
-    excluded from equality.
+    Identity is (ground, support, signs); the cached witness point, the
+    sign string and the arrows memo (see calculus.arrow) are excluded from
+    equality.  Shards are built only by SupportContext.intern.
     """
 
-    __slots__ = ("ctx", "signs", "witness")
+    __slots__ = ("ctx", "signs", "witness", "_id", "arrows")
 
     def __init__(self, ctx, signs):
         signs = tuple(signs)
@@ -154,6 +155,8 @@ class Shard:
         self.ctx = ctx
         self.signs = signs
         self.witness = None
+        self._id = "".join("+" if s > 0 else "-" for s in signs)
+        self.arrows = None
 
     @property
     def support(self):
@@ -173,7 +176,7 @@ class Shard:
 
     def id(self):
         """Sign string over the canonical keys, e.g. '++-+'."""
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return self._id
 
     def to_json_obj(self):
         g = self.ctx.ground

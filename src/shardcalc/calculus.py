@@ -37,7 +37,18 @@ def arrow(X, V):
     Per canonical key of the coarse support: the key representing the new
     wall is + when it reduces to C (and - when to D); every other key class
     misses {C, D, empty} mod the fine support, so its sign is inherited.
+    The result is memoized on the interned shard X, one entry per cut.
     """
+    memo = X.arrows
+    if memo is None:
+        memo = X.arrows = {}
+    Y = memo.get(V)
+    if Y is None:
+        Y = memo[V] = _arrow(X, V)
+    return Y
+
+
+def _arrow(X, V):
     Q = X.support
     P = _merged_source(Q, V)
     ctx = context_for(P)
@@ -200,7 +211,7 @@ class Functional:
         if v.support != self.ctx.P or v.ground != self.ctx.ground:
             raise BoundaryMismatchError("vector over a different support")
         total = ZERO
-        for X, c in v.items():
+        for X, c in v.vec.entries.items():
             total += c * self.values[X]
         return total
 

@@ -17,8 +17,9 @@ instead of stdout (bare file names land in $SHARDCALC_OUTDIR when set),
 and single-object JSON payloads carry a "schema": 1 version field.  All
 output is byte-deterministic for fixed inputs and seed.  Exit codes:
 0 success, 1 failed verification, 2 usage or input error, 3 internal
-invariant violation (a replay bundle is written and its path printed to
-stderr).  The SVG scenes themselves live in shardcalc.svg.
+invariant violation or failed internal assertion (a replay bundle is
+written and its path printed to stderr).  The SVG scenes themselves live
+in shardcalc.svg.
 """
 
 import argparse
@@ -40,7 +41,6 @@ from .audit import (
 )
 from .calculus import (
     Functional,
-    InvariantViolation,
     ShardVector,
     dual_forest_derivative,
     forest_derivative,
@@ -472,7 +472,7 @@ def main(argv=None):
         return exc.code or 0
     try:
         return args.func(args)
-    except InvariantViolation as exc:
+    except AssertionError as exc:  # InvariantViolation and internal checks
         path = _write_replay_bundle(exc, argv)
         print("invariant violation: %s" % exc, file=sys.stderr)
         print("replay bundle: %s" % path, file=sys.stderr)

@@ -201,12 +201,17 @@ def _parse_leaf(ground, text, i):
     return _Node(mask), j
 
 
-def _parse_tree(ground, text, i):
+def _parse_tree(ground, text, i, depth=0):
+    # depth: brackets open around position i; a tree on n labels nests at
+    # most n - 1, so deeper text is refused before it can exhaust the stack
     if i < len(text) and text[i] == "[":
-        left, i = _parse_tree(ground, text, i + 1)
+        if depth >= ground.n - 1:
+            raise ForestSyntaxError(
+                "brackets nested deeper than %d" % (ground.n - 1), i)
+        left, i = _parse_tree(ground, text, i + 1, depth + 1)
         if i >= len(text) or text[i] != ",":
             raise ForestSyntaxError("expected ',' in bracket", i)
-        right, i = _parse_tree(ground, text, i + 1)
+        right, i = _parse_tree(ground, text, i + 1, depth + 1)
         if i >= len(text) or text[i] != "]":
             raise ForestSyntaxError("expected ']'", i)
         node = _Node(left.mask | right.mask, left, right)

@@ -29,6 +29,7 @@ from shardcalc.calculus import (
     Functional,
     InvariantViolation,
     ShardVector,
+    dual_forest_derivative,
     random_functional,
 )
 from shardcalc.exactla import rat
@@ -435,6 +436,33 @@ def test_replay_uses_the_recorded_seed(monkeypatch):
     assert replay_counterexample(dict(ce, seed=1)) is False
 
 
+# the functional drawn from this seed separates none of the 24 layering
+# pairs at n=4, while the one drawn from the next seed does
+_MISSING_SEED = 3340989531831394862
+
+
+def test_separation_tries_the_next_seed_when_a_functional_misses():
+    assert audit._separation_witness(G4, _MISSING_SEED) == (24, {
+        "claim": "delayering.separation", "ground": list(G4.labels),
+        "seed": _MISSING_SEED})
+    instances, ce, notes = audit._check_delayering_separation(
+        G4, _MISSING_SEED)
+    assert ce is None and 1 <= instances <= 24
+    assert notes == {"seed": _MISSING_SEED + 1}
+    assert audit._check_delayering_separation(G4, SAMPLE_SEED) == (
+        audit._separation_witness(G4, SAMPLE_SEED) + ({"seed": SAMPLE_SEED},))
+
+
+def test_separation_fails_when_every_functional_misses(monkeypatch):
+    monkeypatch.setattr(
+        audit, "random_functional", lambda P, seed: Functional.zero(P))
+    instances, ce, notes = audit._check_delayering_separation(G4, 5)
+    assert (instances, notes) == (24, {"seed": 36})
+    assert ce == {"claim": "delayering.separation",
+                  "ground": list(G4.labels), "seed": 36}
+    assert replay_counterexample(ce) is False
+
+
 def _counting_derivative(monkeypatch):
     calls = collections.Counter()
     real = audit.dual_forest_derivative
@@ -467,9 +495,89 @@ def test_delayering_sweep_derives_each_layering_once(monkeypatch):
         for X in enumerate_shards(members[0].target))
 
 
-def _distinct_values():
-    counter = itertools.count()
-    return lambda self, v: next(counter)
+def _with_extra_functionals(monkeypatch):
+    # the n=4 annihilator basis with two functionals that do not annihilate
+    # put among it: the indicator of a shard that only the last class pair
+    # of [12,34] tells apart, and later in the list a random functional
+    # that already fails on the first pair; functional-major order must
+    # report the indicator
+    one = Partition.one_block(G4)
+    F = parse_forest(G4, "[12,34]")
+    duals = {X: dual_forest_derivative(F, X)
+             for X in enumerate_shards(F.target)}
+    diffs = [duals[X] - duals[c[0]]
+             for c in steinmann_classes(F.target, F.target) for X in c[1:]]
+    late = next(Y for Y, _ in diffs[-1] if diffs[0].coefficient(Y) == 0)
+    basis = list(steinmann_relations(G4).annihilator_basis())
+    functionals = (basis[:3] + [Functional.indicator(late)] + basis[3:7]
+                   + [random_functional(one, 11)] + basis[7:])
+    monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
+        types.SimpleNamespace(annihilator_basis=lambda: functionals)))
+    return functionals
+
+
+def _reference_annihilator(g, max_cuts, functionals):
+    # functional-major evaluation, one evaluate_vector per class member
+    instances = 0
+    for F in iter_forests(Partition.one_block(g), max_cuts):
+        classes = [c for c in steinmann_classes(F.target, F.target)
+                   if len(c) > 1]
+        duals = {X: dual_forest_derivative(F, X)
+                 for X in enumerate_shards(F.target)}
+        for f in functionals:
+            instances += 1
+            for cls in classes:
+                v0 = f.evaluate_vector(duals[cls[0]])
+                for X in cls[1:]:
+                    if f.evaluate_vector(duals[X]) != v0:
+                        return instances, {
+                            "claim": "maintheorem.annihilator",
+                            "ground": list(g.labels),
+                            "forests": [format_forest(F)],
+                            "functional": f.to_json_obj(),
+                            "shards": [_shard_ref(cls[0]), _shard_ref(X)]}
+    return instances, None
+
+
+def _reference_delayering(g, max_cuts, functionals):
+    instances = 0
+    for F0, *others in audit._layering_groups(g, max_cuts):
+        shards = enumerate_shards(F0.target)
+        for Fi in others:
+            for f in functionals:
+                instances += 1
+                for X in shards:
+                    if (f.evaluate_vector(dual_forest_derivative(F0, X))
+                            != f.evaluate_vector(
+                                dual_forest_derivative(Fi, X))):
+                        return instances, {
+                            "claim": "delayering.annihilator",
+                            "ground": list(g.labels),
+                            "forests": [format_forest(F0), format_forest(Fi)],
+                            "functional": f.to_json_obj(),
+                            "shard": _shard_ref(X)}
+    return instances, None
+
+
+def test_maintheorem_sparse_sweep_matches_functional_major_loop(monkeypatch):
+    functionals = _with_extra_functionals(monkeypatch)
+    got = audit._check_maintheorem_annihilator(G4, 3)
+    assert got[1]["forests"] == ["[12,34]"]
+    assert got[1]["functional"] == functionals[3].to_json_obj()
+    assert got == _reference_annihilator(G4, 3, functionals)
+
+
+def test_delayering_sparse_sweep_matches_functional_major_loop(monkeypatch):
+    functionals = _with_extra_functionals(monkeypatch)
+    got = audit._check_delayering_annihilator(G4, 3)
+    assert got[1] is not None
+    assert got == _reference_delayering(G4, 3, functionals)
+
+
+def _distinct_scales(real):
+    # each derivation comes out scaled by a new factor, so no two agree
+    counter = itertools.count(1)
+    return lambda F, v: real(F, v).scale(next(counter))
 
 
 def _doubled_outer(real):
@@ -535,13 +643,15 @@ _FIRST_FAILS = {
         [(audit, "quotient_dim", lambda g: 0)]),
     "maintheorem.annihilator": (
         lambda: audit._check_maintheorem_annihilator(G4, 3),
-        [(Functional, "evaluate_vector", _distinct_values())]),
+        [(audit, "dual_forest_derivative",
+          _distinct_scales(audit.dual_forest_derivative))]),
     "maintheorem.converse": (
         lambda: audit._check_maintheorem_converse(G4),
         [(audit, "is_semisimple", lambda f: True)]),
     "delayering.annihilator": (
         lambda: audit._check_delayering_annihilator(G4, 3),
-        [(Functional, "evaluate_vector", _distinct_values())]),
+        [(audit, "dual_forest_derivative",
+          _distinct_scales(audit.dual_forest_derivative))]),
     "delayering.separation": (
         lambda: audit._separation_witness(G4, SAMPLE_SEED),
         [(Functional, "evaluate_vector", lambda self, v: 0)]),

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from shardcalc import calculus, forests
 from shardcalc.exactla import ZERO, ONE, rat
-from shardcalc.ground import GroundSet, Partition, GroundMismatchError
+from shardcalc.ground import GroundSet, Partition, GroundMismatchError, all_partitions
 from shardcalc.forests import (
     BoundaryMismatchError,
     Cut,
@@ -87,6 +87,23 @@ def test_dual_identity_forest():
     for X in enumerate_shards(P):
         v = ShardVector.basis(X)
         assert dual_forest_derivative(identity_forest(P), v) == v
+
+
+def test_arrow_memo_matches_fresh_computation():
+    # every shard and every cut merging two of its blocks, up to n = 4
+    checked = 0
+    for g in (G2, G3, G4):
+        for Q in all_partitions(g):
+            cuts = [Cut(g, a | b, left)
+                    for i, a in enumerate(Q.blocks) for b in Q.blocks[i + 1:]
+                    for left in (a, b)]
+            for X in enumerate_shards(Q):
+                for V in cuts:
+                    Y = arrow(X, V)
+                    assert Y == calculus._arrow(X, V)
+                    assert arrow(X, V) is Y
+                    checked += 1
+    assert checked == 200
 
 
 def test_dual_derivative_cross_check_catches_a_wrong_sign(monkeypatch):

@@ -378,6 +378,35 @@ def test_invariant_violation_writes_replay_bundle(
     assert obj["kind"] == "replay"
 
 
+def test_internal_assertion_writes_replay_bundle(
+        tmp_path, capsys, monkeypatch):
+    # a plain AssertionError (an internal re-check or an unreachable
+    # branch) is an internal fault too: exit 3 with a bundle, no traceback
+    monkeypatch.setenv("SHARDCALC_OUTDIR", str(tmp_path))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("simplex witness failed re-verification")
+
+    monkeypatch.setattr(cli, "enumerate_shards", boom)
+    code, _, err = run_main(capsys, ["enumerate", "--n", "3"])
+    assert code == 3
+    assert "replay bundle" in err and "Traceback" not in err
+    bundles = list(tmp_path.glob("replay-*.json"))
+    assert len(bundles) == 1
+    obj = json.loads(bundles[0].read_text())
+    assert obj["argv"] == ["enumerate", "--n", "3"]
+    assert obj["error"] == "simplex witness failed re-verification"
+    assert obj["counterexample"] is None
+    assert obj["kind"] == "replay"
+
+
+def test_deeply_nested_forest_is_usage_error(capsys):
+    code, out, err = run_main(
+        capsys, ["render", "--n", "3", "--forest", "[" * 3000])
+    assert code == 2 and out == ""
+    assert err.startswith("error: brackets nested deeper than 2")
+
+
 def test_missing_input_file_is_usage_error(capsys):
     code, _, err = run_main(
         capsys, ["derive", "--forest", "[[1,2],3]", "/nonexistent.json"])

@@ -91,6 +91,16 @@ def test_parse_syntax_errors_carry_position():
         parse_forest(G3, "[1,[2,1]]")
 
 
+def test_parse_refuses_nesting_deeper_than_a_tree_allows():
+    # a tree on n labels nests at most n - 1 brackets
+    assert len(parse_forest(G4, "[[[1,2],3],4]").cuts) == 3
+    with pytest.raises(ForestSyntaxError) as e:
+        parse_forest(G4, "[[[[1,2],3],4],1]")
+    assert e.value.pos == 3
+    with pytest.raises(ForestSyntaxError):
+        parse_forest(G3, "[" * 3000)
+
+
 def test_parse_leaves_and_braces():
     g = GroundSet(["a1", "b", "c"])
     F = parse_forest(g, "[{a1,c},b]")

@@ -19,6 +19,7 @@ CASES = [
     (["verify", "--n", "2", "--suite", "lie", "--format", "text"],
      "verify_n2_lie.txt"),
     (["verify", "--n", "4"], "verify_n4.json"),
+    (["verify", "--n", "5"], "verify_n5.json"),
     (["verify", "--n", "5", "--suite", "lie"], "verify_n5_lie.json"),
     (["render", "--n", "3"], "render_n3.svg"),
     (["render", "--n", "3", "--forest", "[[1,2],3]"], "render_n3_tree.svg"),
