@@ -1,35 +1,35 @@
 """Compute kernels, reached as shardcalc._backend.kernel.
 
-Three hot loops live here: the simplex tableau pivot, exact sign
-evaluation of subset sums at a rational point, and the superadditivity
-quick-rejection test used to prune sign patterns before they reach the
-LP.
+Three hot loops live here: the fraction-free integer simplex pivot,
+exact sign evaluation of subset sums at a rational point, and the
+superadditivity quick-rejection test used to prune sign patterns before
+they reach the LP.
 """
 
 
-def pivot_step(tab, r, c):
-    """In-place simplex pivot on row r, column c of a dense tableau.
+def pivot_step(tab, r, c, det):
+    """Fraction-free pivot on row r, column c of an integer tableau.
 
-    tab is a list of equal-length lists of exact rationals.  Row r is
-    scaled so tab[r][c] = 1, then column c is eliminated from every other
-    row.
+    tab is a list of equal-length lists of integers: det times the
+    rational tableau, det being the previous pivot (1 at the start).
+    Every row i other than r becomes (row_i * p - row_i[c] * row_r) / det
+    with p = tab[r][c]; the division is exact because each entry is a
+    minor of the starting tableau (Bareiss).  Row r is unchanged.
+    Returns p, the new common denominator.
     """
     prow = tab[r]
     p = prow[c]
     if not p:
         raise ZeroDivisionError("pivot on zero entry")
-    if p != 1:
-        inv_applied = [x / p for x in prow]
-        tab[r] = prow = inv_applied
-    for i in range(len(tab)):
+    for i, row in enumerate(tab):
         if i == r:
             continue
-        row = tab[i]
         f = row[c]
         if f:
-            for j in range(len(row)):
-                if prow[j]:
-                    row[j] = row[j] - f * prow[j]
+            tab[i] = [(x * p - f * y) // det for x, y in zip(row, prow)]
+        elif p != det:
+            tab[i] = [x * p // det for x in row]
+    return p
 
 
 def sign_eval(masks, nums):

@@ -12,16 +12,17 @@ flat equals the orientation times the key's functional.
 
 Enumeration walks the chamber graph: flip one key sign at a time, screen
 candidates by the superadditivity test, try cheap exactly-verified probe
-points, and fall back to the exact strict-feasibility LP, which is the
-sole authority on infeasibility.  A naive mode LP-tests all 2^#keys
-patterns as an independent oracle for small cases.
+points, and fall back to the exact strict-feasibility LP, posed in the
+flat's own coordinates, which is the sole authority on infeasibility and
+backs each "no" with a checked Farkas certificate.  A naive mode LP-tests
+all 2^#keys patterns as an independent oracle for small cases.
 """
 
 import random
 from math import gcd
 
 from ._backend import kernel
-from .exactla import ONE, ZERO, Rational, RationalMatrix, strictly_feasible
+from .exactla import ZERO, Rational, RationalMatrix, strictly_feasible
 from .ground import (
     GroundMismatchError,
     NotFinerError,
@@ -59,6 +60,7 @@ class SupportContext:
         self.key_index = {r: k for k, r in enumerate(self.keys)}
         self._quads = None
         self._normals = None
+        self._flat_rows = None
         self._memo = {}  # sign tuple -> witness coord tuple or None
         self._interned = {}
         self._enumerated = None
@@ -125,6 +127,32 @@ class SupportContext:
         self._normals = out
         return out
 
+    def flat_rows(self):
+        """Key functionals in the flat's own coordinates, for the LP.
+
+        Every label but the last of its block is free; the last is minus
+        the sum of the block's others.  So key r reads +1 on r's labels in
+        a block whose last label is outside r, else -1 on the labels of
+        the block outside r.
+        """
+        if self._flat_rows is not None:
+            return self._flat_rows
+        lasts = 0
+        for b in self.P.blocks:
+            lasts |= 1 << (b.bit_length() - 1)
+        rows = []
+        for r in self.keys:
+            row = {}
+            for b in self.P.blocks:
+                if r >> (b.bit_length() - 1) & 1:
+                    row.update((i, -1) for i in iter_bits(b & ~r))
+                else:
+                    row.update((i, 1) for i in iter_bits(b & r))
+            rows.append(row)
+        free = [i for i in range(self.n) if not lasts >> i & 1]
+        self._flat_rows = RationalMatrix(free, rows)
+        return self._flat_rows
+
 
 _context_cache = {}
 
@@ -146,7 +174,7 @@ class Shard:
     equality.  Shards are built only by SupportContext.intern.
     """
 
-    __slots__ = ("ctx", "signs", "witness", "_id", "arrows")
+    __slots__ = ("ctx", "signs", "witness", "_id", "_hash", "arrows")
 
     def __init__(self, ctx, signs):
         signs = tuple(signs)
@@ -156,6 +184,7 @@ class Shard:
         self.signs = signs
         self.witness = None
         self._id = "".join("+" if s > 0 else "-" for s in signs)
+        self._hash = hash((ctx.ground.labels, ctx.P.blocks, signs))
         self.arrows = None
 
     @property
@@ -197,7 +226,7 @@ class Shard:
         )
 
     def __hash__(self):
-        return hash((self.ctx.ground.labels, self.ctx.P.blocks, self.signs))
+        return self._hash
 
     def __repr__(self):
         return "Shard(%s, %s)" % (self.ctx.P.format(), self.id() or "<point>")
@@ -258,19 +287,15 @@ def shard_from_signs(P, signs, certify=False):
 
 def _lp_witness(ctx, signs):
     """Exact LP: coordinates realizing the given key signs inside the flat."""
-    cols = list(range(ctx.n))
-    rows = []
-    lp_signs = []
-    for r, s in zip(ctx.keys, signs):
-        rows.append({i: ONE for i in iter_bits(r)})
-        lp_signs.append("+" if s > 0 else "-")
-    for b in ctx.P.blocks:
-        rows.append({i: ONE for i in iter_bits(b)})
-        lp_signs.append("0")
-    vec = strictly_feasible(RationalMatrix(cols, rows), lp_signs)
+    vec = strictly_feasible(
+        ctx.flat_rows(), ["+" if s > 0 else "-" for s in signs])
     if vec is None:
         return None
-    return tuple(vec.get(i) for i in range(ctx.n))
+    coords = [vec.get(i) for i in range(ctx.n)]
+    for b in ctx.P.blocks:
+        coords[b.bit_length() - 1] = -sum(
+            (coords[i] for i in iter_bits(b)), ZERO)
+    return tuple(coords)
 
 
 def _probe_candidates(ctx, signs, hint):

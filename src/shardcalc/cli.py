@@ -53,9 +53,11 @@ from .svg import forest_highlight, render
 
 OUTDIR_ENV = "SHARDCALC_OUTDIR"
 
-# Ground sets above this size are refused without --allow-large; the
-# shard count grows like the resonance sequence (11292 at six).
+# Ground sets above LARGE_GROUND are refused without --allow-large, and
+# above MAX_GROUND with it: the shard count grows like the resonance
+# sequence (11292 at six, about 10^6 at seven).
 LARGE_GROUND = 5
+MAX_GROUND = max(CHAMBER_COUNTS)
 
 
 # --------------------------------------------------------- IO plumbing
@@ -107,6 +109,10 @@ def _parse_labels_csv(text):
 
 
 def _ground_guard(ground, allow_large):
+    if ground.n > MAX_GROUND:
+        raise ValueError(
+            "ground sets above %d labels are refused, even with --allow-large"
+            % MAX_GROUND)
     if ground.n > LARGE_GROUND and not allow_large:
         raise ValueError(
             "ground sets above %d labels are slow; pass --allow-large"
@@ -377,7 +383,7 @@ def build_parser():
     p.add_argument("--labels", metavar="CSV",
                    help="explicit ground labels for --partition")
     p.add_argument("--allow-large", action="store_true",
-                   help="permit ground sets above %d labels" % LARGE_GROUND)
+                   help="permit ground sets of up to %d labels" % MAX_GROUND)
     _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -408,7 +414,7 @@ def build_parser():
     group.add_argument("--labels", metavar="CSV",
                        help="explicit ground labels, comma separated")
     p.add_argument("--allow-large", action="store_true",
-                   help="permit ground sets above %d labels" % LARGE_GROUND)
+                   help="permit ground sets of up to %d labels" % MAX_GROUND)
     _add_common(p)
     p.set_defaults(func=_cmd_stein_rank)
 

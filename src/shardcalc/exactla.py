@@ -7,11 +7,14 @@ fraction-free integer elimination with content reduction; the columns at
 play downstream are shard bases, so rows are mostly small incidence data.
 
 strictly_feasible answers "is there a point where these linear forms take
-these signs" by an exact dense simplex with Bland's rule: maximize a slack
-t with all strict rows relaxed by t and every variable boxed, feasible iff
-the optimum is strictly positive.  Witnesses are re-verified and scaled so
-the largest absolute entry is 1 (a zero witness, possible only for the
-all-zero sign pattern, is returned unscaled).
+these signs" by an exact simplex with Bland's rule: maximize a slack t
+with all strict rows relaxed by t and every variable boxed, feasible iff
+the optimum is strictly positive.  The tableau is one integer matrix over
+a running determinant (fraction-free pivoting, as in Avis's lrs).  A
+witness is re-verified and scaled so the largest absolute entry is 1 (a
+zero witness, possible only when every row is '0', is returned unscaled);
+a "no" carries the Farkas certificate of the final objective row, checked
+in integers.  arrangement.py poses its LPs in the flat's own coordinates.
 """
 
 from fractions import Fraction as Rational
@@ -155,21 +158,19 @@ def _content_reduce(row):
     return row
 
 
+def _int_row(row):
+    """Clear denominators and content of one row: a positive rescaling."""
+    lcm = 1
+    for v in row.values():
+        d = v.denominator
+        lcm = lcm * d // gcd(lcm, d)
+    return _content_reduce(
+        {c: v.numerator * (lcm // v.denominator) for c, v in row.items()})
+
+
 def _int_rows(M):
-    """Clear denominators rowwise, reduce content; exact for rank purposes."""
-    out = []
-    for row in M.rows:
-        if not row:
-            continue
-        lcm = 1
-        for v in row.values():
-            d = v.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        r = {}
-        for c, v in row.items():
-            r[c] = int(v.numerator) * (lcm // int(v.denominator))
-        out.append(_content_reduce(r))
-    return out
+    """Integer rows of M's nonzero rows; exact for rank purposes."""
+    return [_int_row(row) for row in M.rows if row]
 
 
 def _eliminate(row, pivots):
@@ -285,70 +286,37 @@ def rowspace_reducer(M):
     return reduce
 
 
-class _Simplex:
-    """Dense exact simplex, maximize one structural variable, Bland's rule."""
+def _farkas_holds(rows, signs, mults):
+    """True when mults prove that no x gives the rows these signs.
 
-    def __init__(self, nvars):
-        self.nvars = nvars
-        self.g_rows = []
-        self.b = []
-
-    def add_le(self, coeffs, rhs):
-        # coeffs: dict var index -> Rational, constraint coeffs . z <= rhs
-        self.g_rows.append(dict(coeffs))
-        self.b.append(rhs)
-
-    def maximize(self, objective_var):
-        nv, m = self.nvars, len(self.g_rows)
-        width = nv + m + 1
-        tab = []
-        for i, g in enumerate(self.g_rows):
-            row = [ZERO] * width
-            for j, v in g.items():
-                row[j] = v
-            row[nv + i] = ONE
-            row[width - 1] = self.b[i]
-            tab.append(row)
-        obj = [ZERO] * width
-        obj[objective_var] = -ONE
-        tab.append(obj)
-        basis = [nv + i for i in range(m)]
-
-        while True:
-            enter = -1
-            objrow = tab[m]
-            for j in range(width - 1):
-                if objrow[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                break
-            leave, best = -1, None
-            for i in range(m):
-                a = tab[i][enter]
-                if a > 0:
-                    ratio = tab[i][width - 1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        leave, best = i, ratio
-            if leave < 0:
-                raise ArithmeticError("unbounded LP; the box bound is missing")
-            kernel.pivot_step(tab, leave, enter)
-            basis[leave] = enter
-
-        values = [ZERO] * nv
-        for i in range(m):
-            if basis[i] < nv:
-                values[basis[i]] = tab[i][width - 1]
-        return tab[m][width - 1], values
+    Holds when y_k >= 0 on the strict rows, with a positive sum there, and
+    sum_k y_k * s_k * row_k = 0, s_k being -1 on '-' rows and +1 otherwise
+    ('0' rows take any y_k): at a point realizing the signs that sum
+    would be positive and zero at once.
+    """
+    if len(mults) != len(rows):
+        return False
+    weight = 0
+    total = {}
+    for row, s, y in zip(rows, signs, mults):
+        if s != "0":
+            if y < 0:
+                return False
+            weight += y
+        if s == "-":
+            y = -y
+        for j, v in row.items():
+            total[j] = total.get(j, 0) + y * v
+    return weight > 0 and not any(total.values())
 
 
 def strictly_feasible(A, signs):
     """Witness x with (A x)_i strictly +, strictly -, or 0 per signs, or None.
 
     signs: one of '+', '-', '0' per row.  The witness is a SparseVector
-    over A's column basis with max absolute entry 1.
+    over A's column basis with max absolute entry 1.  None comes only
+    with a Farkas certificate that passed _farkas_holds; a witness or a
+    certificate that fails its check raises AssertionError.
     """
     if len(signs) != len(A.rows):
         raise ValueError("need exactly one sign per row")
@@ -356,44 +324,81 @@ def strictly_feasible(A, signs):
     if bad:
         raise ValueError("signs must be '+', '-' or '0', got %r" % bad[0])
 
+    # Columns u_0..u_{m-1}, v_0..v_{m-1} (x = u - v), t, then one slack
+    # per row, then the right-hand side.  Rows: -s a.(u - v) + t <= 0 per
+    # strict row, a.(u - v) <= 0 and -a.(u - v) <= 0 per '0' row, then
+    # every structural variable <= 1; the objective row maximizes t.
+    ints = [_int_row(row) for row in A.rows]
     m = len(A.columns)
-    nv = 2 * m + 1  # u_0..u_{m-1}, v_0..v_{m-1}, t
-    t_var = 2 * m
-    lp = _Simplex(nv)
-    for row, s in zip(A.rows, signs):
-        plus = {}
-        for j, v in row.items():
-            plus[j] = plus.get(j, ZERO) + v
-            plus[m + j] = plus.get(m + j, ZERO) - v
-        minus = {j: -v for j, v in plus.items()}
-        if s == "+":
-            g = dict(minus)
-            g[t_var] = g.get(t_var, ZERO) + ONE
-            lp.add_le(g, ZERO)
-        elif s == "-":
-            g = dict(plus)
-            g[t_var] = g.get(t_var, ZERO) + ONE
-            lp.add_le(g, ZERO)
-        else:
-            lp.add_le(plus, ZERO)
-            lp.add_le(minus, ZERO)
-    for j in range(nv):
-        lp.add_le({j: ONE}, ONE)
+    nv = 2 * m + 1
+    lp = []
+    for row, s in zip(ints, signs):
+        for f in {"+": (-1,), "-": (1,), "0": (1, -1)}[s]:
+            g = [0] * nv
+            for j, v in row.items():
+                g[j] = f * v
+                g[m + j] = -f * v
+            if s != "0":
+                g[nv - 1] = 1
+            lp.append((g, 0))
+    cons = len(lp)
+    lp += [([int(i == j) for i in range(nv)], 1) for j in range(nv)]
+    rows = len(lp)
+    tab = [g + [int(i == k) for k in range(rows)] + [b]
+           for i, (g, b) in enumerate(lp)]
+    obj = [0] * (nv + rows + 1)
+    obj[nv - 1] = -1
+    tab.append(obj)
+    basis = list(range(nv, nv + rows))
 
-    t_star, values = lp.maximize(t_var)
-    if t_star <= 0:
+    det = 1
+    while True:
+        objrow = tab[rows]
+        enter = next((j for j in range(nv + rows) if objrow[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        for i in range(rows):
+            a = tab[i][enter]
+            if a > 0:
+                b = tab[i][-1]
+                if leave >= 0:
+                    # b / a against best_b / best_a, by cross-multiplication
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                        continue
+                leave, best_a, best_b = i, a, b
+        if leave < 0:
+            raise ArithmeticError("unbounded LP; the box bound is missing")
+        det = kernel.pivot_step(tab, leave, enter, det)
+        basis[leave] = enter
+
+    objrow = tab[rows]
+    if objrow[-1] <= 0:
+        # The slack reduced costs are det times the duals of the LP rows.
+        # A '0' row's multiplier is the dual of its -a row minus the dual
+        # of its a row.
+        duals = iter(objrow[nv : nv + cons])
+        mults = []
+        for s in signs:
+            y = next(duals)
+            mults.append(next(duals) - y if s == "0" else y)
+        if not _farkas_holds(ints, signs, mults):
+            raise AssertionError("simplex Farkas certificate failed its check")
         return None
 
-    x = [values[j] - values[m + j] for j in range(m)]
-    top = max((abs(q) for q in x), default=ZERO)
-    if top:
-        x = [q / top for q in x]
-    for row, s in zip(A.rows, signs):
-        val = sum((v * x[j] for j, v in row.items()), ZERO)
+    value = [0] * nv
+    for i in range(rows):
+        if basis[i] < nv:
+            value[basis[i]] = tab[i][-1]
+    x = [value[j] - value[m + j] for j in range(m)]  # det times the point
+    for row, s in zip(ints, signs):
+        val = sum(v * x[j] for j, v in row.items())
         if (s == "+" and not val > 0) or (s == "-" and not val < 0) or (
             s == "0" and val != 0
         ):
             raise AssertionError("simplex witness failed re-verification")
+    top = max(abs(q) for q in x) if x else 0
     vec = SparseVector()
-    vec.entries = {A.columns[j]: q for j, q in enumerate(x) if q}
+    vec.entries = {A.columns[j]: Rational(q, top) for j, q in enumerate(x) if q}
     return vec

@@ -71,6 +71,21 @@ def test_enumerate_agrees_with_naive_oracle_all_partitions_n_le_4():
             assert bfs == naive, P.format()
 
 
+def test_enumerate_agrees_with_naive_oracle_n5():
+    # every partition of five labels within naive's 12-key limit: all but
+    # the one-block support, which has 15 keys
+    checked = 0
+    for P in all_partitions(g(5)):
+        if context_for(P).K > 12:
+            assert len(P.blocks) == 1
+            continue
+        bfs = [s.id() for s in enumerate_shards(P)]
+        naive = [s.id() for s in enumerate_shards(P, method="naive")]
+        assert bfs == naive, P.format()
+        checked += 1
+    assert checked == 51
+
+
 def test_enumerate_sorted_and_deterministic():
     P = one_block(4)
     ids = [s.id() for s in enumerate_shards(P)]

@@ -476,6 +476,20 @@ def _run_cli(args):
         [sys.executable, "-m", "shardcalc", *args], capture_output=True)
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "7", "--allow-large"],
+    ["stein-rank", "--n", "13", "--allow-large"],
+])
+def test_oversized_ground_is_refused_even_with_allow_large(argv):
+    r = subprocess.run([sys.executable, "-m", "shardcalc", *argv],
+                       capture_output=True, timeout=60)
+    assert r.returncode == 2
+    assert r.stdout == b""
+    err = r.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "above %d labels" % cli.MAX_GROUND in err[0]
+
+
 def test_module_entry_point_round_trip():
     r = _run_cli(["oracle", "--n", "4"])
     assert r.returncode == 0

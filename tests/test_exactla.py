@@ -1,7 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from shardcalc import exactla
 from shardcalc.exactla import (
     ONE,
     Rational,
@@ -141,6 +144,63 @@ def test_feasibility_of_realized_sign_patterns(m, data):
         signs.append("+" if val > 0 else ("-" if val < 0 else "0"))
     w = strictly_feasible(m, signs)
     assert w is not None  # witness re-verification runs inside
+
+
+@given(small_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_verdict_on_arbitrary_sign_patterns_is_checked(m, data):
+    # arbitrary patterns, mostly unrealizable, so the Farkas path runs
+    signs = [data.draw(st.sampled_from("+-0")) for _ in m.rows]
+    verdicts = []
+    holds = exactla._farkas_holds
+
+    def recording(*args):
+        verdicts.append(holds(*args))
+        return verdicts[-1]
+
+    with mock.patch.object(exactla, "_farkas_holds", recording):
+        w = strictly_feasible(m, signs)
+    if w is None:
+        assert verdicts == [True]
+    else:
+        assert verdicts == []
+        for row, s in zip(m.rows, signs):
+            val = sum((v * w.get(j) for j, v in row.items()), rat(0))
+            assert (val > 0, val < 0, val == 0)["+-0".index(s)]
+
+
+# x > 0, y > 0 and -x - y > 0; then x > 0, y > 0 and x + y = 0
+INFEASIBLE = [
+    ([{0: 1}, {1: 1}, {0: -1, 1: -1}], "+++", [1, 1, 1]),
+    ([{0: 1}, {1: 1}, {0: 1, 1: 1}], "++0", [1, 1, -1]),
+]
+
+
+@pytest.mark.parametrize("rows, signs, mults", INFEASIBLE)
+def test_farkas_predicate_accepts_real_multipliers(rows, signs, mults):
+    assert exactla._farkas_holds(rows, signs, mults)
+    assert exactla._farkas_holds(rows, signs, [3 * y for y in mults])
+    assert strictly_feasible(M([0, 1], rows), list(signs)) is None
+
+
+@pytest.mark.parametrize("rows, signs, mults", INFEASIBLE)
+def test_farkas_predicate_rejects_perturbed_multipliers(rows, signs, mults):
+    for k in range(len(mults)):
+        for delta in (-1, 1):
+            bad = list(mults)
+            bad[k] += delta
+            assert not exactla._farkas_holds(rows, signs, bad), bad
+    assert not exactla._farkas_holds(rows, signs, [-y for y in mults])
+    assert not exactla._farkas_holds(rows, signs, [0] * len(mults))
+    assert not exactla._farkas_holds(rows, signs, mults[:-1])
+
+
+def test_failed_certificate_check_raises(monkeypatch):
+    a = M(["x"], [{"x": 1}, {"x": -1}])
+    monkeypatch.setattr(exactla, "_farkas_holds", lambda *args: False)
+    with pytest.raises(AssertionError):
+        strictly_feasible(a, ["+", "+"])
+    assert strictly_feasible(a, ["+", "-"]) is not None
 
 
 def test_sparse_vector_arithmetic():
