@@ -59,6 +59,7 @@ class SupportContext:
         self.K = len(self.keys)
         self.key_index = {r: k for k, r in enumerate(self.keys)}
         self._quads = None
+        self._key_quads = None
         self._normals = None
         self._flat_rows = None
         self._memo = {}  # sign tuple -> witness coord tuple or None
@@ -109,6 +110,16 @@ class SupportContext:
                 quads.add((ia, oa, ib, ob, iu, ou, iv, ov))
         self._quads = sorted(quads)
         return self._quads
+
+    def key_quads(self):
+        """Per key index, the quads naming that key as A, B, U or V."""
+        if self._key_quads is None:
+            per = [[] for _ in range(self.K)]
+            for q in self.quads():
+                for k in {q[0], q[2], q[4], q[6]} - {-1}:
+                    per[k].append(q)
+            self._key_quads = per
+        return self._key_quads
 
     def normals(self):
         """Per key: flat-projected normal vector g and its squared norm."""
@@ -319,11 +330,14 @@ def _feasible(ctx, signs, hint=None):
     """Witness coordinates for a sign pattern, or None; memoized, exact.
 
     Order: memo, superadditivity screen, probe points (each verified by
-    exact sign evaluation), then the LP as the final authority.
+    exact sign evaluation), then the LP as the final authority.  A hint
+    (coords, k) is a feasible chamber, which passes every quad; signs
+    flips its key k, so only the quads naming k can reject it.
     """
     if signs in ctx._memo:
         return ctx._memo[signs]
-    if ctx.K and not kernel.quick_check(list(signs), ctx.quads()):
+    quads = ctx.quads() if hint is None else ctx.key_quads()[hint[1]]
+    if ctx.K and not kernel.quick_check(list(signs), quads):
         ctx._memo[signs] = None
         return None
     for coords in _probe_candidates(ctx, signs, hint):

@@ -86,6 +86,14 @@ class ShardVector:
         self.vec = SparseVector(clean)
 
     @classmethod
+    def _trusted(cls, ctx, entries):
+        """Wrap {interned shard of ctx: int or Rational}, skipping validation."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.vec = SparseVector(entries)
+        return out
+
+    @classmethod
     def zero(cls, support):
         return cls(support)
 
@@ -116,24 +124,19 @@ class ShardVector:
     def __iter__(self):
         return iter(self.items())
 
-    def _wrap(self, vec):
-        out = ShardVector(self.ctx)
-        out.vec = vec
-        return out
-
     def __add__(self, other):
         if not isinstance(other, ShardVector) or other.ctx is not self.ctx:
             raise BoundaryMismatchError("vectors over different supports")
-        return self._wrap(self.vec + other.vec)
+        return ShardVector._trusted(self.ctx, (self.vec + other.vec).entries)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._wrap(-self.vec)
+        return ShardVector._trusted(self.ctx, (-self.vec).entries)
 
     def scale(self, c):
-        return self._wrap(self.vec.scale(rat(c)))
+        return ShardVector._trusted(self.ctx, self.vec.scale(rat(c)).entries)
 
     def __eq__(self, other):
         return (
@@ -179,6 +182,14 @@ class Functional:
             )
         self.ctx = ctx
         self.values = table
+
+    @classmethod
+    def _trusted(cls, ctx, table):
+        """Wrap {every interned shard of ctx: Rational}, skipping validation."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.values = table
+        return out
 
     @classmethod
     def zero(cls, support):
@@ -251,14 +262,13 @@ def random_functional(support, seed, span=9):
     )
 
 
-def _dual_cut(v, V):
-    coarse = context_for(_merged_source(v.support, V))
-    entries = {}
+def _dual_cut(entries, V):
+    out = {}
     rev = V.reversed()
-    for X, c in v.items():
+    for X, c in entries.items():
         for Y, s in ((arrow(X, V), c), (arrow(X, rev), -c)):
-            entries[Y] = entries.get(Y, ZERO) + s
-    return ShardVector(coarse, entries)
+            out[Y] = out.get(Y, 0) + s
+    return {Y: c for Y, c in out.items() if c}
 
 
 def dual_forest_derivative(F, v):
@@ -268,30 +278,28 @@ def dual_forest_derivative(F, v):
     arrow chains over every left/right switch of F.  The two totals must
     match; disagreement raises InvariantViolation.
     """
-    if isinstance(v, Shard):
-        v = ShardVector.basis(v)
+    entries = {v: 1} if isinstance(v, Shard) else v.vec.entries
     if v.support != F.target or v.ground != F.ground:
         raise BoundaryMismatchError(
             "vector support %s is not the forest target %s"
             % (v.support.format(), F.target.format())
         )
-    out = v
+    out = entries
     for V in reversed(F.cuts):
         out = _dual_cut(out, V)
 
     acc = {}
     for sign, G in antisymmetrize(F):
-        for X, c in v.items():
-            Y = X
-            for V in reversed(G.cuts):
-                Y = arrow(Y, V)
-            acc[Y] = acc.get(Y, ZERO) + (c if sign > 0 else -c)
-    alt = ShardVector(F.source, acc)
-    if out != alt:
+        chain = G.cuts[::-1]
+        for X, c in entries.items():
+            for V in chain:
+                X = arrow(X, V)
+            acc[X] = acc.get(X, 0) + (c if sign > 0 else -c)
+    if out != {Y: c for Y, c in acc.items() if c}:
         raise InvariantViolation(
             "cut-by-cut and antisymmetrized evaluations disagree for %r" % (F,)
         )
-    return out
+    return ShardVector._trusted(context_for(F.source), out)
 
 
 def forest_derivative(F, f):
@@ -305,4 +313,4 @@ def forest_derivative(F, f):
     values = {}
     for X in enumerate_shards(fine.P):
         values[X] = f.evaluate_vector(dual_forest_derivative(F, X))
-    return Functional(fine, values)
+    return Functional._trusted(fine, values)

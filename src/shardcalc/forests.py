@@ -146,14 +146,15 @@ def compose(F1, F2):
 
 def antisymmetrize(F):
     """(sign, forest) pairs over all left/right switches; original first, +1."""
-    l = len(F.cuts)
+    # a switch keeps each cut's parent and the set {left, right}, so every
+    # switched forest is valid with F's source and target; none is re-checked
+    pairs = [(c, c.reversed()) for c in F.cuts]
     terms = []
-    for s in range(1 << l):
-        cuts = [
-            F.cuts[i].reversed() if s >> i & 1 else F.cuts[i] for i in range(l)
-        ]
-        sign = -1 if popcount(s) & 1 else 1
-        terms.append((sign, LayeredForest(F.source, cuts)))
+    for s in range(1 << len(pairs)):
+        G = LayeredForest.__new__(LayeredForest)
+        G.ground, G.source, G.target = F.ground, F.source, F.target
+        G.cuts = tuple(p[s >> i & 1] for i, p in enumerate(pairs))
+        terms.append((-1 if popcount(s) & 1 else 1, G))
     return terms
 
 

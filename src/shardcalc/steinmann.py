@@ -27,7 +27,7 @@ from .arrangement import (
 )
 from .calculus import Functional, InvariantViolation, ShardVector, arrow, forest_derivative
 from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank, rowspace_reducer
-from .forests import Cut, cut_forest, iter_forests
+from .forests import Cut, cut_forest
 from .ground import (
     GroundMismatchError,
     GroundSet,
@@ -130,13 +130,15 @@ class RelationSet:
 
     def annihilator_basis(self):
         """Functionals over the one-block support killing every relation."""
-        P = Partition.one_block(self.ground)
+        ctx = context_for(Partition.one_block(self.ground))
+        shards = enumerate_shards(ctx.P)
+        byid = {X.id(): X for X in shards}
         out = []
         for vec in kernel_basis(self.matrix()):
-            values = {X.id(): ZERO for X in enumerate_shards(P)}
+            table = dict.fromkeys(shards, ZERO)
             for key, c in vec.items():
-                values[key] = c
-            out.append(Functional(P, values))
+                table[byid[key]] = c
+            out.append(Functional._trusted(ctx, table))
         return out
 
 
@@ -152,18 +154,18 @@ def steinmann_relations(ground):
     if cached is not None:
         return cached
     full = ground.full_mask
+    ctx = context_for(Partition.one_block(ground))
     relations, provenance, seen = [], [], set()
     for S, T in _halves(ground):
         Q = Partition(ground, [S, T])
         V = Cut(ground, full, S)
         W = V.reversed()
         for X1, X2 in _adjacent_pairs(Q):
-            vec = (
-                ShardVector.basis(arrow(X1, V))
-                - ShardVector.basis(arrow(X1, W))
-                + ShardVector.basis(arrow(X2, W))
-                - ShardVector.basis(arrow(X2, V))
-            )
+            acc = {}
+            for Y, c in ((arrow(X1, V), 1), (arrow(X1, W), -1),
+                         (arrow(X2, W), 1), (arrow(X2, V), -1)):
+                acc[Y] = acc.get(Y, 0) + c
+            vec = ShardVector._trusted(ctx, acc)
             items = vec.items()
             if not items:
                 continue
@@ -254,28 +256,11 @@ def _single_cut_forests(P):
     return out
 
 
-def is_semisimply_differentiable(f, verify=False):
-    """True iff f and all its single-cut derivatives are semisimple.
-
-    With verify=True the answer is recomputed from the definition, as
-    semisimplicity of forest_derivative(F, f) for every forest from the
-    support, and the two routes must agree.
-    """
-    P = f.support
-    fast = is_semisimple(f) and all(
-        is_semisimple(forest_derivative(F, f)) for F in _single_cut_forests(P)
+def is_semisimply_differentiable(f):
+    """True iff f and all its single-cut derivatives are semisimple."""
+    return is_semisimple(f) and all(
+        is_semisimple(forest_derivative(F, f)) for F in _single_cut_forests(f.support)
     )
-    if verify:
-        depth = P.ground.n - len(P.blocks)
-        slow = all(
-            is_semisimple(forest_derivative(F, f)) for F in iter_forests(P, depth)
-        )
-        if fast is not slow:
-            raise InvariantViolation(
-                "single-cut route gives %r but the all-forests route gives %r"
-                % (fast, slow)
-            )
-    return fast
 
 
 def product(P, factors):

@@ -13,6 +13,7 @@ from shardcalc.ground import (
     popcount,
     reduction_mask,
 )
+from shardcalc._backend import kernel
 from shardcalc.arrangement import (
     Shard,
     _key_signs_at,
@@ -84,6 +85,30 @@ def test_enumerate_agrees_with_naive_oracle_n5():
         assert bfs == naive, P.format()
         checked += 1
     assert checked == 51
+
+
+def test_flipped_key_screen_matches_full_screen():
+    # a one-flip neighbour of a chamber differs from it only at key k, so
+    # screening the quads of k must give the verdict of the whole table
+    supports = [P for n in range(2, 6) for P in all_partitions(g(n))]
+    supports.append(part(g(6), "(123|456)"))
+    candidates = rejected = 0
+    for P in supports:
+        ctx = context_for(P)
+        quads = ctx.quads()
+        per_key = ctx.key_quads()
+        for k in range(ctx.K):
+            assert per_key[k] == [q for q in quads if k in (q[0], q[2], q[4], q[6])]
+        for X in enumerate_shards(P):
+            for k in range(ctx.K):
+                cand = list(X.signs)
+                cand[k] = -cand[k]
+                verdict = kernel.quick_check(cand, per_key[k])
+                full = kernel.quick_check(cand, quads)
+                assert verdict == full, (P.format(), X.id(), k)
+                candidates += 1
+                rejected += not verdict
+    assert candidates > 31104 and 0 < rejected < candidates
 
 
 def test_enumerate_sorted_and_deterministic():

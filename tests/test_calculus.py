@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc import calculus, forests
-from shardcalc.exactla import ZERO, ONE, rat
+from shardcalc.exactla import ZERO, ONE, kernel_basis, rat
 from shardcalc.ground import GroundSet, Partition, GroundMismatchError, all_partitions
 from shardcalc.forests import (
     BoundaryMismatchError,
@@ -24,6 +26,7 @@ from shardcalc.calculus import (
     forest_derivative,
     random_functional,
 )
+from shardcalc.steinmann import steinmann_relations
 
 G2 = GroundSet.of_size(2)
 G3 = GroundSet.of_size(3)
@@ -120,6 +123,55 @@ def test_dual_derivative_cross_check_catches_a_wrong_sign(monkeypatch):
     monkeypatch.setattr(calculus, "antisymmetrize", one_sign_flipped)
     with pytest.raises(InvariantViolation):
         dual_forest_derivative(F, X)
+
+
+def test_trusted_results_equal_validated_construction():
+    # every forest from every support to n = 4: the derivatives built without
+    # the validating constructors are what those constructors would build,
+    # with nonzero Fraction coefficients only
+    forests_checked = 0
+    for g in (G2, G3, G4):
+        for P in all_partitions(g):
+            f = random_functional(P, forests_checked)
+            for F in iter_forests(P, g.n - len(P.blocks)):
+                for X in enumerate_shards(F.target):
+                    d = dual_forest_derivative(F, X)
+                    assert all(type(c) is Fraction and c != 0 for _, c in d.items())
+                    assert d == ShardVector(F.source, dict(d.items()))
+                df = forest_derivative(F, f)
+                assert all(type(c) is Fraction for _, c in df.items())
+                assert df == Functional(F.target, dict(df.items()))
+                forests_checked += 1
+    assert forests_checked == 398
+
+
+def test_dual_derivative_is_linear_over_fractions():
+    P = Partition(G4, [0b1111])
+    F = parse_forest(G4, "[[12,3],4]")
+    a, b = Fraction(1, 3), Fraction(-2, 5)
+    shards = enumerate_shards(F.target)
+    for X in shards:
+        for Y in shards:
+            v = ShardVector.basis(X, a) + ShardVector.basis(Y, b)
+            d = dual_forest_derivative(F, v)
+            dX, dY = dual_forest_derivative(F, X), dual_forest_derivative(F, Y)
+            assert d == dX.scale(a) + dY.scale(b)
+            assert d.support == P
+            assert all(type(c) is Fraction and c != 0 for _, c in d.items())
+
+
+def test_annihilator_basis_equals_construction_from_sign_strings():
+    for g in (G2, G3, G4):
+        R = steinmann_relations(g)
+        P = Partition.one_block(g)
+        expected = []
+        for vec in kernel_basis(R.matrix()):
+            values = {X.id(): ZERO for X in enumerate_shards(P)}
+            values.update(vec.items())
+            expected.append(Functional(P, values))
+        basis = R.annihilator_basis()
+        assert basis == expected
+        assert all(type(c) is Fraction for f in basis for _, c in f.items())
 
 
 def test_dual_single_wall_sum_is_zero():
