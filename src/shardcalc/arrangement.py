@@ -62,7 +62,7 @@ class SupportContext:
         self._key_quads = None
         self._normals = None
         self._flat_rows = None
-        self._memo = {}  # sign tuple -> witness coord tuple or None
+        self._memo = {}  # sign tuple -> witness coords, or None when the LP says no
         self._interned = {}
         self._enumerated = None
         self._block_of = [P.block_of(i) for i in range(self.n)]
@@ -302,7 +302,7 @@ def _lp_witness(ctx, signs):
         ctx.flat_rows(), ["+" if s > 0 else "-" for s in signs])
     if vec is None:
         return None
-    coords = [vec.get(i) for i in range(ctx.n)]
+    coords = [vec.get(i, ZERO) for i in range(ctx.n)]
     for b in ctx.P.blocks:
         coords[b.bit_length() - 1] = -sum(
             (coords[i] for i in iter_bits(b)), ZERO)
@@ -327,10 +327,13 @@ def _probe_candidates(ctx, signs, hint):
 
 
 def _feasible(ctx, signs, hint=None):
-    """Witness coordinates for a sign pattern, or None; memoized, exact.
+    """Witness coordinates for a sign pattern, or None; exact.
 
     Order: memo, superadditivity screen, probe points (each verified by
-    exact sign evaluation), then the LP as the final authority.  A hint
+    exact sign evaluation), then the LP as the final authority.  Probe
+    hits and LP verdicts are memoized; screen rejects are not, since
+    re-screening is cheap and they would outnumber every other entry
+    (most sign patterns are empty).  A hint
     (coords, k) is a feasible chamber, which passes every quad; signs
     flips its key k, so only the quads naming k can reject it.
     """
@@ -338,7 +341,6 @@ def _feasible(ctx, signs, hint=None):
         return ctx._memo[signs]
     quads = ctx.quads() if hint is None else ctx.key_quads()[hint[1]]
     if ctx.K and not kernel.quick_check(list(signs), quads):
-        ctx._memo[signs] = None
         return None
     for coords in _probe_candidates(ctx, signs, hint):
         if tuple(_key_signs_at(ctx, coords)) == signs:
@@ -468,29 +470,43 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def steinmann_classes(P, R):
-    """Steinmann R-equivalence classes of enumerate_shards(P).
+def steinmann_pairs(P, R):
+    """Shard pairs over P differing on exactly one non-R-semisimple key.
 
-    Two shards are joined when they differ exactly on one canonical key
-    class that is not R-semisimple; classes are sorted by least member.
+    Flipping each such key and hashing the result finds the pairs in one
+    sweep; each pair appears once, id-sorted.
     """
     if not is_finer(P, R):
         raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
-    shards = enumerate_shards(P)
     ctx = context_for(P)
-    movable = []
-    for k, r in enumerate(ctx.keys):
-        E = Subset(P.ground, r)
-        if not is_r_semisimple(P, R, E):
-            movable.append(k)
-    index = {sh.signs: i for i, sh in enumerate(shards)}
-    uf = _UnionFind(len(shards))
-    for i, sh in enumerate(shards):
+    movable = [
+        k
+        for k, r in enumerate(ctx.keys)
+        if not is_r_semisimple(P, R, Subset(P.ground, r))
+    ]
+    index = {X.signs: X for X in enumerate_shards(P)}
+    pairs = []
+    for X in index.values():
         for k in movable:
-            other = sh.signs[:k] + (-sh.signs[k],) + sh.signs[k + 1 :]
-            j = index.get(other)
-            if j is not None:
-                uf.union(i, j)
+            Y = index.get(X.signs[:k] + (-X.signs[k],) + X.signs[k + 1 :])
+            if Y is not None and X.id() < Y.id():
+                pairs.append((X, Y))
+    pairs.sort(key=lambda p: (p[0].id(), p[1].id()))
+    return pairs
+
+
+def steinmann_classes(P, R):
+    """Steinmann R-equivalence classes of enumerate_shards(P).
+
+    Two shards are joined when they form one of steinmann_pairs(P, R);
+    classes are sorted by least member.
+    """
+    pairs = steinmann_pairs(P, R)
+    shards = enumerate_shards(P)
+    index = {X: i for i, X in enumerate(shards)}
+    uf = _UnionFind(len(shards))
+    for X, Y in pairs:
+        uf.union(index[X], index[Y])
     groups = {}
     for i in range(len(shards)):
         groups.setdefault(uf.find(i), []).append(shards[i])

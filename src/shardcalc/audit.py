@@ -607,14 +607,14 @@ def _span_witness(P, R):
     for X in shards:
         inc.add_row({keys[X]: ONE})
     dim_kernel = len(shards) - rank(inc)
-    diffs = RationalMatrix([X.id() for X in shards])
+    diffs = RationalMatrix(shards)
     contained = True
     for cls in steinmann_classes(P, R):
         X0 = cls[0]
         for X in cls[1:]:
             if keys[X] != keys[X0]:
                 contained = False
-            diffs.add_row({X.id(): ONE, X0.id(): -ONE})
+            diffs.add_row({X: ONE, X0: -ONE})
     span = rank(diffs)
     if not contained or span != dim_kernel:
         return _counterexample(
@@ -721,10 +721,10 @@ _DIMENSION_SAMPLE = {
 
 def _product_rank(P, bases):
     shards = enumerate_shards(P)
-    M = RationalMatrix([X.id() for X in shards])
+    M = RationalMatrix(shards)
     for combo in itertools.product(*bases):
         h = product(P, list(combo))
-        M.add_row({X.id(): h(X) for X in shards if h(X) != ZERO})
+        M.add_row({X: h(X) for X in shards if h(X) != ZERO})
     return rank(M)
 
 
@@ -732,23 +732,18 @@ def _solvable_dim(P):
     """Dimension cut out by semisimplicity of the value table and of all
     its single-cut derivatives, by exact elimination."""
     shards = enumerate_shards(P)
-    M = RationalMatrix([X.id() for X in shards])
+    M = RationalMatrix(shards)
     for cls in steinmann_classes(P, P):
         X0 = cls[0]
         for X in cls[1:]:
-            M.add_row({X.id(): ONE, X0.id(): -ONE})
+            M.add_row({X: ONE, X0: -ONE})
     for F in _single_cut_forests(P):
         duals = {X: dual_forest_derivative(F, X)
                  for X in enumerate_shards(F.target)}
         for cls in steinmann_classes(F.target, F.target):
             X0 = cls[0]
             for X in cls[1:]:
-                row = {}
-                for Y, c in duals[X]:
-                    row[Y.id()] = row.get(Y.id(), ZERO) + c
-                for Y, c in duals[X0]:
-                    row[Y.id()] = row.get(Y.id(), ZERO) - c
-                row = {k: v for k, v in row.items() if v != ZERO}
+                row = (duals[X] - duals[X0]).entries
                 if row:
                     M.add_row(row)
     return len(shards) - rank(M)
@@ -815,7 +810,7 @@ def _first_failure(by_shard, diffs):
     best = None
     for pos, d in enumerate(diffs):
         totals = {}
-        for X, c in d.vec.entries.items():
+        for X, c in d.entries.items():
             for i, a in by_shard.get(X, ()):
                 totals[i] = totals.get(i, ZERO) + c * a
         i = min((i for i, t in totals.items() if t), default=None)

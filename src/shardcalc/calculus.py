@@ -8,7 +8,7 @@ Functionals on the coarse side pull back along the dual derivative.
 """
 
 from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
-from .exactla import ONE, ZERO, SparseVector, rat, rat_str
+from .exactla import ONE, ZERO, Rational, rat, rat_str
 from .forests import BoundaryMismatchError, antisymmetrize
 from .ground import GroundMismatchError, Partition
 
@@ -55,23 +55,27 @@ def _arrow(X, V):
     out = []
     for rep in ctx.keys:
         if rep == V.left:
-            out.append("+")
+            out.append(1)
         elif rep == V.right:
-            out.append("-")
+            out.append(-1)
         else:
             s = X.sign_of(rep)
             if s == 0:
                 raise InvariantViolation(
                     "key %s vanished on the fine support" % Q.ground.mask_labels(rep)
                 )
-            out.append("+" if s > 0 else "-")
-    return shard_from_signs(P, "".join(out))
+            out.append(s)
+    return ctx.intern(tuple(out))
 
 
 class ShardVector:
-    """Formal rational combination of shards sharing one support partition."""
+    """Formal rational combination of shards sharing one support partition.
 
-    __slots__ = ("ctx", "vec")
+    entries maps each interned shard of ctx with a nonzero coefficient to
+    that coefficient, a Rational.
+    """
+
+    __slots__ = ("ctx", "entries")
 
     def __init__(self, support, entries=None):
         ctx = support if isinstance(support, SupportContext) else context_for(support)
@@ -83,14 +87,18 @@ class ShardVector:
             if c != ZERO:
                 clean[ctx.intern(X.signs)] = c
         self.ctx = ctx
-        self.vec = SparseVector(clean)
+        self.entries = clean
 
     @classmethod
     def _trusted(cls, ctx, entries):
         """Wrap {interned shard of ctx: int or Rational}, skipping validation."""
         out = cls.__new__(cls)
         out.ctx = ctx
-        out.vec = SparseVector(entries)
+        out.entries = {
+            X: c if type(c) is Rational else Rational(c)
+            for X, c in entries.items()
+            if c
+        }
         return out
 
     @classmethod
@@ -110,16 +118,16 @@ class ShardVector:
         return self.ctx.ground
 
     def coefficient(self, X):
-        return self.vec.entries.get(X, ZERO)
+        return self.entries.get(X, ZERO)
 
     def items(self):
-        return sorted(self.vec.entries.items(), key=lambda kv: kv[0].id())
+        return sorted(self.entries.items(), key=lambda kv: kv[0].id())
 
     def is_zero(self):
-        return not self.vec.entries
+        return not self.entries
 
     def __len__(self):
-        return len(self.vec.entries)
+        return len(self.entries)
 
     def __iter__(self):
         return iter(self.items())
@@ -127,23 +135,29 @@ class ShardVector:
     def __add__(self, other):
         if not isinstance(other, ShardVector) or other.ctx is not self.ctx:
             raise BoundaryMismatchError("vectors over different supports")
-        return ShardVector._trusted(self.ctx, (self.vec + other.vec).entries)
+        out = dict(self.entries)
+        for X, c in other.entries.items():
+            out[X] = out.get(X, ZERO) + c
+        return ShardVector._trusted(self.ctx, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ShardVector._trusted(self.ctx, (-self.vec).entries)
+        return ShardVector._trusted(
+            self.ctx, {X: -c for X, c in self.entries.items()})
 
     def scale(self, c):
-        return ShardVector._trusted(self.ctx, self.vec.scale(rat(c)).entries)
+        c = rat(c)
+        return ShardVector._trusted(
+            self.ctx, {X: c * v for X, v in self.entries.items()})
 
     def __eq__(self, other):
         return (
             isinstance(other, ShardVector)
             and self.ctx.P == other.ctx.P
             and self.ctx.ground == other.ctx.ground
-            and self.vec == other.vec
+            and self.entries == other.entries
         )
 
     def __hash__(self):
@@ -222,7 +236,7 @@ class Functional:
         if v.support != self.ctx.P or v.ground != self.ctx.ground:
             raise BoundaryMismatchError("vector over a different support")
         total = ZERO
-        for X, c in v.vec.entries.items():
+        for X, c in v.entries.items():
             total += c * self.values[X]
         return total
 
@@ -278,7 +292,7 @@ def dual_forest_derivative(F, v):
     arrow chains over every left/right switch of F.  The two totals must
     match; disagreement raises InvariantViolation.
     """
-    entries = {v: 1} if isinstance(v, Shard) else v.vec.entries
+    entries = {v: 1} if isinstance(v, Shard) else v.entries
     if v.support != F.target or v.ground != F.ground:
         raise BoundaryMismatchError(
             "vector support %s is not the forest target %s"

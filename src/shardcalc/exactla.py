@@ -2,9 +2,12 @@
 
 All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
 exported as Rational.  Matrices are sparse rows over a shared ordered
-column basis of arbitrary hashable keys.  rank and kernel_basis use
-fraction-free integer elimination with content reduction; the columns at
-play downstream are shard bases, so rows are mostly small incidence data.
+column basis of arbitrary hashable keys.  Vectors in and out (rows,
+kernel vectors, coset representatives, LP witnesses) are plain
+{column: Rational} dicts; those returned hold only nonzero entries.
+rank and kernel_basis use fraction-free integer elimination with content
+reduction; the columns at play downstream are shards, so rows are mostly
+small incidence data.
 
 strictly_feasible answers "is there a point where these linear forms take
 these signs" by an exact simplex with Bland's rule: maximize a slack t
@@ -38,91 +41,6 @@ def rat_str(q):
     return str(q)
 
 
-class SparseVector:
-    """Mapping key -> nonzero Rational; zero entries are never stored."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        self.entries = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for k, v in items:
-                v = v if type(v) is Rational else rat(v)
-                if v:
-                    self.entries[k] = v
-
-    def get(self, key):
-        return self.entries.get(key, ZERO)
-
-    def items(self):
-        return self.entries.items()
-
-    def keys(self):
-        return self.entries.keys()
-
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = SparseVector()
-        r.entries = out
-        return r
-
-    def __sub__(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, ZERO) - v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        r = SparseVector()
-        r.entries = out
-        return r
-
-    def __neg__(self):
-        r = SparseVector()
-        r.entries = {k: -v for k, v in self.entries.items()}
-        return r
-
-    def scale(self, c):
-        c = c if type(c) is Rational else rat(c)
-        r = SparseVector()
-        if c:
-            r.entries = {k: c * v for k, v in self.entries.items()}
-        return r
-
-    def dot(self, other):
-        a, b = self.entries, other.entries
-        if len(b) < len(a):
-            a, b = b, a
-        s = ZERO
-        for k, v in a.items():
-            w = b.get(k)
-            if w is not None:
-                s += v * w
-        return s
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        body = ", ".join("%r: %s" % (k, v) for k, v in sorted(
-            self.entries.items(), key=lambda kv: repr(kv[0])))
-        return "SparseVector({%s})" % body
-
-
 class RationalMatrix:
     """Ordered sparse rows over a shared ordered column basis."""
 
@@ -136,9 +54,8 @@ class RationalMatrix:
             self.add_row(r)
 
     def add_row(self, row):
-        entries = row.entries if isinstance(row, SparseVector) else dict(row)
         out = {}
-        for k, v in entries.items():
+        for k, v in row.items():
             if k not in self.col_index:
                 raise KeyError("row key %r outside the column basis" % (k,))
             v = v if type(v) is Rational else rat(v)
@@ -221,7 +138,7 @@ def rank(M):
 
 
 def kernel_basis(M):
-    """Basis of the right kernel, one SparseVector per free column.
+    """Basis of the right kernel, one {column: Rational} dict per free column.
 
     Each basis vector has entry 1 at its free column and 0 at the other
     free columns; pivot coordinates are solved bottom-up.
@@ -240,9 +157,7 @@ def kernel_basis(M):
                     s += v * x[c]
             if s:
                 x[col] = -s / prow[col]
-        vec = SparseVector()
-        vec.entries = {M.columns[j]: v for j, v in x.items() if v}
-        basis.append(vec)
+        basis.append({M.columns[j]: v for j, v in x.items() if v})
     return basis
 
 
@@ -259,9 +174,8 @@ def rowspace_reducer(M):
     cols = M.columns
 
     def reduce(vec):
-        entries = vec.entries if isinstance(vec, SparseVector) else dict(vec)
         work = {}
-        for key, val in entries.items():
+        for key, val in vec.items():
             if key not in index:
                 raise KeyError("vector key %r outside the column basis" % (key,))
             val = val if type(val) is Rational else rat(val)
@@ -279,9 +193,7 @@ def rowspace_reducer(M):
                     work[c] = nv
                 else:
                     work.pop(c, None)
-        out = SparseVector()
-        out.entries = {cols[j]: v for j, v in work.items()}
-        return out
+        return {cols[j]: v for j, v in work.items()}
 
     return reduce
 
@@ -313,10 +225,11 @@ def _farkas_holds(rows, signs, mults):
 def strictly_feasible(A, signs):
     """Witness x with (A x)_i strictly +, strictly -, or 0 per signs, or None.
 
-    signs: one of '+', '-', '0' per row.  The witness is a SparseVector
-    over A's column basis with max absolute entry 1.  None comes only
-    with a Farkas certificate that passed _farkas_holds; a witness or a
-    certificate that fails its check raises AssertionError.
+    signs: one of '+', '-', '0' per row.  The witness is a dict from A's
+    columns to nonzero Rationals, absent columns reading zero, with max
+    absolute entry 1.  None comes only with a Farkas certificate that
+    passed _farkas_holds; a witness or a certificate that fails its check
+    raises AssertionError.
     """
     if len(signs) != len(A.rows):
         raise ValueError("need exactly one sign per row")
@@ -399,6 +312,4 @@ def strictly_feasible(A, signs):
         ):
             raise AssertionError("simplex witness failed re-verification")
     top = max(abs(q) for q in x) if x else 0
-    vec = SparseVector()
-    vec.entries = {A.columns[j]: Rational(q, top) for j, q in enumerate(x) if q}
-    return vec
+    return {A.columns[j]: Rational(q, top) for j, q in enumerate(x) if q}

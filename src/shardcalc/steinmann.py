@@ -24,6 +24,7 @@ from .arrangement import (
     enumerate_shards,
     project,
     steinmann_classes,
+    steinmann_pairs,
 )
 from .calculus import Functional, InvariantViolation, ShardVector, arrow, forest_derivative
 from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank, rowspace_reducer
@@ -32,8 +33,6 @@ from .ground import (
     GroundMismatchError,
     GroundSet,
     Partition,
-    Subset,
-    is_r_semisimple,
     iter_bits,
     popcount,
 )
@@ -59,31 +58,6 @@ def _halves(ground):
             out.append((S, full ^ S))
     out.sort()
     return out
-
-
-def _adjacent_pairs(Q):
-    """Shard pairs over Q differing on exactly one movable key.
-
-    Flipping each non-semisimple key and hashing the result finds the
-    pairs in one sweep; each pair appears once, id-sorted.
-    """
-    ctx = context_for(Q)
-    shards = enumerate_shards(Q)
-    movable = [
-        k
-        for k, r in enumerate(ctx.keys)
-        if not is_r_semisimple(Q, Q, Subset(Q.ground, r))
-    ]
-    index = {X.signs: X for X in shards}
-    pairs = []
-    for X in shards:
-        for k in movable:
-            flipped = X.signs[:k] + (-X.signs[k],) + X.signs[k + 1 :]
-            Y = index.get(flipped)
-            if Y is not None and X.id() < Y.id():
-                pairs.append((X, Y))
-    pairs.sort(key=lambda p: (p[0].id(), p[1].id()))
-    return pairs
 
 
 class RelationSet:
@@ -117,9 +91,9 @@ class RelationSet:
     def matrix(self):
         """Relation rows over the id-sorted shard columns."""
         if self._matrix is None:
-            M = RationalMatrix([X.id() for X in self.shard_basis()])
+            M = RationalMatrix(self.shard_basis())
             for v in self.relations:
-                M.add_row({X.id(): c for X, c in v.items()})
+                M.add_row(v.entries)
             self._matrix = M
         return self._matrix
 
@@ -132,12 +106,10 @@ class RelationSet:
         """Functionals over the one-block support killing every relation."""
         ctx = context_for(Partition.one_block(self.ground))
         shards = enumerate_shards(ctx.P)
-        byid = {X.id(): X for X in shards}
         out = []
         for vec in kernel_basis(self.matrix()):
             table = dict.fromkeys(shards, ZERO)
-            for key, c in vec.items():
-                table[byid[key]] = c
+            table.update(vec)
             out.append(Functional._trusted(ctx, table))
         return out
 
@@ -160,7 +132,7 @@ def steinmann_relations(ground):
         Q = Partition(ground, [S, T])
         V = Cut(ground, full, S)
         W = V.reversed()
-        for X1, X2 in _adjacent_pairs(Q):
+        for X1, X2 in steinmann_pairs(Q, Q):
             acc = {}
             for Y, c in ((arrow(X1, V), 1), (arrow(X1, W), -1),
                          (arrow(X2, W), 1), (arrow(X2, V), -1)):
@@ -190,7 +162,7 @@ class QuotientSpace:
     columns of the relation matrix over the id-sorted shard basis.
     """
 
-    __slots__ = ("ground", "relation_set", "shards", "rank", "dim", "_reduce", "_byid")
+    __slots__ = ("ground", "relation_set", "shards", "rank", "dim", "_reduce")
 
     def __init__(self, ground):
         self.ground = ground
@@ -199,7 +171,6 @@ class QuotientSpace:
         self.rank = self.relation_set.rank()
         self.dim = len(self.shards) - self.rank
         self._reduce = rowspace_reducer(self.relation_set.matrix())
-        self._byid = {X.id(): X for X in self.shards}
 
     def reduce(self, v):
         """Canonical coset representative of a one-block ShardVector."""
@@ -208,8 +179,7 @@ class QuotientSpace:
         P = Partition.one_block(self.ground)
         if v.support != P or v.ground != self.ground:
             raise SupportMismatchError("vector is not over the one-block support")
-        red = self._reduce({X.id(): c for X, c in v.items()})
-        return ShardVector(P, {self._byid[key]: c for key, c in red.entries.items()})
+        return ShardVector._trusted(v.ctx, self._reduce(v.entries))
 
     def contains(self, v):
         """True iff v lies in the relation span."""

@@ -14,6 +14,7 @@ from shardcalc.ground import (
     reduction_mask,
 )
 from shardcalc._backend import kernel
+from shardcalc import arrangement
 from shardcalc.arrangement import (
     Shard,
     _key_signs_at,
@@ -109,6 +110,31 @@ def test_flipped_key_screen_matches_full_screen():
                 candidates += 1
                 rejected += not verdict
     assert candidates > 31104 and 0 < rejected < candidates
+
+
+def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
+    # a screen reject is cheap to repeat, so it is not memoized; every None
+    # left in the memo is a pattern the LP certified infeasible, and no
+    # pattern goes to the LP twice
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    lp_calls, infeasible = [], set()
+    solve = arrangement.strictly_feasible
+
+    def recording(A, signs):
+        pattern = tuple(1 if s == "+" else -1 for s in signs)
+        lp_calls.append(pattern)
+        w = solve(A, signs)
+        if w is None:
+            infeasible.add(pattern)
+        return w
+
+    monkeypatch.setattr(arrangement, "strictly_feasible", recording)
+    P = part(g(6), "(123|456)")
+    shards = enumerate_shards(P)
+    memo = context_for(P)._memo
+    assert len(lp_calls) == len(set(lp_calls)) > 0
+    assert infeasible and {s for s, w in memo.items() if w is None} == infeasible
+    assert {X.signs for X in shards} == {s for s, w in memo.items() if w is not None}
 
 
 def test_enumerate_sorted_and_deterministic():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc import calculus, forests
-from shardcalc.exactla import ZERO, ONE, kernel_basis, rat
+from shardcalc.exactla import ZERO, ONE, RationalMatrix, kernel_basis, rat
 from shardcalc.ground import GroundSet, Partition, GroundMismatchError, all_partitions
 from shardcalc.forests import (
     BoundaryMismatchError,
@@ -161,13 +161,19 @@ def test_dual_derivative_is_linear_over_fractions():
 
 
 def test_annihilator_basis_equals_construction_from_sign_strings():
-    for g in (G2, G3, G4):
+    # the relation matrix has the id-sorted shards as columns; the reference
+    # keys the same rows by sign string and maps kernel vectors back
+    for g in (G2, G3, G4, GroundSet.of_size(5)):
         R = steinmann_relations(g)
         P = Partition.one_block(g)
+        assert R.matrix().columns == tuple(R.shard_basis())
+        M = RationalMatrix([X.id() for X in R.shard_basis()])
+        for v in R:
+            M.add_row({X.id(): c for X, c in v.items()})
         expected = []
-        for vec in kernel_basis(R.matrix()):
+        for vec in kernel_basis(M):
             values = {X.id(): ZERO for X in enumerate_shards(P)}
-            values.update(vec.items())
+            values.update(vec)
             expected.append(Functional(P, values))
         basis = R.annihilator_basis()
         assert basis == expected
@@ -304,6 +310,18 @@ def test_shard_vector_arithmetic():
         v + ShardVector.zero(Partition(G3, [0b011, 0b100]))
     with pytest.raises(BoundaryMismatchError):
         ShardVector(Partition(G3, [0b011, 0b100]), {a: 1})
+    # sums cancel, and every stored coefficient is a nonzero Fraction
+    c = enumerate_shards(P)[2]
+    u = ShardVector(P, {a: 1, b: 2})
+    t = ShardVector(P, {b: -2, c: 5})
+    assert u + t == ShardVector(P, {a: 1, c: 5})
+    assert b not in (u + t).entries
+    assert (u - u).is_zero()
+    assert u.scale(0).is_zero()
+    assert u.scale(rat("1/2")) == ShardVector(P, {a: rat("1/2"), b: 1})
+    assert -u == ShardVector(P, {a: -1, b: -2})
+    for r in (v, u + t, u.scale(rat("1/2")), -u):
+        assert all(type(x) is Fraction and x != 0 for x in r.entries.values())
 
 
 def test_functional_totality_and_errors():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat
+from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat, rowspace_reducer
 from shardcalc.ground import GroundSet, NotFinerError, Partition
 from shardcalc.forests import Cut, cut_forest, iter_forests, parse_forest
 from shardcalc.arrangement import (
@@ -280,6 +280,29 @@ def test_quotient_reduce_properties():
     r = qs.reduce(X0)
     assert qs.reduce(r) == r
     assert not qs.contains(ShardVector.basis(X0))
+
+
+def test_quotient_reduce_equals_construction_from_sign_strings():
+    # the reducer works on shard-keyed vectors; the reference keys the
+    # relation matrix by sign string and maps representatives back
+    for g in (G2, G3, G4, G5):
+        qs = quotient_space(g)
+        P = Partition.one_block(g)
+        byid = {X.id(): X for X in qs.shards}
+        M = RationalMatrix(list(byid))
+        for v in qs.relation_set:
+            M.add_row({X.id(): c for X, c in v.items()})
+        old = rowspace_reducer(M)
+        vectors = [ShardVector.basis(X) for X in qs.shards]
+        for seed in range(3):
+            f = random_functional(P, seed)
+            vectors.append(ShardVector(P, dict(f.items())))
+        for v in vectors:
+            red = old({X.id(): c for X, c in v.items()})
+            expected = ShardVector(P, {byid[k]: c for k, c in red.items()})
+            got = qs.reduce(v)
+            assert got == expected
+            assert all(type(c) is Fraction and c != 0 for _, c in got.items())
 
 
 def test_delayering_difference_lies_in_relation_span():
