@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc import exactla
+from shardcalc.arrangement import enumerate_shards
+from shardcalc.calculus import Functional, ShardVector
 from shardcalc.exactla import (
     ONE,
     Rational,
@@ -14,6 +16,7 @@ from shardcalc.exactla import (
     rat,
     strictly_feasible,
 )
+from shardcalc.ground import GroundSet, Partition
 
 
 def M(cols, rows):
@@ -25,6 +28,23 @@ def test_rank_trivial_cases():
     assert rank(M([0, 1, 2], [{}, {}])) == 0
     assert rank(M([0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])) == 3
     assert rank(M([0, 1], [{0: 1, 1: 1}, {0: 2, 1: 2}])) == 1
+
+
+def test_sparse_vector_arithmetic():
+    # sparse exact vectors are ShardVectors: a {shard: nonzero Fraction} map
+    P = Partition(GroundSet.of_size(3), [0b111])
+    x, y, z = enumerate_shards(P)[:3]
+    a = ShardVector(P, {x: 1, y: 2})
+    b = ShardVector(P, {y: -2, z: 5})
+    assert (a + b) == ShardVector(P, {x: 1, z: 5})
+    assert y not in (a + b).entries
+    assert (a - a).is_zero()
+    assert a.scale(0).is_zero()
+    assert a.scale(rat("1/2")) == ShardVector(P, {x: rat("1/2"), y: 1})
+    assert Functional.from_callable(P, b.coefficient).evaluate_vector(a) == -4
+    assert (-a) == ShardVector(P, {x: -1, y: -2})
+    for r in (a + b, a.scale(rat("1/2")), -a):
+        assert all(type(c) is Fraction and c != 0 for c in r.entries.values())
 
 
 def test_rank_with_rational_entries():
