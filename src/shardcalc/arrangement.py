@@ -1,7 +1,7 @@
 """Shards of the adjoint braid arrangement.
 
 Fix a partition P of the ground set; its flat is the space of points whose
-coordinates sum to zero on every block.  Subset-sum functionals lambda_E
+coordinates sum to zero on every block.  The subset sums lambda_E
 cut the flat into relatively open faces; a face spanning the whole flat is
 a shard with support P, stored as one sign per canonical key.
 
@@ -24,10 +24,8 @@ from math import gcd
 from ._backend import kernel
 from .exactla import ZERO, Rational, RationalMatrix, strictly_feasible
 from .ground import (
-    GroundMismatchError,
     NotFinerError,
     Partition,
-    Subset,
     is_finer,
     is_r_semisimple,
     iter_bits,
@@ -41,7 +39,11 @@ class SupportMismatchError(ValueError):
 
 
 class SupportContext:
-    """Cached per-support data: keys, lookup tables, LP scaffold, memo."""
+    """Cached per-support data: keys, lookup tables, LP scaffold, memos.
+
+    context_for keeps one context per support, which makes this the root
+    of every per-support cache, the steinmann.py relations included.
+    """
 
     def __init__(self, P):
         self.P = P
@@ -65,6 +67,9 @@ class SupportContext:
         self._memo = {}  # sign tuple -> witness coords, or None when the LP says no
         self._interned = {}
         self._enumerated = None
+        self._classes = {}  # R.blocks -> steinmann_classes(P, R)
+        self.relations = None  # steinmann.RelationSet, one-block only
+        self.quotient = None  # steinmann.QuotientSpace, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
 
     def lookup(self, mask):
@@ -180,22 +185,21 @@ def context_for(P):
 class Shard:
     """A face of the arrangement spanning the flat of its support partition.
 
-    Identity is (ground, support, signs); the cached witness point, the
-    sign string and the arrows memo (see calculus.arrow) are excluded from
-    equality.  Shards are built only by SupportContext.intern.
+    SupportContext.intern builds each shard once per sign tuple, and
+    context_for keeps one context per support, so equality and hashing are
+    by identity.  A shard caches its witness point, its sign string and
+    the arrows memo (see calculus.arrow).
     """
 
-    __slots__ = ("ctx", "signs", "witness", "_id", "_hash", "arrows")
+    __slots__ = ("ctx", "signs", "witness", "_id", "arrows")
 
     def __init__(self, ctx, signs):
-        signs = tuple(signs)
         if len(signs) != ctx.K or any(s not in (1, -1) for s in signs):
             raise ValueError("need one sign of +-1 per canonical key")
         self.ctx = ctx
         self.signs = signs
         self.witness = None
         self._id = "".join("+" if s > 0 else "-" for s in signs)
-        self._hash = hash((ctx.ground.labels, ctx.P.blocks, signs))
         self.arrows = None
 
     @property
@@ -206,9 +210,8 @@ class Shard:
     def ground(self):
         return self.ctx.ground
 
-    def sign_of(self, E):
-        """Sign of lambda_E on this shard: +1, -1, or 0 when E = 0 mod P."""
-        mask = E.mask if isinstance(E, Subset) else int(E)
+    def sign_of(self, mask):
+        """Sign of lambda_E, E a subset mask: +1, -1, or 0 when E = 0 mod P."""
         idx, orient = self.ctx.lookup(mask)
         if idx < 0:
             return 0
@@ -227,17 +230,6 @@ class Shard:
                 for r, s in zip(self.ctx.keys, self.signs)
             },
         }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Shard)
-            and self.ctx.ground == other.ctx.ground
-            and self.ctx.P.blocks == other.ctx.P.blocks
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "Shard(%s, %s)" % (self.ctx.P.format(), self.id() or "<point>")
@@ -261,9 +253,10 @@ def _key_signs_at(ctx, coords):
 def shard_from_signs(P, signs, certify=False):
     """Build a shard from sign data without enumeration.
 
-    signs: dict mapping canonical key masks/Subsets/label strings to +-1 or
-    '+'/'-', or a '+-' string over the storage order.  certify=True runs
-    the feasibility cascade and raises if the sign pattern is empty.
+    signs: dict mapping canonical keys, as bitmasks or label strings, to
+    +-1 or '+'/'-', or a '+-' string over the storage order.  The result
+    is the interned shard of P's context.  certify=True runs the
+    feasibility cascade and raises if the sign pattern is empty.
     """
     ctx = context_for(P)
     if isinstance(signs, str):
@@ -273,12 +266,7 @@ def shard_from_signs(P, signs, certify=False):
     else:
         by_mask = {}
         for k, v in signs.items():
-            if isinstance(k, Subset):
-                mask = k.mask
-            elif isinstance(k, str):
-                mask = ctx.ground.parse_block(k)
-            else:
-                mask = int(k)
+            mask = ctx.ground.parse_block(k) if isinstance(k, str) else int(k)
             idx, orient = ctx.lookup(mask)
             if idx < 0:
                 raise ValueError("subset is a union of blocks, carries no sign")
@@ -434,8 +422,6 @@ def project(R, X):
     of the component reduce into T_j, so this is total.
     """
     P = X.support
-    if P.ground != R.ground:
-        raise GroundMismatchError("operands use different ground sets")
     if not is_finer(P, R):
         raise NotFinerError("support %s is not finer than %s" % (P.format(), R.format()))
     out = []
@@ -474,15 +460,13 @@ def steinmann_pairs(P, R):
     """Shard pairs over P differing on exactly one non-R-semisimple key.
 
     Flipping each such key and hashing the result finds the pairs in one
-    sweep; each pair appears once, id-sorted.
+    sweep; each pair appears once, id-sorted.  R must be coarser than P.
     """
-    if not is_finer(P, R):
-        raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
     ctx = context_for(P)
     movable = [
         k
         for k, r in enumerate(ctx.keys)
-        if not is_r_semisimple(P, R, Subset(P.ground, r))
+        if not is_r_semisimple(P, R, r)
     ]
     index = {X.signs: X for X in enumerate_shards(P)}
     pairs = []
@@ -499,17 +483,23 @@ def steinmann_classes(P, R):
     """Steinmann R-equivalence classes of enumerate_shards(P).
 
     Two shards are joined when they form one of steinmann_pairs(P, R);
-    classes are sorted by least member.
+    classes are tuples sorted by least member, memoized on P's context.
     """
-    pairs = steinmann_pairs(P, R)
-    shards = enumerate_shards(P)
-    index = {X: i for i, X in enumerate(shards)}
-    uf = _UnionFind(len(shards))
-    for X, Y in pairs:
-        uf.union(index[X], index[Y])
-    groups = {}
-    for i in range(len(shards)):
-        groups.setdefault(uf.find(i), []).append(shards[i])
-    classes = [sorted(g, key=Shard.id) for g in groups.values()]
-    classes.sort(key=lambda g: g[0].id())
+    if not is_finer(P, R):
+        raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
+    ctx = context_for(P)
+    classes = ctx._classes.get(R.blocks)
+    if classes is None:
+        shards = enumerate_shards(P)
+        index = {X: i for i, X in enumerate(shards)}
+        uf = _UnionFind(len(shards))
+        for X, Y in steinmann_pairs(P, R):
+            uf.union(index[X], index[Y])
+        # shards are id-sorted, so each group fills in id order and the
+        # groups arrive in order of their least members
+        groups = {}
+        for i in range(len(shards)):
+            groups.setdefault(uf.find(i), []).append(shards[i])
+        classes = tuple(tuple(g) for g in groups.values())
+        ctx._classes[R.blocks] = classes
     return classes

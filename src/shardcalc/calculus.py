@@ -81,11 +81,11 @@ class ShardVector:
         ctx = support if isinstance(support, SupportContext) else context_for(support)
         clean = {}
         for X, c in (entries or {}).items():
-            if X.support != ctx.P or X.ground != ctx.ground:
+            if X.ctx is not ctx:
                 raise BoundaryMismatchError("basis shard has a different support")
             c = rat(c)
             if c != ZERO:
-                clean[ctx.intern(X.signs)] = c
+                clean[X] = c
         self.ctx = ctx
         self.entries = clean
 
@@ -155,8 +155,7 @@ class ShardVector:
     def __eq__(self, other):
         return (
             isinstance(other, ShardVector)
-            and self.ctx.P == other.ctx.P
-            and self.ctx.ground == other.ctx.ground
+            and other.ctx is self.ctx
             and self.entries == other.entries
         )
 
@@ -187,12 +186,12 @@ class Functional:
         basis = enumerate_shards(ctx.P)
         table = {}
         for k, c in values.items():
-            X = shard_from_signs(ctx.P, k) if isinstance(k, str) else ctx.intern(k.signs)
+            X = shard_from_signs(ctx.P, k) if isinstance(k, str) else k
             table[X] = rat(c)
-        if set(table) != set(basis):
+        if set(table) != set(basis):  # by identity: refuses other supports' shards
             raise ValueError(
-                "functional must assign a value to each of the %d shards"
-                % len(basis)
+                "functional must assign a value to each of the %d shards of %s"
+                % (len(basis), ctx.P.format())
             )
         self.ctx = ctx
         self.values = table
@@ -212,7 +211,7 @@ class Functional:
 
     @classmethod
     def indicator(cls, X):
-        return cls(X.ctx, {Y: (ONE if Y == X else ZERO) for Y in enumerate_shards(X.support)})
+        return cls(X.ctx, {Y: (ONE if Y is X else ZERO) for Y in enumerate_shards(X.support)})
 
     @classmethod
     def from_callable(cls, support, fn):
@@ -228,12 +227,12 @@ class Functional:
         return self.ctx.ground
 
     def __call__(self, X):
-        if X.support != self.ctx.P or X.ground != self.ctx.ground:
+        if X.ctx is not self.ctx:
             raise BoundaryMismatchError("shard has a different support")
-        return self.values[self.ctx.intern(X.signs)]
+        return self.values[X]
 
     def evaluate_vector(self, v):
-        if v.support != self.ctx.P or v.ground != self.ctx.ground:
+        if v.ctx is not self.ctx:
             raise BoundaryMismatchError("vector over a different support")
         total = ZERO
         for X, c in v.entries.items():
@@ -246,8 +245,7 @@ class Functional:
     def __eq__(self, other):
         return (
             isinstance(other, Functional)
-            and self.ctx.P == other.ctx.P
-            and self.ctx.ground == other.ctx.ground
+            and other.ctx is self.ctx
             and self.values == other.values
         )
 

@@ -42,7 +42,11 @@ def rat_str(q):
 
 
 class RationalMatrix:
-    """Ordered sparse rows over a shared ordered column basis."""
+    """Ordered sparse rows over a shared ordered column basis.
+
+    The echelon form that rank, kernel_basis and rowspace_reducer share is
+    computed once per row set: add_row discards it.
+    """
 
     def __init__(self, columns, rows=()):
         self.columns = tuple(columns)
@@ -50,6 +54,7 @@ class RationalMatrix:
             raise ValueError("column keys must be distinct")
         self.col_index = {c: i for i, c in enumerate(self.columns)}
         self.rows = []
+        self._pivots = None
         for r in rows:
             self.add_row(r)
 
@@ -62,6 +67,13 @@ class RationalMatrix:
             if v:
                 out[self.col_index[k]] = v
         self.rows.append(out)
+        self._pivots = None
+
+    def pivots(self):
+        """The integer echelon of the rows, {pivot column: row}; cached."""
+        if self._pivots is None:
+            self._pivots = _echelon(_int_row(row) for row in self.rows if row)
+        return self._pivots
 
 
 def _content_reduce(row):
@@ -83,11 +95,6 @@ def _int_row(row):
         lcm = lcm * d // gcd(lcm, d)
     return _content_reduce(
         {c: v.numerator * (lcm // v.denominator) for c, v in row.items()})
-
-
-def _int_rows(M):
-    """Integer rows of M's nonzero rows; exact for rank purposes."""
-    return [_int_row(row) for row in M.rows if row]
 
 
 def _eliminate(row, pivots):
@@ -134,7 +141,7 @@ def _echelon(int_rows):
 
 def rank(M):
     """Row rank by fraction-free elimination; exact."""
-    return len(_echelon(_int_rows(M)))
+    return len(M.pivots())
 
 
 def kernel_basis(M):
@@ -143,7 +150,7 @@ def kernel_basis(M):
     Each basis vector has entry 1 at its free column and 0 at the other
     free columns; pivot coordinates are solved bottom-up.
     """
-    pivots = _echelon(_int_rows(M))
+    pivots = M.pivots()
     n = len(M.columns)
     free = [j for j in range(n) if j not in pivots]
     piv_desc = sorted(pivots.items(), reverse=True)
@@ -169,7 +176,7 @@ def rowspace_reducer(M):
     a pivot row's minimum column is its own pivot column, so clearing a
     column never reintroduces an earlier one.
     """
-    pivots = _echelon(_int_rows(M))
+    pivots = M.pivots()
     index = M.col_index
     cols = M.columns
 

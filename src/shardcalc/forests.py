@@ -15,7 +15,6 @@ there are exactly two).
 from .ground import (
     GroundMismatchError,
     Partition,
-    Subset,
     iter_bits,
     popcount,
 )
@@ -37,37 +36,44 @@ class BoundaryMismatchError(ValueError):
     """Forest endpoints do not line up for the requested operation."""
 
 
+_cuts = {}  # (ground labels, parent, left) -> the one Cut
+
+
 class Cut:
-    """One refinement step: parent block split into favored left and right."""
+    """One refinement step: parent block split into favored left and right.
 
-    __slots__ = ("ground", "parent", "left", "right")
+    parent and left are bitmasks.  Cuts are interned by (ground labels,
+    parent, left), so building one twice returns the same object and
+    equality and hashing are by identity; reversed() is the cached twin.
+    Each label of a ground of n labels lies in left, in right or outside
+    parent, so the table holds at most 3^n cuts per ground.
+    """
 
-    def __init__(self, ground, parent, left):
-        parent = parent.mask if isinstance(parent, Subset) else int(parent)
-        left = left.mask if isinstance(left, Subset) else int(left)
-        if left == 0 or left & ~parent or left == parent:
-            raise ValueError("left part must be nonempty and proper in parent")
-        self.ground = ground
-        self.parent = parent
-        self.left = left
-        self.right = parent ^ left
+    __slots__ = ("ground", "parent", "left", "right", "_twin")
+
+    def __new__(cls, ground, parent, left):
+        key = (ground.labels, parent, left)
+        cut = _cuts.get(key)
+        if cut is None:
+            if left == 0 or left & ~parent or left == parent:
+                raise ValueError("left part must be nonempty and proper in parent")
+            if parent & ~ground.full_mask:
+                raise ValueError("parent has bits outside the ground set")
+            cut = _cuts[key] = object.__new__(cls)
+            cut.ground = ground
+            cut.parent = parent
+            cut.left = left
+            cut.right = parent ^ left
+            cut._twin = None
+        return cut
 
     def reversed(self):
-        return Cut(self.ground, self.parent, self.right)
+        if self._twin is None:
+            self._twin = Cut(self.ground, self.parent, self.right)
+        return self._twin
 
     def serial(self):
         return (self.parent, self.left)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cut)
-            and self.ground == other.ground
-            and self.parent == other.parent
-            and self.left == other.left
-        )
-
-    def __hash__(self):
-        return hash((self.ground.labels, self.parent, self.left))
 
     def __repr__(self):
         g = self.ground
@@ -125,8 +131,6 @@ def identity_forest(P):
 
 def cut_forest(P, parent, left):
     """The single-cut forest splitting `parent` (a block of P) at `left`."""
-    parent = parent.mask if isinstance(parent, Subset) else int(parent)
-    left = left.mask if isinstance(left, Subset) else int(left)
     if parent not in P.blocks:
         raise ValueError("parent is not a block of the source partition")
     return LayeredForest(P, [Cut(P.ground, parent, left)])
@@ -406,16 +410,13 @@ def format_forest(F):
 def all_trees(P, block, leaves):
     """All layered binary trees over `block` with the given leaf blocks.
 
-    block must be a block of P; leaves must partition block.  Each result
-    is a forest P <- (P with block replaced by leaves); sticks elsewhere.
-    Deterministic order: lexicographic on serialized cut lists.
+    block must be a block of P and leaves bitmasks partitioning it.  Each
+    result is a forest P <- (P with block replaced by leaves); sticks
+    elsewhere.  Deterministic order: lexicographic on serialized cut lists.
     """
-    block = block.mask if isinstance(block, Subset) else int(block)
     if block not in P.blocks:
         raise ValueError("block is not a block of the partition")
-    atom_masks = []
-    for leaf in leaves:
-        atom_masks.append(leaf.mask if isinstance(leaf, Subset) else int(leaf))
+    atom_masks = list(leaves)
     union = 0
     for a in atom_masks:
         if a == 0 or a & ~block or union & a:

@@ -58,12 +58,6 @@ class GroundSet:
         """Default ground set with labels "1", "2", ..., str(n)."""
         return cls(str(i + 1) for i in range(n))
 
-    def subset(self, items):
-        m = 0
-        for x in items:
-            m |= 1 << self.index[str(x)]
-        return Subset(self, m)
-
     def mask_labels(self, mask):
         """Render a mask as its sorted label string, e.g. 13 or a1,b."""
         parts = [self.labels[i] for i in iter_bits(mask)]
@@ -90,52 +84,6 @@ class GroundSet:
 
     def __repr__(self):
         return "GroundSet(%s)" % (",".join(self.labels))
-
-
-class Subset:
-    """A subset of a ground set, stored as a bitmask."""
-
-    __slots__ = ("ground", "mask")
-
-    def __init__(self, ground, mask):
-        if mask & ~ground.full_mask:
-            raise ValueError("mask has bits outside the ground set")
-        self.ground = ground
-        self.mask = mask
-
-    def labels(self):
-        return [self.ground.labels[i] for i in iter_bits(self.mask)]
-
-    def complement(self):
-        return Subset(self.ground, self.ground.full_mask ^ self.mask)
-
-    def __len__(self):
-        return popcount(self.mask)
-
-    def __bool__(self):
-        return self.mask != 0
-
-    def __le__(self, other):
-        return (self.mask & ~other.mask) == 0
-
-    def __and__(self, other):
-        return Subset(self.ground, self.mask & other.mask)
-
-    def __or__(self, other):
-        return Subset(self.ground, self.mask | other.mask)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subset)
-            and self.ground == other.ground
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.ground.labels, self.mask))
-
-    def __repr__(self):
-        return "{%s}" % ",".join(self.labels())
 
 
 class Partition:
@@ -207,14 +155,10 @@ class Partition:
         return self.format()
 
 
-def _same_ground(a, b):
-    if a.ground != b.ground:
-        raise GroundMismatchError("operands use different ground sets")
-
-
 def is_finer(Q, P):
     """True iff every block of Q is contained in some block of P. Reflexive."""
-    _same_ground(Q, P)
+    if Q.ground != P.ground:
+        raise GroundMismatchError("operands use different ground sets")
     for q in Q.blocks:
         i = q & -q  # lowest bit picks the containing block candidate
         for p in P.blocks:
@@ -234,21 +178,18 @@ def reduction_mask(P, emask):
     return m
 
 
-def is_r_semisimple(P, R, E):
-    """True iff the reduction of E mod P sits inside a single block of R.
+def is_r_semisimple(P, R, emask):
+    """True iff the reduction of subset mask emask mod P lies in one block of R.
 
-    P must be finer than R and E must not be a union of blocks of P; the
-    two precondition failures raise distinct errors.
+    P must be finer than R and emask must not be a union of blocks of P;
+    the two precondition failures raise distinct errors.
     """
-    _same_ground(P, R)
-    _same_ground(P, E)
     if not is_finer(P, R):
         raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
-    red = reduction_mask(P, E.mask)
+    red = reduction_mask(P, emask)
     if red == 0:
-        raise EmptyReductionError(
-            "subset %r is a union of blocks of %s" % (E, P.format())
-        )
+        raise EmptyReductionError("subset {%s} is a union of blocks of %s"
+                                  % (P.ground.mask_labels(emask), P.format()))
     for b in R.blocks:
         if red & b:
             return (red & ~b) == 0

@@ -37,9 +37,6 @@ from .ground import (
     popcount,
 )
 
-_RELATIONS = {}
-_QUOTIENTS = {}
-
 
 class NotSemisimpleError(ValueError):
     """The functional fails a required Steinmann class constancy."""
@@ -68,14 +65,13 @@ class RelationSet:
     deduplicated up to overall sign, in cut-then-pair order.
     """
 
-    __slots__ = ("ground", "relations", "provenance", "_matrix", "_rank")
+    __slots__ = ("ground", "relations", "provenance", "_matrix")
 
     def __init__(self, ground, relations, provenance):
         self.ground = ground
         self.relations = tuple(relations)
         self.provenance = tuple(provenance)
         self._matrix = None
-        self._rank = None
 
     def __len__(self):
         return len(self.relations)
@@ -85,8 +81,7 @@ class RelationSet:
 
     def shard_basis(self):
         """One-block shards sorted by id, the ambient column order."""
-        P = Partition.one_block(self.ground)
-        return sorted(enumerate_shards(P), key=Shard.id)
+        return enumerate_shards(Partition.one_block(self.ground))
 
     def matrix(self):
         """Relation rows over the id-sorted shard columns."""
@@ -98,9 +93,7 @@ class RelationSet:
         return self._matrix
 
     def rank(self):
-        if self._rank is None:
-            self._rank = rank(self.matrix())
-        return self._rank
+        return rank(self.matrix())
 
     def annihilator_basis(self):
         """Functionals over the one-block support killing every relation."""
@@ -120,17 +113,15 @@ def steinmann_relations(ground):
     One candidate per cut V merging a bipartition (S|T) with both sides
     of size at least two and per adjacent pair X1, X2 over (S|T); the
     vector is normalized so its id-least entry is positive before
-    deduplication.
+    deduplication.  The set is kept on the one-block context.
     """
-    cached = _RELATIONS.get(ground.labels)
-    if cached is not None:
-        return cached
-    full = ground.full_mask
     ctx = context_for(Partition.one_block(ground))
+    if ctx.relations is not None:
+        return ctx.relations
     relations, provenance, seen = [], [], set()
     for S, T in _halves(ground):
         Q = Partition(ground, [S, T])
-        V = Cut(ground, full, S)
+        V = Cut(ground, ground.full_mask, S)
         W = V.reversed()
         for X1, X2 in steinmann_pairs(Q, Q):
             acc = {}
@@ -150,9 +141,8 @@ def steinmann_relations(ground):
             seen.add(sig)
             relations.append(vec)
             provenance.append((V, (X1, X2)))
-    out = RelationSet(ground, relations, provenance)
-    _RELATIONS[ground.labels] = out
-    return out
+    ctx.relations = RelationSet(ground, relations, provenance)
+    return ctx.relations
 
 
 class QuotientSpace:
@@ -176,8 +166,7 @@ class QuotientSpace:
         """Canonical coset representative of a one-block ShardVector."""
         if isinstance(v, Shard):
             v = ShardVector.basis(v)
-        P = Partition.one_block(self.ground)
-        if v.support != P or v.ground != self.ground:
+        if v.support != Partition.one_block(self.ground):
             raise SupportMismatchError("vector is not over the one-block support")
         return ShardVector._trusted(v.ctx, self._reduce(v.entries))
 
@@ -187,11 +176,11 @@ class QuotientSpace:
 
 
 def quotient_space(ground):
-    cached = _QUOTIENTS.get(ground.labels)
-    if cached is None:
-        cached = QuotientSpace(ground)
-        _QUOTIENTS[ground.labels] = cached
-    return cached
+    """The QuotientSpace of ground, kept on the one-block context."""
+    ctx = context_for(Partition.one_block(ground))
+    if ctx.quotient is None:
+        ctx.quotient = QuotientSpace(ground)
+    return ctx.quotient
 
 
 def quotient_dim(ground):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc.ground import (
+    GroundMismatchError,
     GroundSet,
     NotFinerError,
     Partition,
@@ -214,13 +215,13 @@ def test_project_restriction_example():
     P = part(G, "(12|34)")
     R = part(G, "(12|34)")
     X = next(
-        X for X in enumerate_shards(P) if X.sign_of(G.subset("3")) == 1
+        X for X in enumerate_shards(P) if X.sign_of(G.parse_block("3")) == 1
     )
     comps = project(R, X)
     right = comps[1]
     assert right.support == part(G, "(1|2|34)")
     assert len(right.signs) == 1
-    assert right.sign_of(G.subset("3")) == 1
+    assert right.sign_of(G.parse_block("3")) == 1
 
 
 def test_project_requires_finer_support():
@@ -277,8 +278,37 @@ def test_steinmann_classes_fig_pairs():
     assert all(len(c) == 2 for c in classes)
     # each pair shares its semisimple signs and differs on the rest
     for a, b in classes:
-        assert a.sign_of(G.subset("1")) == b.sign_of(G.subset("1"))
-        assert a.sign_of(G.subset("3")) == b.sign_of(G.subset("3"))
+        assert a.sign_of(G.parse_block("1")) == b.sign_of(G.parse_block("1"))
+        assert a.sign_of(G.parse_block("3")) == b.sign_of(G.parse_block("3"))
+
+
+def test_steinmann_classes_are_memoized_per_support_and_r(monkeypatch):
+    G = g(4)
+    P = part(G, "(12|34)")
+    sweeps = []
+    real = arrangement.steinmann_pairs
+
+    def counted(P, R):
+        sweeps.append(R.blocks)
+        return real(P, R)
+
+    monkeypatch.setattr(arrangement, "steinmann_pairs", counted)
+    monkeypatch.setattr(context_for(P), "_classes", {})
+    first = steinmann_classes(P, P)
+    # tuples of tuples: the caller cannot change the memo
+    with pytest.raises(TypeError):
+        first[0] = ()
+    with pytest.raises(AttributeError):
+        first[0].append(first[1][0])
+    second = steinmann_classes(part(G, "(12|34)"), part(G, "(12|34)"))
+    assert second is first and len(sweeps) == 1
+    assert steinmann_classes(P, one_block(4)) is not first
+    assert len(sweeps) == 2
+    # the memo is keyed by R's blocks alone, so R is checked first
+    with pytest.raises(NotFinerError):
+        steinmann_classes(P, part(G, "(13|24)"))
+    with pytest.raises(GroundMismatchError):
+        steinmann_classes(P, Partition(GroundSet(["a", "b", "c", "d"]), P.blocks))
 
 
 def test_steinmann_classes_one_block_r_are_singletons():

@@ -326,6 +326,25 @@ def test_functional_totality_and_errors():
         f(zero_dim_shard(G3))
 
 
+def test_shards_of_another_support_are_refused_not_reinterned():
+    # (12|3) and (13|2) have equally many keys, so their sign tuples line
+    # up; a shard of one is still not a shard of the other
+    P = Partition.parse(G3, "(12|3)")
+    Q = Partition.parse(G3, "(13|2)")
+    foreign = enumerate_shards(Q)
+    with pytest.raises(ValueError):
+        Functional(P, {Y: 1 for Y in foreign})
+    with pytest.raises(BoundaryMismatchError):
+        ShardVector(P, {foreign[0]: 1})
+    f = Functional.zero(P)
+    with pytest.raises(BoundaryMismatchError):
+        f(foreign[0])
+    with pytest.raises(BoundaryMismatchError):
+        f.evaluate_vector(ShardVector.basis(foreign[0]))
+    assert f != Functional.zero(Q)
+    assert ShardVector.zero(P) != ShardVector.zero(Q)
+
+
 def test_functional_json_roundtrip():
     P = Partition(G4, [0b0011, 0b1100])
     f = random_functional(P, 99)

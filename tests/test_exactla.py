@@ -59,6 +59,25 @@ def test_kernel_trivial_cases():
     assert all(type(c) is Fraction for vec in basis for c in vec.values())
 
 
+def test_one_echelon_per_row_set(monkeypatch):
+    calls = []
+    real = exactla._echelon
+
+    def counted(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(exactla, "_echelon", counted)
+    m = M(["x", "y", "z"], [{"x": 1, "y": -1}])
+    assert rank(m) == 1
+    assert kernel_basis(m) == [{"x": 1, "y": 1}, {"z": 1}]
+    exactla.rowspace_reducer(m)
+    assert len(calls) == 1
+    m.add_row({"y": 1, "z": 1})
+    assert rank(m) == 2
+    assert len(calls) == 2
+
+
 def test_kernel_vectors_annihilate_rows():
     rows = [{0: 1, 1: 2, 2: 3, 3: 4}, {0: 1, 2: 1}, {1: 2, 2: 4, 3: 8}]
     m = M([0, 1, 2, 3], rows)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shardcalc.ground import GroundSet, Partition, GroundMismatchError, Subset
+from shardcalc.ground import GroundSet, Partition, GroundMismatchError
 from shardcalc.forests import (
     AmbiguousLayeringError,
     BoundaryMismatchError,
@@ -125,9 +125,19 @@ def test_cut_validation():
         Cut(G3, 0b011, 0)
     with pytest.raises(ValueError):
         Cut(G3, 0b011, 0b011)  # left must be proper
+    with pytest.raises(ValueError):
+        Cut(G3, 0b1011, 0b001)  # parent outside the ground
     P = Partition(G3, [0b111])
     with pytest.raises(ValueError):
         LayeredForest(P, [Cut(G3, 0b011, 0b001)])  # splits an absent block
+
+
+def test_cuts_are_interned_by_labels_parent_left():
+    V = Cut(G3, 0b111, 0b1)
+    assert V is Cut(GroundSet.of_size(3), 0b111, 0b1)
+    assert V.reversed() is Cut(G3, 0b111, 0b110)
+    assert V.reversed().reversed() is V
+    assert V is not Cut(GroundSet(["1", "2", "x"]), 0b111, 0b1)
 
 
 def test_compose_unital_and_boundary():
@@ -190,11 +200,11 @@ def test_antisymmetrize_signs_cancel():
 
 def test_all_trees_examples():
     P = Partition(G3, [0b111])
-    sticks = all_trees(P, 0b111, [Subset(G3, 0b111)])
+    sticks = all_trees(P, 0b111, [0b111])
     assert sticks == [identity_forest(P)]
-    two = all_trees(P, 0b111, [Subset(G3, 0b001), Subset(G3, 0b110)])
+    two = all_trees(P, 0b111, [0b001, 0b110])
     assert [format_forest(t) for t in two] == ["[1,23]", "[23,1]"]
-    singles = [Subset(G3, 1 << i) for i in range(3)]
+    singles = [1 << i for i in range(3)]
     twelve = all_trees(P, 0b111, singles)
     assert len(twelve) == 12
     assert len({format_forest(t) for t in twelve}) == 12
@@ -207,7 +217,7 @@ def test_all_trees_against_merge_sequences():
     # independent construction: reverse every layered tree into an ordered
     # merge sequence; build all such sequences directly and compare
     P = Partition(G4, [0b1111])
-    singles = [Subset(G4, 1 << i) for i in range(4)]
+    singles = [1 << i for i in range(4)]
     built = {t.serial() for t in all_trees(P, 0b1111, singles)}
 
     seqs = set()
@@ -231,11 +241,11 @@ def test_all_trees_against_merge_sequences():
 def test_all_trees_validation():
     P = Partition(G4, [0b0011, 0b1100])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0111, [Subset(G4, 0b0111)])
+        all_trees(P, 0b0111, [0b0111])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0011, [Subset(G4, 0b0001)])
+        all_trees(P, 0b0011, [0b0001])
     with pytest.raises(ValueError):
-        all_trees(P, 0b0011, [Subset(G4, 0b0011), Subset(G4, 0b0001)])
+        all_trees(P, 0b0011, [0b0011, 0b0001])
 
 
 def test_roundtrip_exhaustive_small():

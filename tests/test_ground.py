@@ -7,7 +7,6 @@ from shardcalc.ground import (
     GroundSet,
     NotFinerError,
     Partition,
-    Subset,
     all_partitions,
     coarser_partitions,
     is_finer,
@@ -40,8 +39,8 @@ def test_ground_set_basics():
     G = g(4)
     assert G.labels == ("1", "2", "3", "4")
     assert G.full_mask == 0b1111
-    assert G.subset("13").mask == 0b101 or True  # subset takes an iterable
-    assert G.subset(["1", "3"]).mask == 0b101
+    assert G.parse_block("13") == 0b101
+    assert G.parse_block("1,3") == 0b101
     assert G.mask_labels(0b101) == "13"
 
 
@@ -60,19 +59,6 @@ def test_ground_set_rejects_bad_labels():
         GroundSet([])
     with pytest.raises(ValueError):
         GroundSet(["a|b"])
-
-
-def test_subset_algebra():
-    G = g(4)
-    A = G.subset("12")
-    B = G.subset("23")
-    assert (A & B).mask == G.subset("2").mask
-    assert (A | B).mask == G.subset("123").mask
-    assert A.complement() == G.subset("34")
-    assert A.complement().complement() == A
-    assert len(A) == 2
-    assert G.subset("") == Subset(G, 0)
-    assert not Subset(G, 0)
 
 
 def test_partition_parse_format_roundtrip():
@@ -108,18 +94,18 @@ def test_is_finer_examples():
 def test_reduction_worked_examples():
     G = g(9)
     P = part(G, "(12|34|56|78|9)")
-    assert reduction_mask(P, G.subset("3578").mask) == G.subset("35").mask
-    assert reduction_mask(P, G.subset("135").mask) == G.subset("135").mask
-    assert reduction_mask(P, G.subset("1278").mask) == 0
-    assert reduction_mask(P, G.subset("789").mask) == 0
+    assert reduction_mask(P, G.parse_block("3578")) == G.parse_block("35")
+    assert reduction_mask(P, G.parse_block("135")) == G.parse_block("135")
+    assert reduction_mask(P, G.parse_block("1278")) == 0
+    assert reduction_mask(P, G.parse_block("789")) == 0
 
 
 def test_is_r_semisimple_worked_examples():
     G = g(9)
     P = part(G, "(12|34|56|78|9)")
     R1 = part(G, "(12|3456|789)")
-    assert is_r_semisimple(P, R1, G.subset("3578")) is True
-    assert is_r_semisimple(P, R1, G.subset("135")) is False
+    assert is_r_semisimple(P, R1, G.parse_block("3578")) is True
+    assert is_r_semisimple(P, R1, G.parse_block("135")) is False
 
 
 def test_is_r_semisimple_trivial_cases():
@@ -130,19 +116,19 @@ def test_is_r_semisimple_trivial_cases():
     for m in range(1, G.full_mask):
         if reduction_mask(P, m) == 0:
             continue
-        assert is_r_semisimple(P, top, Subset(G, m)) is True
+        assert is_r_semisimple(P, top, m) is True
 
 
 def test_is_r_semisimple_errors_are_distinct():
     G = g(4)
     P = part(G, "(12|34)")
     with pytest.raises(NotFinerError):
-        is_r_semisimple(P, part(G, "(13|24)"), G.subset("1"))
+        is_r_semisimple(P, part(G, "(13|24)"), G.parse_block("1"))
     with pytest.raises(EmptyReductionError):
-        is_r_semisimple(P, Partition.one_block(G), G.subset("12"))
+        is_r_semisimple(P, Partition.one_block(G), G.parse_block("12"))
     H = g(5)
     with pytest.raises(GroundMismatchError):
-        is_r_semisimple(P, Partition.one_block(H), G.subset("1"))
+        is_r_semisimple(P, Partition.one_block(H), G.parse_block("1"))
 
 
 def test_all_partitions_bell_counts():
@@ -200,4 +186,4 @@ def test_semisimple_wrt_self_means_inside_one_block(gp):
         if r == 0:
             continue
         expect = any(r & ~b == 0 for b in P.blocks)
-        assert is_r_semisimple(P, P, Subset(ground, m)) is expect
+        assert is_r_semisimple(P, P, m) is expect

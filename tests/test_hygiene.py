@@ -68,3 +68,34 @@ def test_every_public_definition_is_exported_or_called():
                    if other is not stmt):
             orphans.append("%s:%s" % (name, stmt.name))
     assert orphans == []
+
+
+def _calls_with_scope(tree):
+    """(called name, dotted name of the enclosing def or class) per call."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.append((name, ".".join(scope)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def test_interned_objects_have_one_constructor():
+    # identity is equality for shards only while each support has one
+    # context and each context builds each shard once
+    sites = {"SupportContext": set(), "Shard": set()}
+    for path in MODULES:
+        for name, scope in _calls_with_scope(_tree(path)):
+            if name in sites:
+                sites[name].add("%s:%s" % (path.name, scope))
+    assert sites == {"SupportContext": {"arrangement.py:context_for"},
+                     "Shard": {"arrangement.py:SupportContext.intern"}}

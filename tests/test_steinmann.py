@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat, rowspace_reducer
 from shardcalc.ground import GroundSet, NotFinerError, Partition
 from shardcalc.forests import Cut, cut_forest, iter_forests, parse_forest
+from shardcalc import arrangement
 from shardcalc.arrangement import (
     SupportMismatchError,
+    context_for,
     enumerate_shards,
     steinmann_classes,
 )
@@ -132,6 +134,18 @@ def test_rank_and_quotient_n4():
     R = steinmann_relations(G4)
     assert R.rank() == 6
     assert quotient_dim(G4) == 32 - 6 == 26
+
+
+def test_relations_and_quotient_live_on_the_one_block_context(monkeypatch):
+    steinmann_relations(G4)
+    quotient_space(G4)
+    # a fresh context cache drops every per-support cache with it
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    ctx = context_for(Partition.one_block(G4))
+    assert steinmann_relations(G4).relations[0].ctx is ctx
+    assert quotient_space(G4).shards[0].ctx is ctx
+    assert ctx.relations is steinmann_relations(G4)
+    assert ctx.quotient is quotient_space(G4)
 
 
 def test_quotient_dims_match_series_oracle():
