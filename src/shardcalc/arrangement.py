@@ -67,7 +67,8 @@ class SupportContext:
         self._memo = {}  # sign tuple -> witness coords, or None when the LP says no
         self._interned = {}
         self._enumerated = None
-        self._classes = {}  # R.blocks -> steinmann_classes(P, R)
+        self._classes = {}  # R -> steinmann_classes(P, R)
+        self._components = {}  # R -> project's (context, key table) per block
         self.relations = None  # steinmann.RelationSet, one-block only
         self.quotient = None  # steinmann.QuotientSpace, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
@@ -174,11 +175,9 @@ _context_cache = {}
 
 
 def context_for(P):
-    key = (P.ground.labels, P.blocks)
-    ctx = _context_cache.get(key)
+    ctx = _context_cache.get(P)
     if ctx is None:
-        ctx = SupportContext(P)
-        _context_cache[key] = ctx
+        ctx = _context_cache[P] = SupportContext(P)
     return ctx
 
 
@@ -419,24 +418,35 @@ def project(R, X):
 
     Block T_j yields the shard over P restricted to T_j (completed with
     singletons elsewhere) whose sign at a subset S is X's sign at S; keys
-    of the component reduce into T_j, so this is total.
+    of the component reduce into T_j, so this is total.  Per support and
+    R, each component's context and the (key index, orientation) in P of
+    its keys are memoized on P's context.
     """
-    P = X.support
+    ctx = X.ctx
+    components = ctx._components.get(R)
+    if components is None:
+        components = ctx._components[R] = _components(ctx, R)
+    signs = X.signs
+    return [ctx_j.intern(tuple([o * signs[k] for k, o in table]))
+            for ctx_j, table in components]
+
+
+def _components(ctx, R):
+    P = ctx.P
     if not is_finer(P, R):
         raise NotFinerError("support %s is not finer than %s" % (P.format(), R.format()))
     out = []
     for T in R.blocks:
         blocks = [b for b in P.blocks if b & T]
         blocks += [1 << i for i in iter_bits(R.ground.full_mask ^ T)]
-        Pj = Partition(R.ground, blocks)
-        ctx_j = context_for(Pj)
-        signs = []
+        ctx_j = context_for(Partition(R.ground, blocks))
+        table = []
         for r in ctx_j.keys:
-            s = X.sign_of(r)
-            if s == 0:
+            k, o = ctx.lookup(r)
+            if k < 0:
                 raise AssertionError("component key %s vanished upstream" % r)
-            signs.append(s)
-        out.append(ctx_j.intern(tuple(signs)))
+            table.append((k, o))
+        out.append((ctx_j, table))
     return out
 
 
@@ -488,7 +498,7 @@ def steinmann_classes(P, R):
     if not is_finer(P, R):
         raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
     ctx = context_for(P)
-    classes = ctx._classes.get(R.blocks)
+    classes = ctx._classes.get(R)
     if classes is None:
         shards = enumerate_shards(P)
         index = {X: i for i, X in enumerate(shards)}
@@ -501,5 +511,5 @@ def steinmann_classes(P, R):
         for i in range(len(shards)):
             groups.setdefault(uf.find(i), []).append(shards[i])
         classes = tuple(tuple(g) for g in groups.values())
-        ctx._classes[R.blocks] = classes
+        ctx._classes[R] = classes
     return classes

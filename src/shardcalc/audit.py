@@ -549,7 +549,7 @@ def _layering_groups(g, max_cuts):
     the one-block support with more than one layering."""
     groups = {}
     for F in iter_forests(Partition.one_block(g), max_cuts):
-        groups.setdefault(frozenset(c.serial() for c in F.cuts), []).append(F)
+        groups.setdefault(frozenset(F.cuts), []).append(F)
     return [ms for ms in groups.values() if len(ms) > 1]
 
 
@@ -786,34 +786,55 @@ def verify_factorization(n, seed=SAMPLE_SEED):
 
 # --------------------------------------------------- main theorem, delayering
 
+def _integer_coefficients(coefficients):
+    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
+    times scale, the lcm of their denominators.  The scale is positive, so
+    no nonzero value becomes zero and no comparison changes direction."""
+    scale = math.lcm(*(c.denominator for c in coefficients.values()))
+    return {k: c.numerator * (scale // c.denominator)
+            for k, c in coefficients.items() if c}, scale
+
+
 def _functional_index(functionals, P):
     """The functionals on support P with, per shard, the (position, value)
-    pairs of the functionals that are nonzero on it; built once per sweep."""
+    pairs of the functionals that are nonzero on it, each functional's
+    values scaled to integers; built once per sweep."""
     by_shard = {}
     for i, f in enumerate(functionals):
-        if f.support != P:
+        if f.support is not P:
             raise BoundaryMismatchError("functional over a different support")
-        for X, c in f.values.items():
-            if c:
-                by_shard.setdefault(X, []).append((i, c))
+        for X, a in _integer_coefficients(f.values)[0].items():
+            by_shard.setdefault(X, []).append((i, a))
     return functionals, by_shard
 
 
-def _first_failure(by_shard, diffs):
-    """Least (functional position, diff position) whose functional is
-    nonzero on that difference of dual derivatives, or None.
+def _totals(by_shard, v):
+    """The indexed functionals on shard vector v, as (totals, scale),
+    where scale takes v's coefficients to integers: totals[i] is
+    functional i's value on v times scale and times the functional's own
+    scale, left out when zero."""
+    coefficients, scale = _integer_coefficients(v.entries)
+    totals = {}
+    for X, m in coefficients.items():
+        for i, a in by_shard.get(X, ()):
+            totals[i] = totals.get(i, 0) + m * a
+    return {i: t for i, t in totals.items() if t}, scale
+
+
+def _first_failure(pairs):
+    """Least (functional position, pair position) whose functional tells
+    apart the two sides of that pair of _totals, or None.
 
     This is the first failure of the functional-major loop "for each
-    functional, for each difference: value != 0", found by evaluating each
-    difference once against only the functionals nonzero on its support.
-    """
+    functional, for each pair: value on one side != value on the other".
+    The sides may carry different scales, so each total is compared
+    against the other after multiplying by the other side's scale."""
     best = None
-    for pos, d in enumerate(diffs):
-        totals = {}
-        for X, c in d.entries.items():
-            for i, a in by_shard.get(X, ()):
-                totals[i] = totals.get(i, ZERO) + c * a
-        i = min((i for i, t in totals.items() if t), default=None)
+    for pos, ((t0, s0), (t1, s1)) in enumerate(pairs):
+        if s0 == s1 and t0 == t1:
+            continue
+        i = min((i for i in t0.keys() | t1.keys()
+                 if t0.get(i, 0) * s1 != t1.get(i, 0) * s0), default=None)
         if i is not None and (best is None or i < best[0]):
             best = (i, pos)
     return best
@@ -827,8 +848,9 @@ def _annihilator_witness(F, index, shards, classes):
     functionals, by_shard = index
     duals = {X: dual_forest_derivative(F, X) for X in shards}
     pairs = [(cls[0], X) for cls in classes for X in cls[1:]]
-    fail = _first_failure(
-        by_shard, (duals[X] - duals[X0] for X0, X in pairs))
+    totals = {X: _totals(by_shard, duals[X])
+              for cls in classes for X in cls}
+    fail = _first_failure((totals[X0], totals[X]) for X0, X in pairs)
     if fail is None:
         return None
     i, pos = fail
@@ -880,11 +902,12 @@ def _delayering_witness(F0, others, index, shards):
     the first layering F0 and each other layering of each shard.  F0 is
     derived once for the whole group."""
     functionals, by_shard = index
-    duals0 = {X: dual_forest_derivative(F0, X) for X in shards}
+    totals0 = [_totals(by_shard, dual_forest_derivative(F0, X))
+               for X in shards]
     for Fi in others:
-        dualsi = {X: dual_forest_derivative(Fi, X) for X in shards}
-        fail = _first_failure(
-            by_shard, (dualsi[X] - duals0[X] for X in shards))
+        totalsi = [_totals(by_shard, dual_forest_derivative(Fi, X))
+                   for X in shards]
+        fail = _first_failure(zip(totals0, totalsi))
         if fail is not None:
             i, pos = fail
             return _counterexample(

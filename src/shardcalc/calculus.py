@@ -291,7 +291,7 @@ def dual_forest_derivative(F, v):
     match; disagreement raises InvariantViolation.
     """
     entries = {v: 1} if isinstance(v, Shard) else v.entries
-    if v.support != F.target or v.ground != F.ground:
+    if v.support is not F.target:
         raise BoundaryMismatchError(
             "vector support %s is not the forest target %s"
             % (v.support.format(), F.target.format())
@@ -316,7 +316,7 @@ def dual_forest_derivative(F, v):
 
 def forest_derivative(F, f):
     """The functional on target(F) given by X -> f(dual derivative of X)."""
-    if f.support != F.source or f.ground != F.ground:
+    if f.support is not F.source:
         raise BoundaryMismatchError(
             "functional support %s is not the forest source %s"
             % (f.support.format(), F.source.format())

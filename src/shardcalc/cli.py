@@ -55,9 +55,11 @@ OUTDIR_ENV = "SHARDCALC_OUTDIR"
 
 # Ground sets above LARGE_GROUND are refused without --allow-large, and
 # above MAX_GROUND with it: the shard count grows like the resonance
-# sequence (11292 at six, about 10^6 at seven).
+# sequence (11292 at six, about 10^6 at seven).  The limit is set here,
+# not read off the chamber table, so recording a count for seven labels
+# does not admit seven-label runs.
 LARGE_GROUND = 5
-MAX_GROUND = max(CHAMBER_COUNTS)
+MAX_GROUND = 6
 
 
 # --------------------------------------------------------- IO plumbing

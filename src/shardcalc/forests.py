@@ -109,13 +109,12 @@ class LayeredForest:
     def __eq__(self, other):
         return (
             isinstance(other, LayeredForest)
-            and self.ground == other.ground
-            and self.source == other.source
-            and self.serial() == other.serial()
+            and self.source is other.source
+            and self.cuts == other.cuts
         )
 
     def __hash__(self):
-        return hash((self.ground.labels, self.source.blocks, self.serial()))
+        return hash((self.source, self.cuts))
 
     def __repr__(self):
         return "LayeredForest(%s <- %s, %s)" % (
@@ -149,16 +148,24 @@ def compose(F1, F2):
 
 
 def antisymmetrize(F):
-    """(sign, forest) pairs over all left/right switches; original first, +1."""
+    """(sign, forest) pairs over all left/right switches; original first, +1.
+
+    Switch s reverses cut i when bit i of s is set, and its sign is -1 to
+    the number of reversed cuts; the switched cut tuples are built by
+    doubling, one cut at a time.
+    """
+    signed = [(1, ())]
+    for c in F.cuts:
+        r = c.reversed()
+        signed = ([(s, cuts + (c,)) for s, cuts in signed]
+                  + [(-s, cuts + (r,)) for s, cuts in signed])
     # a switch keeps each cut's parent and the set {left, right}, so every
     # switched forest is valid with F's source and target; none is re-checked
-    pairs = [(c, c.reversed()) for c in F.cuts]
     terms = []
-    for s in range(1 << len(pairs)):
+    for s, cuts in signed:
         G = LayeredForest.__new__(LayeredForest)
-        G.ground, G.source, G.target = F.ground, F.source, F.target
-        G.cuts = tuple(p[s >> i & 1] for i, p in enumerate(pairs))
-        terms.append((-1 if popcount(s) & 1 else 1, G))
+        G.ground, G.source, G.target, G.cuts = F.ground, F.source, F.target, cuts
+        terms.append((s, G))
     return terms
 
 

@@ -86,16 +86,28 @@ class GroundSet:
         return "GroundSet(%s)" % (",".join(self.labels))
 
 
+_partitions = {}  # (ground labels, frozenset of blocks) -> the one Partition
+
+
 class Partition:
     """Blocks as disjoint nonempty masks covering the ground set.
 
     Blocks are stored sorted by smallest element, which fixes serialization
-    and every enumeration order downstream.
+    and every enumeration order downstream.  Partitions are interned by
+    (ground labels, block set), as forests.Cut is, so building one twice
+    returns the same object and equality and hashing are by identity; the
+    table holds at most Bell(n) partitions per ground of n labels.
     """
 
     __slots__ = ("ground", "blocks")
 
-    def __init__(self, ground, blocks):
+    def __new__(cls, ground, blocks):
+        blocks = tuple(blocks)
+        key = frozenset(blocks)
+        P = _partitions.get((ground.labels, key))
+        # a repeated block collapses in the set; such input is invalid
+        if P is not None and len(key) == len(blocks):
+            return P
         # sort by lowest set bit = smallest element; disjointness below
         # guarantees the key is strict
         blocks = tuple(sorted((int(b) for b in blocks), key=lambda b: b & -b))
@@ -108,8 +120,10 @@ class Partition:
             union |= b
         if union != ground.full_mask:
             raise ValueError("blocks must cover the ground set")
-        self.ground = ground
-        self.blocks = blocks
+        P = object.__new__(cls)
+        P.ground = ground
+        P.blocks = blocks
+        return _partitions.setdefault((ground.labels, frozenset(blocks)), P)
 
     @classmethod
     def parse(cls, ground, text):
@@ -140,16 +154,6 @@ class Partition:
             if b & bit:
                 return b
         raise ValueError("element index out of range")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Partition)
-            and self.ground == other.ground
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.ground.labels, self.blocks))
 
     def __repr__(self):
         return self.format()
@@ -229,7 +233,7 @@ def coarser_partitions(ground, P):
 
     def rec(i, groups):
         if i == len(blocks):
-            out.append(Partition(ground, [g for g in groups]))
+            out.append(Partition(ground, groups))
             return
         b = blocks[i]
         for j in range(len(groups)):
@@ -241,5 +245,4 @@ def coarser_partitions(ground, P):
         groups.pop()
 
     rec(0, [])
-    uniq = sorted(set(p.blocks for p in out), key=lambda bs: (len(bs), bs))
-    return [Partition(ground, bs) for bs in uniq]
+    return sorted(set(out), key=lambda p: (len(p.blocks), p.blocks))

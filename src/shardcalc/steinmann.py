@@ -388,7 +388,7 @@ def factorize(P, f):
     onto the semisimple span.  The result reports the coefficient
     tensor, the bases, and the recovered factors for pure products.
     """
-    if f.support != P or f.ground != P.ground:
+    if f.support is not P:
         raise SupportMismatchError("functional is not over %s" % P.format())
     if not is_semisimple(f):
         raise NotSemisimpleError(

@@ -224,6 +224,27 @@ def test_project_restriction_example():
     assert right.sign_of(G.parse_block("3")) == 1
 
 
+def test_project_memoizes_components_per_support_and_r(monkeypatch):
+    G = g(4)
+    P, R = part(G, "(1|2|34)"), part(G, "(12|34)")
+    ctx = context_for(P)
+    monkeypatch.setattr(ctx, "_components", {})
+    for X in enumerate_shards(P):
+        for _ in range(2):
+            comps = project(part(G, "(34|12)"), X)
+            assert [Y.support for Y in comps] == [
+                part(G, "(1|2|3|4)"), part(G, "(1|2|34)")]
+            for Y in comps:
+                assert all(Y.sign_of(r) == X.sign_of(r) for r in Y.ctx.keys)
+    assert list(ctx._components) == [R]
+    # a miss checks R: same blocks over another ground, or not coarser
+    with pytest.raises(GroundMismatchError):
+        project(Partition(GroundSet("abcd"), R.blocks), X)
+    with pytest.raises(NotFinerError):
+        project(part(G, "(13|24)"), X)
+    assert list(ctx._components) == [R]
+
+
 def test_project_requires_finer_support():
     G = g(4)
     X = enumerate_shards(part(G, "(12|34)"))[0]
@@ -304,7 +325,7 @@ def test_steinmann_classes_are_memoized_per_support_and_r(monkeypatch):
     assert second is first and len(sweeps) == 1
     assert steinmann_classes(P, one_block(4)) is not first
     assert len(sweeps) == 2
-    # the memo is keyed by R's blocks alone, so R is checked first
+    # the memo is keyed by R, which is checked on every call
     with pytest.raises(NotFinerError):
         steinmann_classes(P, part(G, "(13|24)"))
     with pytest.raises(GroundMismatchError):

@@ -516,14 +516,14 @@ def _with_extra_functionals(monkeypatch):
     return functionals
 
 
-def _reference_annihilator(g, max_cuts, functionals):
+def _reference_annihilator(g, max_cuts, functionals,
+                           derive=dual_forest_derivative):
     # functional-major evaluation, one evaluate_vector per class member
     instances = 0
     for F in iter_forests(Partition.one_block(g), max_cuts):
         classes = [c for c in steinmann_classes(F.target, F.target)
                    if len(c) > 1]
-        duals = {X: dual_forest_derivative(F, X)
-                 for X in enumerate_shards(F.target)}
+        duals = {X: derive(F, X) for X in enumerate_shards(F.target)}
         for f in functionals:
             instances += 1
             for cls in classes:
@@ -539,7 +539,8 @@ def _reference_annihilator(g, max_cuts, functionals):
     return instances, None
 
 
-def _reference_delayering(g, max_cuts, functionals):
+def _reference_delayering(g, max_cuts, functionals,
+                          derive=dual_forest_derivative):
     instances = 0
     for F0, *others in audit._layering_groups(g, max_cuts):
         shards = enumerate_shards(F0.target)
@@ -547,9 +548,8 @@ def _reference_delayering(g, max_cuts, functionals):
             for f in functionals:
                 instances += 1
                 for X in shards:
-                    if (f.evaluate_vector(dual_forest_derivative(F0, X))
-                            != f.evaluate_vector(
-                                dual_forest_derivative(Fi, X))):
+                    if (f.evaluate_vector(derive(F0, X))
+                            != f.evaluate_vector(derive(Fi, X))):
                         return instances, {
                             "claim": "delayering.annihilator",
                             "ground": list(g.labels),
@@ -572,6 +572,51 @@ def test_delayering_sparse_sweep_matches_functional_major_loop(monkeypatch):
     got = audit._check_delayering_annihilator(G4, 3)
     assert got[1] is not None
     assert got == _reference_delayering(G4, 3, functionals)
+
+
+def _fractional(shift):
+    # derivation k, one k per (forest, shard), comes out divided by k, or
+    # shifted by 1/k times a Steinmann relation, which no annihilator
+    # functional sees; either way the sides of a comparison carry
+    # different denominators
+    rels = steinmann_relations(G4).relations
+    ks = {}
+
+    def derive(F, X):
+        k = ks.setdefault((format_forest(F), X.id()), len(ks) + 1)
+        d = dual_forest_derivative(F, X)
+        if shift:
+            return d + rels[k % len(rels)].scale(Fraction(1, k))
+        return d.scale(Fraction(1, k))
+    return derive
+
+
+@pytest.mark.parametrize("shift", [False, True], ids=["scaled", "shifted"])
+def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
+        monkeypatch, shift):
+    # annihilators with mixed denominators: f_j / 2 + f_(j+1) / 3 over the
+    # basis, whose values are 0 and +-1
+    real = steinmann_relations(G4).annihilator_basis()
+    basis = [Functional(f.support, {X: c / 2 + h.values[X] / 3
+                                    for X, c in f.values.items()})
+             for f, h in zip(real, real[1:] + real[:1])]
+    monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
+        types.SimpleNamespace(annihilator_basis=lambda: basis)))
+    derive = _fractional(shift)
+    monkeypatch.setattr(audit, "dual_forest_derivative", derive)
+    main = audit._check_maintheorem_annihilator(G4, 3)
+    delayering = audit._check_delayering_annihilator(G4, 3)
+    assert main == _reference_annihilator(G4, 3, basis, derive)
+    assert delayering == _reference_delayering(G4, 3, basis, derive)
+    if shift:
+        # the values are those of the true derivatives: nothing fails
+        monkeypatch.setattr(audit, "dual_forest_derivative",
+                            dual_forest_derivative)
+        assert main == audit._check_maintheorem_annihilator(G4, 3)
+        assert delayering == audit._check_delayering_annihilator(G4, 3)
+        assert main[1] is None and delayering[1] is None
+    else:
+        assert main[1] is not None and delayering[1] is not None
 
 
 def _distinct_scales(real):

@@ -1,12 +1,15 @@
 """Command-line behavior: payload shapes, exit codes, IO plumbing."""
 
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import shardcalc.cli as cli
+from shardcalc import audit
 from shardcalc.cli import main
 from shardcalc.arrangement import enumerate_shards
 from shardcalc.calculus import (
@@ -490,8 +493,136 @@ def test_oversized_ground_is_refused_even_with_allow_large(argv):
     assert "above %d labels" % cli.MAX_GROUND in err[0]
 
 
+def test_max_ground_does_not_follow_the_chamber_table(monkeypatch, capsys):
+    # a count recorded for seven labels must not admit seven-label runs
+    monkeypatch.setitem(audit.CHAMBER_COUNTS, 7, 1066044)
+    try:
+        importlib.reload(cli)
+        code, out, err = run_main(
+            capsys, ["enumerate", "--n", "7", "--allow-large"])
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
+    assert code == 2 and out == ""
+    assert err == "error: ground sets above 6 labels are refused, " \
+                  "even with --allow-large\n"
+
+
 def test_module_entry_point_round_trip():
     r = _run_cli(["oracle", "--n", "4"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["zie_dimension"] == 26
 
+
+
+# ------------------------------------------------- any argv, any payload
+
+_PAYLOAD = object()  # stands for the path of the drawn JSON payload
+_NS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x", ""])
+_PARTITIONS = st.sampled_from([
+    "(1)", "(12)", "(1|2)", "(123)", "(13|2)", "(1|2|3)", "(1234)",
+    "(12|34)", "(1|23|4)", "(ab|c)", "(a1,a2|b)", "(12|", "()", "(1|1)",
+    "12", "(1|2|5)", ""])
+_FORESTS = st.sampled_from([
+    "[1,2]", "[[1,2],3]", "[12,3]", "[3,12]", "[[1,2],[3,4]]@L",
+    "[[1,2],[3,4]]", "[[1,2],[3,4]]@10", "[[1,2],[3,4]]@9", "[1,[2",
+    "[1,1]", "[12,34]", "[12,34]|5", "[a,b]", ""])
+_IDS = st.text("+-", max_size=7)
+_VALUES = st.one_of(
+    st.integers(-3, 3), st.sampled_from(["1/2", "-2/3", "1/0", "x", ""]),
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    st.none(), st.lists(st.integers(), max_size=1))
+# well-formed calls: (forest, --dual, payload)
+_WELL_FORMED = st.sampled_from([
+    ("[[1,2],3]", False, {"support": "(123)", "values": {
+        X.id(): k for k, X in enumerate(
+            enumerate_shards(Partition.one_block(G3)))}}),
+    ("[[1,2],3]", True, {"support": "(1|2|3)", "signs": ""}),
+    ("[1,2]", False, {"support": "(12)", "values": {"+": 1, "-": "1/2"}}),
+    ("[12,34]", True, {"kind": "shard_vector", "support": "(12|34)",
+                       "values": {X.id(): "1/3" for X in enumerate_shards(
+                           Partition.parse(G4, "(12|34)"))}}),
+    ("[[1,2],[3,4]]@L", True, {"support": "(1|2|3|4)", "signs": {}})])
+_PAYLOADS = st.one_of(
+    _WELL_FORMED.map(lambda call: call[2]),
+    st.fixed_dictionaries(
+        {"support": st.one_of(_PARTITIONS, st.integers(), st.none())},
+        optional={"values": st.one_of(
+                      st.dictionaries(_IDS, _VALUES, max_size=4),
+                      st.integers()),
+                  "kind": st.sampled_from(["functional", "shard_vector"])}),
+    st.fixed_dictionaries(
+        {"support": _PARTITIONS,
+         "signs": st.one_of(
+             _IDS, st.integers(), st.dictionaries(
+                 st.sampled_from(["1", "2", "3", "12", "34", "5", ""]),
+                 st.sampled_from(["+", "-", 1, -1, 0, "x", None]),
+                 max_size=3))}),
+    st.dictionaries(_IDS, _VALUES, max_size=3),
+    st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=4))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, payload) of one CLI call over ground sets of at most four
+    labels; argv holds _PAYLOAD where the payload file goes."""
+    cmd = draw(st.sampled_from(["enumerate", "derive", "stein-rank",
+                                "verify", "oracle", "render", "frobnicate"]))
+    argv, payload = [cmd], None
+    if cmd == "enumerate":
+        argv += (["--n", draw(_NS)] if draw(st.booleans())
+                 else ["--partition", draw(_PARTITIONS)])
+        if draw(st.booleans()):
+            argv += ["--labels", draw(st.sampled_from(
+                ["a,b,c", "1,2,3,4", "1,1", "", "a|b"]))]
+    elif cmd == "derive":
+        forest, dual, payload = draw(st.one_of(_WELL_FORMED, st.tuples(
+            _FORESTS, st.booleans(), _PAYLOADS)))
+        argv += ["--forest", forest] + ["--dual"] * dual
+        if draw(st.booleans()):
+            argv += ["--support", draw(_PARTITIONS)]
+        argv.append(_PAYLOAD)
+    elif cmd == "stein-rank":
+        argv += (["--n", draw(_NS)] if draw(st.booleans())
+                 else ["--labels", draw(st.sampled_from(
+                     ["a,b,c", "1,2", "x,x", ""]))])
+    elif cmd == "verify":
+        argv += ["--n", draw(_NS)]
+        if draw(st.booleans()):
+            argv += ["--suite", draw(st.sampled_from(
+                ["lie", "module", "kernel", "factorization", "all", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.sampled_from(
+                ["0", "7", "-1", str(1 << 64), "x"]))]
+    elif cmd == "oracle":
+        argv += ["--n", draw(st.sampled_from(["-1", "0", "1", "4", "12",
+                                              "13", "x"]))]
+    elif cmd == "render":
+        argv += ["--n", draw(st.sampled_from(["2", "3", "4", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--forest", draw(_FORESTS)]
+        if draw(st.booleans()):
+            payload = draw(_PAYLOADS)
+            argv += ["--vector", _PAYLOAD]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--n", "-", "--help"])))
+    return argv, payload
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocation=_invocations())
+def test_any_argv_and_payload_keeps_the_exit_code_contract(
+        invocation, tmp_path, capsys, monkeypatch):
+    # bad input exits 2 and a broken invariant 3 (its replay bundle lands
+    # in the temporary directory); nothing escapes as a traceback
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    argv, payload = invocation
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([str(path) if a is _PAYLOAD else a for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

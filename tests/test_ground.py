@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from shardcalc import ground
 from shardcalc.ground import (
     EmptyReductionError,
     GroundMismatchError,
@@ -81,6 +82,35 @@ def test_partition_rejects_bad_blocks():
         Partition(G, [0b011])  # does not cover
     with pytest.raises(ValueError):
         Partition(G, [0b011, 0b100, 0])  # empty block
+
+
+def test_partitions_are_interned():
+    G = g(4)
+    P = part(G, "(12|34)")
+    assert Partition(G, [0b1100, 0b0011]) is P
+    assert Partition(g(4), (b for b in (0b0011, 0b1100))) is P
+    assert part(g(4), "(43|21)") is P
+    assert Partition(GroundSet("abcd"), P.blocks) is not P
+    # invalid blocks raise on every call, also when their set is the block
+    # set of a partition already built
+    for _ in range(2):
+        for blocks in ([0b0011, 0b0011, 0b1100], [0b0011, 0b1100, 0],
+                       [0b0111, 0b1110], [0b0011]):
+            with pytest.raises(ValueError):
+                Partition(G, blocks)
+    with pytest.raises(ValueError):
+        part(G, "(12|34|2)")
+
+
+def test_partition_intern_table_is_bounded_by_bell_numbers():
+    for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
+        G = g(n)
+        all_partitions(G)
+        Partition(G, [1 << i for i in reversed(range(n))])
+        coarser_partitions(G, Partition.singletons(G))
+        held = [P for (labels, _), P in ground._partitions.items()
+                if labels == G.labels]
+        assert len(held) == len(set(held)) == bell
 
 
 def test_is_finer_examples():
