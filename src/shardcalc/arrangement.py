@@ -14,8 +14,7 @@ Enumeration walks the chamber graph: flip one key sign at a time, screen
 candidates by the superadditivity test, try cheap exactly-verified probe
 points, and fall back to the exact strict-feasibility LP, posed in the
 flat's own coordinates, which is the sole authority on infeasibility and
-backs each "no" with a checked Farkas certificate.  A naive mode LP-tests
-all 2^#keys patterns as an independent oracle for small cases.
+backs each "no" with a checked Farkas certificate.
 """
 
 import random
@@ -355,34 +354,15 @@ def _generic_flat_point(ctx):
     raise AssertionError("could not sample a generic point of the flat")
 
 
-def enumerate_shards(P, method="bfs"):
-    """All shards with support exactly P, sorted by sign string.
-
-    method='bfs' (default) walks the chamber graph from a generic seed
-    point.  method='naive' LP-tests every sign pattern independently; it
-    is the oracle for small key counts and refuses K > 12.
-    """
+def enumerate_shards(P):
+    """All shards with support exactly P, sorted by sign string, found by
+    walking the chamber graph from a generic seed point."""
     ctx = context_for(P)
     if ctx.K == 0:
         shard = ctx.intern(())
         if shard.witness is None:
             shard.witness = (ZERO,) * ctx.n
         return [shard]
-    if method == "naive":
-        if ctx.K > 12:
-            raise ValueError("naive enumeration is limited to 12 keys")
-        found = []
-        for bits in range(1 << ctx.K):
-            signs = tuple(-1 if bits >> k & 1 else 1 for k in range(ctx.K))
-            w = _lp_witness(ctx, signs)
-            if w is not None:
-                shard = ctx.intern(signs)
-                if shard.witness is None:
-                    shard.witness = w
-                found.append(shard)
-        return sorted(found, key=Shard.id)
-    if method != "bfs":
-        raise ValueError("unknown enumeration method %r" % method)
     if ctx._enumerated is not None:
         return list(ctx._enumerated)
 

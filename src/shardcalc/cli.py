@@ -32,11 +32,9 @@ from .arrangement import enumerate_shards, shard_from_signs
 from .audit import (
     CHAMBER_COUNTS,
     SAMPLE_SEED,
+    SUITES,
     full_audit,
-    verify_factorization,
-    verify_kernel_theorem,
-    verify_lie_axioms,
-    verify_module_axioms,
+    run_suite,
     zie_dimension,
 )
 from .calculus import (
@@ -226,6 +224,7 @@ def _cmd_derive(args):
     obj = _load_json_file(args.input)
     support_text = _input_support(obj, args)
     ground = _ground_from_partition_text(support_text)
+    _ground_guard(ground, allow_large=True)
     P = Partition.parse(ground, support_text)
     F = parse_forest(ground, args.forest)
     if args.dual:
@@ -288,21 +287,10 @@ def _cmd_stein_rank(args):
     return 0 if payload["agree"] in (True, None) else 1
 
 
-def _run_suite(suite, n, seed):
-    if suite == "lie":
-        return verify_lie_axioms(n, seed=seed)
-    if suite == "module":
-        return verify_module_axioms(n)
-    if suite == "kernel":
-        return verify_kernel_theorem(n)
-    if suite == "factorization":
-        return verify_factorization(n, seed=seed)
-    return full_audit(n, seed=seed)
-
-
 def _cmd_verify(args):
     seed = SAMPLE_SEED if args.seed is None else args.seed
-    report = _run_suite(args.suite, args.n, seed)
+    report = (full_audit(args.n, seed) if args.suite == "all"
+              else run_suite(args.suite, args.n, seed))
     payload = {"schema": 1}
     payload.update(report.to_json_obj())
     if args.json:
@@ -422,9 +410,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run an audit suite")
     p.add_argument("--n", type=int, required=True, metavar="N")
-    p.add_argument("--suite", default="all",
-                   choices=("lie", "module", "kernel", "factorization",
-                            "all"))
+    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--json", metavar="FILE",
                    help="also write the JSON report to FILE")
     p.add_argument("--seed", type=_seed_arg, metavar="U64",

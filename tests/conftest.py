@@ -1,5 +1,22 @@
 import sys
 
+import pytest
+
+from shardcalc.arrangement import _lp_witness, context_for
+
+
+@pytest.fixture
+def lp_chambers():
+    """The chamber walk's oracle: P's feasible sign tuples, sorted, found by
+    posing the exact LP for each of the 2^K sign patterns on its own."""
+    def chambers(P):
+        ctx = context_for(P)
+        assert ctx.K <= 12, "the LP oracle is limited to 12 keys"
+        patterns = (tuple(-1 if bits >> k & 1 else 1 for k in range(ctx.K))
+                    for bits in range(1 << ctx.K))
+        return sorted(s for s in patterns if _lp_witness(ctx, s) is not None)
+    return chambers
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion, printed at the end."""

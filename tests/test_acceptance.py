@@ -81,7 +81,7 @@ def _full(n):
 
 @criterion(1, "chamber counts 2,6,32,370 via CLI, LP-cross-checked to n=4,"
               " under 60s")
-def test_criterion_01_chamber_counts():
+def test_criterion_01_chamber_counts(lp_chambers):
     t0 = time.perf_counter()
     want = {2: 2, 3: 6, 4: 32, 5: 370}
     for n, count in want.items():
@@ -96,9 +96,8 @@ def test_criterion_01_chamber_counts():
     # independent oracle: every sign pattern tried by exact-LP feasibility
     for n in (2, 3, 4):
         one = Partition.one_block(GroundSet.of_size(n))
-        fast = [X.id() for X in enumerate_shards(one)]
-        slow = [X.id() for X in enumerate_shards(one, method="naive")]
-        assert fast == slow, n
+        fast = sorted(X.signs for X in enumerate_shards(one))
+        assert fast == lp_chambers(one), n
     assert CHAMBER_COUNTS[6] == 11292  # documented, behind --allow-large
 
 

@@ -66,25 +66,24 @@ def test_enumerate_counts_small():
     assert len(enumerate_shards(one_block(4))) == 32
 
 
-def test_enumerate_agrees_with_naive_oracle_all_partitions_n_le_4():
+def test_enumerate_agrees_with_naive_oracle_all_partitions_n_le_4(
+        lp_chambers):
     for n in (2, 3, 4):
         for P in all_partitions(g(n)):
-            bfs = [s.id() for s in enumerate_shards(P)]
-            naive = [s.id() for s in enumerate_shards(P, method="naive")]
-            assert bfs == naive, P.format()
+            bfs = sorted(s.signs for s in enumerate_shards(P))
+            assert bfs == lp_chambers(P), P.format()
 
 
-def test_enumerate_agrees_with_naive_oracle_n5():
-    # every partition of five labels within naive's 12-key limit: all but
-    # the one-block support, which has 15 keys
+def test_enumerate_agrees_with_naive_oracle_n5(lp_chambers):
+    # every partition of five labels within the oracle's 12-key limit: all
+    # but the one-block support, which has 15 keys
     checked = 0
     for P in all_partitions(g(5)):
         if context_for(P).K > 12:
             assert len(P.blocks) == 1
             continue
-        bfs = [s.id() for s in enumerate_shards(P)]
-        naive = [s.id() for s in enumerate_shards(P, method="naive")]
-        assert bfs == naive, P.format()
+        bfs = sorted(s.signs for s in enumerate_shards(P))
+        assert bfs == lp_chambers(P), P.format()
         checked += 1
     assert checked == 51
 

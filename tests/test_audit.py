@@ -230,14 +230,16 @@ def test_audit_entry_json_shape():
 
 
 def test_audit_report_merge_sorts_and_verdicts():
-    a = AuditReport("one", 2, [AuditEntry("b.claim", "s", 2, 1, True)])
-    b = AuditReport("two", 2, [AuditEntry("a.claim", "s", 2, 1, False)])
-    merged = AuditReport.merge("all", 2, [a, b])
-    assert [e.claim for e in merged.entries] == ["a.claim", "b.claim"]
-    assert not merged.passed
-    assert "FAIL" in merged.format_text()
+    # run_suite keeps the table's order; the full audit sorts by claim
+    table = [e.claim for e in audit.run_suite("full", 2).entries]
+    assert table != sorted(table)
+    assert [e.claim for e in full_audit(2).entries] == sorted(table)
+    report = AuditReport("full", 2, [AuditEntry("b.claim", "s", 2, 1, True),
+                                     AuditEntry("a.claim", "s", 2, 1, False)])
+    assert not report.passed
+    assert "FAIL" in report.format_text()
     with pytest.raises(KeyError):
-        merged.entry("missing")
+        report.entry("missing")
 
 
 def _antisym_instance():
@@ -418,8 +420,10 @@ def test_replay_maintheorem_and_global_claims():
         "claim": "dims.series",
         "ground": list(G4.labels),
     }) is True
-    with pytest.raises(ValueError):
-        replay_counterexample({"claim": "no.such", "ground": ["1"]})
+    for malformed in ({"claim": "no.such", "ground": ["1"]}, ["dims.series"],
+                      {"ground": ["1"]}, {"claim": "dims.series"}):
+        with pytest.raises(ValueError):
+            replay_counterexample(malformed)
 
 
 def test_chamber_counts_table():
@@ -633,91 +637,66 @@ def _doubled_outer(real):
 
 _never_contains = types.SimpleNamespace(contains=lambda v: False)
 
-# claim -> (its sweep at n <= 4, patches that make its first instance fail)
+# claim -> (ground size, patches that make the first instance its row's
+# run checks at that size fail)
 _FIRST_FAILS = {
     "counts.maximal_shards": (
-        lambda: audit._sweep(audit._counts_witness, audit._sizes(4)),
-        [(audit, "CHAMBER_COUNTS", dict.fromkeys(range(1, 7), -1))]),
-    "dims.series": (
-        lambda: audit._sweep(audit._dims_witness, audit._sizes(4)),
-        [(audit, "zie_dimension", lambda n: -1)]),
+        4, [(audit, "CHAMBER_COUNTS", dict.fromkeys(range(1, 7), -1))]),
+    "dims.series": (4, [(audit, "zie_dimension", lambda n: -1)]),
     "duality.relations": (
-        lambda: audit._sweep(
-            audit._duality_witness, audit._duality_sample(G4)),
-        [(audit, "is_semisimply_differentiable", lambda f: None)]),
-    "lie.antisymmetry": (
-        lambda: audit._sweep(audit._cancellation_witness,
-                             audit._bracket_instances(G3, "lie.antisymmetry")),
-        [(ShardVector, "is_zero", lambda self: False)]),
-    "lie.jacobi": (
-        lambda: audit._sweep(audit._cancellation_witness,
-                             audit._bracket_instances(G3, "lie.jacobi")),
-        [(ShardVector, "is_zero", lambda self: False)]),
-    "module.unit": (
-        lambda: audit._sweep(audit._unit_witness, audit._unit_instances(G3)),
-        [(audit, "dual_forest_derivative",
-          lambda F, v: ShardVector.zero(F.source))]),
-    "module.action": (
-        lambda: audit._sweep(
-            audit._composite_witness, audit._action_instances(G3)),
-        [(audit, "dual_forest_derivative",
-          _doubled_outer(audit.dual_forest_derivative))]),
+        4, [(audit, "is_semisimply_differentiable", lambda f: None)]),
+    "lie.antisymmetry": (3, [(ShardVector, "is_zero", lambda self: False)]),
+    "lie.jacobi": (3, [(ShardVector, "is_zero", lambda self: False)]),
+    "module.unit": (3, [(audit, "dual_forest_derivative",
+                         lambda F, v: ShardVector.zero(F.source))]),
+    "module.action": (3, [(audit, "dual_forest_derivative",
+                           _doubled_outer(audit.dual_forest_derivative))]),
     "module.coset_kernel": (
-        lambda: audit._sweep(
-            audit._coset_witness, audit._coset_instances(G4, 3)),
-        [(audit, "quotient_space", lambda g: _never_contains)]),
+        4, [(audit, "quotient_space", lambda g: _never_contains)]),
     "module.layering": (
-        lambda: audit._sweep(
-            audit._layering_witness, audit._layering_instances(G4, 3)),
-        [(audit, "quotient_space", lambda g: _never_contains)]),
-    "kernel.span": (
-        lambda: audit._sweep(audit._span_witness, audit._nested_pairs(G3)),
-        [(audit, "rank", lambda M: -1)]),
+        4, [(audit, "quotient_space", lambda g: _never_contains)]),
+    "kernel.span": (3, [(audit, "rank", lambda M: -1)]),
     "kernel.surjective": (
-        lambda: audit._sweep(
-            audit._surjective_witness, audit._nested_pairs(G3)),
-        [(audit, "enumerate_shards",
-          lambda P, real=audit.enumerate_shards: real(P) * 2)]),
+        3, [(audit, "enumerate_shards",
+             lambda P, real=audit.enumerate_shards: real(P) * 2)]),
     "factorization.diagram": (
-        lambda: audit._sweep(
-            audit._diagram_witness, audit._diagram_instances(G3)),
-        [(audit, "_component_key", lambda P, Y: ())]),
-    "factorization.dimension": (
-        lambda: audit._sweep(audit._dimension_witness,
-                             ((P,) for P in all_partitions(G3))),
-        [(audit, "quotient_dim", lambda g: 0)]),
+        3, [(audit, "_component_key", lambda P, Y: ())]),
+    "factorization.dimension": (3, [(audit, "quotient_dim", lambda g: 0)]),
     "maintheorem.annihilator": (
-        lambda: audit._check_maintheorem_annihilator(G4, 3),
-        [(audit, "dual_forest_derivative",
-          _distinct_scales(audit.dual_forest_derivative))]),
+        4, [(audit, "dual_forest_derivative",
+             _distinct_scales(audit.dual_forest_derivative))]),
     "maintheorem.converse": (
-        lambda: audit._check_maintheorem_converse(G4),
-        [(audit, "is_semisimple", lambda f: True)]),
+        4, [(audit, "is_semisimple", lambda f: True)]),
     "delayering.annihilator": (
-        lambda: audit._check_delayering_annihilator(G4, 3),
-        [(audit, "dual_forest_derivative",
-          _distinct_scales(audit.dual_forest_derivative))]),
+        4, [(audit, "dual_forest_derivative",
+             _distinct_scales(audit.dual_forest_derivative))]),
+    # every one of the 32 seeds the row tries misses, so the last one fails
     "delayering.separation": (
-        lambda: audit._separation_witness(G4, SAMPLE_SEED),
-        [(Functional, "evaluate_vector", lambda self, v: 0)]),
+        4, [(Functional, "evaluate_vector", lambda self, v: 0)]),
     "calculus.functoriality": (
-        lambda: audit._sweep(audit._composite_witness,
-                             audit._functoriality_instances(G3)),
-        [(audit, "dual_forest_derivative",
-          _doubled_outer(audit.dual_forest_derivative))]),
+        3, [(audit, "dual_forest_derivative",
+             _doubled_outer(audit.dual_forest_derivative))]),
 }
 
 
 def test_every_claim_has_a_replay_entry():
-    assert set(audit._REPLAY) == set(audit._STATEMENTS) == set(_FIRST_FAILS)
+    claims = [c for row in audit._CLAIMS for c in row.claims]
+    assert len(claims) == len(set(claims)) == len(_FIRST_FAILS)
+    assert set(claims) == set(_FIRST_FAILS)
+    for row in audit._CLAIMS:
+        assert 2 <= row.smallest <= row.largest <= 5
+        assert all(statement and callable(replay)
+                   for statement, replay in row.claims.values())
 
 
 @pytest.mark.parametrize("claim", sorted(_FIRST_FAILS))
 def test_first_swept_instance_replays(claim, monkeypatch):
-    sweep, patches = _FIRST_FAILS[claim]
+    size, patches = _FIRST_FAILS[claim]
+    row = next(row for row in audit._CLAIMS if claim in row.claims)
     with monkeypatch.context() as m:
         for target, name, value in patches:
             m.setattr(target, name, value)
-        ce = sweep()[1]
+        results = row.run(GroundSet.of_size(size), SAMPLE_SEED)
+    ce = results[list(row.claims).index(claim)][1]
     assert ce is not None and ce["claim"] == claim
     assert replay_counterexample(json.loads(json.dumps(ce))) is True

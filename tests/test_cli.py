@@ -265,7 +265,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         def format_text(self):
             return "suite lie at n=2: FAIL"
 
-    monkeypatch.setattr(cli, "_run_suite", lambda *a, **k: FakeReport())
+    monkeypatch.setattr(cli, "full_audit", lambda *a, **k: FakeReport())
     code, out, _ = run_main(capsys, ["verify", "--n", "2"])
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -482,10 +482,13 @@ def _run_cli(args):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "7", "--allow-large"],
     ["stein-rank", "--n", "13", "--allow-large"],
+    ["derive", "--forest", "[123456,7]", "-"],
 ])
 def test_oversized_ground_is_refused_even_with_allow_large(argv):
+    # derive reads a seven-label functional from stdin; it has no flag
+    payload = json.dumps({"support": "(1234567)", "values": {}}).encode()
     r = subprocess.run([sys.executable, "-m", "shardcalc", *argv],
-                       capture_output=True, timeout=60)
+                       input=payload, capture_output=True, timeout=60)
     assert r.returncode == 2
     assert r.stdout == b""
     err = r.stderr.decode().splitlines()
