@@ -28,6 +28,14 @@ CASES = [
      "render_n4_layering012.svg"),
     (["render", "--n", "4", "--forest", "[[1,2],[3,4]]@021"],
      "render_n4_layering021.svg"),
+    # fractional coefficients: opacity below one half, the cap above one,
+    # and signed fractions under the n=3 chamber names
+    (["render", "--n", "3", "--vector",
+      os.path.join(GOLDEN, "render_n3_fractional.json")],
+     "render_n3_fractional.svg"),
+    (["render", "--n", "4", "--vector",
+      os.path.join(GOLDEN, "render_n4_fractional.json")],
+     "render_n4_fractional.svg"),
 ]
 
 
