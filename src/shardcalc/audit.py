@@ -1122,11 +1122,18 @@ def full_audit(n, seed=SAMPLE_SEED):
 
 def replay_counterexample(ce):
     """Re-run one serialized counterexample through its claim's witness;
-    True means the claim holds on that instance after all."""
-    if not (isinstance(ce, dict) and "claim" in ce and "ground" in ce):
-        raise ValueError("a counterexample is a map with a claim and a ground")
+    True means the claim holds on that instance after all.  Malformed
+    input raises ValueError; a witness's AssertionError propagates."""
+    if not (isinstance(ce, dict) and "claim" in ce
+            and isinstance(ce.get("ground"), list)):
+        raise ValueError("a counterexample is a map with a claim and a "
+                         "ground list")
     for row in _CLAIMS:
         for claim, (_, replay) in row.claims.items():
             if claim == ce["claim"]:
-                return replay(GroundSet(ce["ground"]), ce) is None
+                try:
+                    return replay(GroundSet(ce["ground"]), ce) is None
+                except (KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError("malformed %s counterexample: %r"
+                                     % (claim, exc)) from None
     raise ValueError("unknown claim %r" % (ce["claim"],))

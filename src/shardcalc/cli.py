@@ -224,7 +224,9 @@ def _cmd_derive(args):
     obj = _load_json_file(args.input)
     support_text = _input_support(obj, args)
     ground = _ground_from_partition_text(support_text)
-    _ground_guard(ground, allow_large=True)
+    if ground.n > MAX_GROUND:  # derive has no --allow-large to suggest
+        raise ValueError("ground sets above %d labels are refused"
+                         % MAX_GROUND)
     P = Partition.parse(ground, support_text)
     F = parse_forest(ground, args.forest)
     if args.dual:

@@ -1,21 +1,21 @@
 """Exact SVG rendering of the n=3 plane and the n=4 stereographic sphere.
 
-Rendering keeps every coordinate exact (rational, or rational multiples
-of a single square root) and rounds only when emitting decimal strings,
-via integer square roots, so the SVG bytes are reproducible across
-platforms.  The n=3 scene is the arrangement of
-three concurrent lines with its six chambers labeled by sign vectors.
-The n=4 scene is the stereographic image of the trace of the seven walls
-on the unit sphere of the sum-zero space: seven circles bounding the 32
-chambers, with walls that carry four-term relations drawn heavier.  An
-optional highlight vector over the one-block partition shades chambers
-by coefficient sign (positive red, negative blue) and magnitude.
+Every coordinate stays exact (rational, or a rational multiple of a
+single square root) until it is emitted: each scene writes its SVG
+elements directly, rounding through integer square roots to four
+decimal places, so the bytes are reproducible across platforms.  The
+n=3 scene is the arrangement of three concurrent lines with its six
+chambers labeled by sign vectors.  The n=4 scene is the stereographic
+image of the trace of the seven walls on the unit sphere of the
+sum-zero space: seven circles bounding the 32 chambers, with walls that
+carry four-term relations drawn heavier.  An optional highlight vector
+over the one-block partition shades chambers by coefficient sign
+(positive red, negative blue) and magnitude.
 """
-
 from math import gcd, isqrt
 
 from .arrangement import context_for, enumerate_shards
-from .calculus import ShardVector, dual_forest_derivative
+from .calculus import InvariantViolation, ShardVector, dual_forest_derivative
 from .exactla import ONE, ZERO, rat, rat_str
 from .forests import parse_forest
 from .ground import GroundSet, Partition
@@ -55,36 +55,6 @@ def _fmt(digits):
     return "%s%d.%04d" % (sign, d // _SCALE, d % _SCALE)
 
 
-class Exact:
-    """A scene coordinate q*sqrt(r) with q, r rational and r >= 0."""
-
-    __slots__ = ("q", "r")
-
-    def __init__(self, q, r=1):
-        self.q = rat(q)
-        self.r = rat(r)
-        if self.r < 0:
-            raise ValueError("negative radicand")
-
-    def scale(self, c):
-        return Exact(self.q * rat(c), self.r)
-
-    def __neg__(self):
-        return Exact(-self.q, self.r)
-
-    def digits(self):
-        return _digits(self.q, self.r)
-
-    def __repr__(self):
-        return "Exact(%s, %s)" % (rat_str(self.q), rat_str(self.r))
-
-
-def _e(v):
-    return v if isinstance(v, Exact) else Exact(v)
-
-
-# --------------------------------------------------------- scene model
-
 _SVG_STYLE = """\
 .wall{fill:none;stroke:#6e6e6e;stroke-width:%(plain)s}
 .wall.steinmann{stroke:#1a1a1a;stroke-width:%(heavy)s}
@@ -92,178 +62,55 @@ _SVG_STYLE = """\
 .region-fill.pos{fill:#c23616}
 .region-fill.neg{fill:#1d5fa8}
 .region-fill.zero{fill:none}
-text{font-family:'DejaVu Sans Mono',monospace;fill:#222;text-anchor:middle}"""
+text{font-family:'DejaVu Sans Mono',monospace;fill:#222;text-anchor:middle}
+text{font-size:9px}"""
 
 
-class RenderScene:
-    """Exact 2-D scene data for one arrangement picture.
+def _document(n, half, defs, regions, walls, labels):
+    """The SVG text of a square window of the given half width around
+    each group's element lines; empty defs and labels are left out.
 
-    walls are line segments (n=3) or circles (n=4) tagged with their key
-    subset and whether the wall carries four-term relations; regions are
-    chambers with their sign string, highlight coefficient, and either a
-    polygon or a chain of circle-side clips; labels are text anchors.
-    Coordinates stay Exact until to_svg emits rounded decimals.
+    SVG y grows downward, so the scenes negate every second coordinate.
     """
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        'viewBox="-%d -%d %d %d" width="560" height="560">'
+        % (half, half, 2 * half, 2 * half),
+        "<title>adjoint braid arrangement on %d labels</title>" % n,
+        "<style>",
+        _SVG_STYLE % {"plain": _fmt(half * _SCALE // 300),
+                      "heavy": _fmt(half * _SCALE // 170)},
+        "</style>",
+    ]
+    if defs:
+        out += ["<defs>", *defs, "</defs>"]
+    out += ['<g id="regions">', *regions, "</g>",
+            '<g id="walls">', *walls, "</g>"]
+    if labels:
+        out += ['<g id="labels">', *labels, "</g>"]
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
-    def __init__(self, n, half, font_px):
-        self.n = n
-        self.half = half
-        self.font_px = font_px
-        self.walls = []
-        self.regions = []
-        self.labels = []
 
-    def add_line(self, key, steinmann, x1, y1, x2, y2):
-        self.walls.append({
-            "kind": "line", "key": key, "steinmann": steinmann,
-            "x1": _e(x1), "y1": _e(y1), "x2": _e(x2), "y2": _e(y2),
-        })
+def _region(signs, coeff):
+    """Opening tag of a chamber's group and the attributes of its fill:
+    red for a positive coefficient, blue for a negative one, at opacity
+    |coeff|/2 capped at one half."""
+    head = '<g class="region" data-signs="%s" data-coeff="%s">' % (
+        signs, rat_str(coeff))
+    if coeff == ZERO:
+        return head, ' class="region-fill zero"'
+    return head, ' class="region-fill %s" fill-opacity="%s"' % (
+        "pos" if coeff > ZERO else "neg",
+        _fmt(_digits(min(abs(coeff), ONE) / 2)))
 
-    def add_circle(self, key, steinmann, cx, cy, radius):
-        self.walls.append({
-            "kind": "circle", "key": key, "steinmann": steinmann,
-            "cx": _e(cx), "cy": _e(cy), "r": _e(radius),
-        })
 
-    def add_polygon_region(self, signs, coeff, points):
-        self.regions.append({
-            "signs": signs, "coeff": coeff,
-            "points": [(_e(x), _e(y)) for x, y in points],
-        })
-
-    def add_clipped_region(self, signs, coeff, sides):
-        # sides: per storage-order wall index, True to keep the disk
-        # interior, False the exterior
-        self.regions.append({"signs": signs, "coeff": coeff,
-                             "sides": tuple(sides)})
-
-    def add_label(self, x, y, lines):
-        self.labels.append({"x": _e(x), "y": _e(y), "lines": list(lines)})
-
-    # emission; SVG y grows downward, so flip the second coordinate here
-
-    def _fill_attrs(self, coeff):
-        if coeff > ZERO:
-            cls, mag = "pos", coeff
-        elif coeff < ZERO:
-            cls, mag = "neg", -coeff
-        else:
-            return "zero", None
-        if mag > ONE:
-            mag = ONE
-        return cls, _fmt(_digits(mag / rat(2)))
-
-    def _rect(self, extra=""):
-        h = self.half
-        return '<rect%s x="-%d" y="-%d" width="%d" height="%d"/>' % (
-            extra, h, h, 2 * h, 2 * h)
-
-    def to_svg(self):
-        h = self.half
-        style = _SVG_STYLE % {
-            "plain": _fmt(h * _SCALE // 300),
-            "heavy": _fmt(h * _SCALE // 170),
-        }
-        out = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            '<svg xmlns="http://www.w3.org/2000/svg" '
-            'viewBox="-%d -%d %d %d" width="560" height="560">'
-            % (h, h, 2 * h, 2 * h),
-            "<title>adjoint braid arrangement on %d labels</title>" % self.n,
-            "<style>", style,
-            "text{font-size:%dpx}" % self.font_px,
-            "</style>",
-        ]
-
-        clipped = [r for r in self.regions if "sides" in r]
-        if clipped:
-            out.append("<defs>")
-            for k, w in enumerate(self.walls):
-                cd = w["cx"].digits()
-                fd = (-w["cy"]).digits()
-                rd = w["r"].digits()
-                circle = '<circle cx="%s" cy="%s" r="%s"/>' % (
-                    _fmt(cd), _fmt(fd), _fmt(rd))
-                out.append('<clipPath id="in%d">%s</clipPath>' % (k, circle))
-                ring = (
-                    'M -%d -%d H %d V %d H -%d Z '
-                    "M %s %s a %s %s 0 1 0 %s 0 a %s %s 0 1 0 -%s 0 Z"
-                    % (h, h, h, h, h,
-                       _fmt(cd - rd), _fmt(fd), _fmt(rd), _fmt(rd),
-                       _fmt(2 * rd), _fmt(rd), _fmt(rd), _fmt(2 * rd)))
-                out.append(
-                    '<clipPath id="out%d">'
-                    '<path clip-rule="evenodd" d="%s"/></clipPath>' % (k, ring))
-            out.append("</defs>")
-
-        out.append('<g id="regions">')
-        for r in self.regions:
-            cls, opacity = self._fill_attrs(r["coeff"])
-            out.append('<g class="region" data-signs="%s" data-coeff="%s">'
-                       % (r["signs"], rat_str(r["coeff"])))
-            if "points" in r:
-                pts = []
-                for x, y in r["points"]:
-                    pair = (x.digits(), (-y).digits())
-                    if not pts or pts[-1] != pair:
-                        pts.append(pair)
-                if len(pts) > 1 and pts[0] == pts[-1]:
-                    pts.pop()
-                body = '<polygon class="region-fill %s"%s points="%s"/>' % (
-                    cls,
-                    '' if opacity is None else ' fill-opacity="%s"' % opacity,
-                    " ".join("%s,%s" % (_fmt(a), _fmt(b)) for a, b in pts))
-                out.append(body)
-            else:
-                depth = 0
-                for k, inside in enumerate(r["sides"]):
-                    out.append('<g clip-path="url(#%s%d)">'
-                               % ("in" if inside else "out", k))
-                    depth += 1
-                out.append(self._rect(
-                    ' class="region-fill %s"' % cls
-                    + ('' if opacity is None
-                       else ' fill-opacity="%s"' % opacity)))
-                out.extend(["</g>"] * depth)
-            out.append("</g>")
-        out.append("</g>")
-
-        out.append('<g id="walls">')
-        for w in self.walls:
-            cls = "wall steinmann" if w["steinmann"] else "wall"
-            if w["kind"] == "line":
-                out.append(
-                    '<line class="%s" data-key="%s" x1="%s" y1="%s" '
-                    'x2="%s" y2="%s"/>'
-                    % (cls, w["key"],
-                       _fmt(w["x1"].digits()), _fmt((-w["y1"]).digits()),
-                       _fmt(w["x2"].digits()), _fmt((-w["y2"]).digits())))
-            else:
-                out.append(
-                    '<circle class="%s" data-key="%s" cx="%s" cy="%s" r="%s"/>'
-                    % (cls, w["key"],
-                       _fmt(w["cx"].digits()), _fmt((-w["cy"]).digits()),
-                       _fmt(w["r"].digits())))
-        out.append("</g>")
-
-        if self.labels:
-            out.append('<g id="labels">')
-            for lab in self.labels:
-                x = _fmt(lab["x"].digits())
-                y = _fmt((-lab["y"]).digits())
-                if len(lab["lines"]) == 1:
-                    out.append('<text x="%s" y="%s">%s</text>'
-                               % (x, y, lab["lines"][0]))
-                else:
-                    spans = ['<tspan x="%s" dy="%s">%s</tspan>'
-                             % (x, "0" if i == 0 else "1.15em", t)
-                             for i, t in enumerate(lab["lines"])]
-                    out.append('<text x="%s" y="%s">%s</text>'
-                               % (x, y, "".join(spans)))
-            out.append("</g>")
-
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+def _wall_class(ground, mask):
+    # four-term relations need at least two labels on both sides of the
+    # wall's two-block partition
+    k = bin(mask).count("1")
+    return "wall steinmann" if k >= 2 and ground.n - k >= 2 else "wall"
 
 
 # ------------------------------------------------- small vector algebra
@@ -290,13 +137,6 @@ def _primitive(vec):
     return tuple(ints)
 
 
-def _carries_relations(ground, mask):
-    # four-term relations need at least two labels on both sides of the
-    # wall's two-block partition
-    k = bin(mask).count("1")
-    return k >= 2 and ground.n - k >= 2
-
-
 # ---------------------------------------------------------- n=3 scene
 
 # plane embedding of the sum-zero triples: x1 = X, x2 = -X/2 + t*Y,
@@ -311,7 +151,7 @@ _LABEL_ANCHORS3 = (
 )
 
 
-def _forms3(ground, keys):
+def _forms3(keys):
     half = rat(1) / rat(2)
     per_label = ((ONE, ZERO), (-half, _TILT), (-half, -_TILT))
     forms = []
@@ -346,17 +186,20 @@ def _scene3(highlight):
     g = GroundSet.of_size(3)
     one = Partition.one_block(g)
     ctx = context_for(one)
-    forms = _forms3(g, ctx.keys)
+    forms = _forms3(ctx.keys)
     coeffs = {X.id(): c for X, c in highlight.items()} if highlight else {}
 
-    scene = RenderScene(3, _BOX3 + 10, 9)
     L = rat(_BOX3)
+    walls = []
     for mask, (a, b) in zip(ctx.keys, forms):
         # the wall a*X + b*Y = 0 runs along (-b, a); clip to the box
         dx, dy = -b, a
         tmax = min(L / abs(d) for d in (dx, dy) if d != 0)
-        scene.add_line(g.mask_labels(mask), _carries_relations(g, mask),
-                       tmax * dx, tmax * dy, -tmax * dx, -tmax * dy)
+        x, y = _digits(tmax * dx), _digits(tmax * dy)
+        walls.append('<line class="%s" data-key="%s" x1="%s" y1="%s" '
+                     'x2="%s" y2="%s"/>'
+                     % (_wall_class(g, mask), g.mask_labels(mask),
+                        _fmt(x), _fmt(-y), _fmt(-x), _fmt(y)))
 
     box = [(-L, -L), (L, -L), (L, L), (-L, L)]
     anchors = {}
@@ -365,24 +208,40 @@ def _scene3(highlight):
             "+" if a * ax + b * ay > 0 else "-" for a, b in forms)
         anchors[sig] = (ax, ay)
 
+    regions, labels = [], []
     for X in enumerate_shards(one):
         poly = box
         for s, (a, b) in zip(X.signs, forms):
             poly = _clip_halfplane(poly, s * a, s * b)
         if len(poly) < 3:
             raise InvariantViolation("chamber %s clipped away" % X.id())
+        pts = []
+        for x, y in poly:
+            pair = (_digits(x), -_digits(y))
+            if not pts or pts[-1] != pair:
+                pts.append(pair)
+        if len(pts) > 1 and pts[0] == pts[-1]:
+            pts.pop()
         coeff = rat(coeffs.get(X.id(), 0))
-        scene.add_polygon_region(X.id(), coeff, poly)
+        head, fill = _region(X.id(), coeff)
+        regions += [head, '<polygon%s points="%s"/>' % (
+            fill, " ".join("%s,%s" % (_fmt(u), _fmt(v)) for u, v in pts)),
+            "</g>"]
         ax, ay = anchors.pop(X.id())
-        lines = [X.id()]
+        x = _fmt(ax * _SCALE)
+        text = X.id()
         if coeff != ZERO:
-            c = rat_str(coeff)
-            lines.append(c if c.startswith("-") else "+" + c)
-        scene.add_label(ax, ay, lines)
+            # the signed coefficient goes on a second line
+            text = ('<tspan x="%s" dy="0">%s</tspan>'
+                    '<tspan x="%s" dy="1.15em">%s%s</tspan>'
+                    % (x, text, x, "+" if coeff > ZERO else "",
+                       rat_str(coeff)))
+        labels.append('<text x="%s" y="%s">%s</text>'
+                      % (x, _fmt(-ay * _SCALE), text))
     if anchors:
         raise InvariantViolation("label anchors missed chambers %s"
                                  % sorted(anchors))
-    return scene
+    return _document(3, _BOX3 + 10, [], regions, walls, labels)
 
 
 # ---------------------------------------------------------- n=4 scene
@@ -490,12 +349,10 @@ def _window4(normals, d0, D, a0, A, b0, B, S, circles):
     are vertex images, so covering the vertices covers them; the pole
     chamber is the area outside all seven circles, so grow the window
     until some boundary point clears every circle.  All tests run on
-    exact digit integers.
+    the circles' exact digit integers.
     """
     ext = _vertex_extent(normals, d0, D, a0, A, b0, B, S)
     half = -(-ext // _SCALE) + 6
-    digits = [(cx.digits(), cy.digits(), r.digits())
-              for cx, cy, r in circles]
 
     def edge_clears(h):
         hc = h * _SCALE
@@ -504,7 +361,7 @@ def _window4(normals, d0, D, a0, A, b0, B, S, circles):
             tc = t * _SCALE
             for px, py in ((tc, hc), (tc, -hc), (hc, tc), (-hc, tc)):
                 if all((px - cx) ** 2 + (py - cy) ** 2 > (r + slack) ** 2
-                       for cx, cy, r in digits):
+                       for cx, cy, r in circles):
                     return True
         return False
 
@@ -527,7 +384,8 @@ def _scene4(highlight):
     # -d0/sqrt(D), in the frame (a0/sqrt(A), b0/sqrt(B)): center
     # ((n.a0)/(n.d0)*sqrt(D/A), (n.b0)/(n.d0)*sqrt(D/B)), squared radius
     # 1 + ((n.a0)^2/A + (n.b0)^2/B) * D/(n.d0)^2; the cap where the
-    # chamber sign of the wall agrees with sign(n.d0) lands inside
+    # chamber sign of the wall agrees with sign(n.d0) lands inside;
+    # each circle is kept as the digits of (cx, cy, r)
     circles = []
     inside_sign = []
     for n in normals:
@@ -536,23 +394,41 @@ def _scene4(highlight):
             raise InvariantViolation("pole lies on a wall circle")
         na = _dot(n, a0)
         nb = _dot(n, b0)
-        cx = Exact(na / nd * S, D / A)
-        cy = Exact(nb / nd * S, D / B)
         rho2 = ONE + (na * na / A + nb * nb / B) * D / (nd * nd)
-        circles.append((cx, cy, Exact(S, rho2)))
+        circles.append((_digits(na / nd * S, D / A),
+                        _digits(nb / nd * S, D / B), _digits(S, rho2)))
         inside_sign.append(1 if nd > 0 else -1)
 
     half = _window4(normals, d0, D, a0, A, b0, B, S, circles)
-    scene = RenderScene(4, half, 9)
-    for mask, (cx, cy, radius) in zip(ctx.keys, circles):
-        scene.add_circle(g.mask_labels(mask),
-                         _carries_relations(g, mask), cx, cy, radius)
+    defs, walls = [], []
+    for k, (mask, (cx, cy, rd)) in enumerate(zip(ctx.keys, circles)):
+        x, y, r = _fmt(cx), _fmt(-cy), _fmt(rd)
+        defs.append('<clipPath id="in%d"><circle cx="%s" cy="%s" r="%s"/>'
+                    '</clipPath>' % (k, x, y, r))
+        # the window with the disk cut out, as one even-odd path
+        defs.append(
+            '<clipPath id="out%d"><path clip-rule="evenodd" d="'
+            'M -%d -%d H %d V %d H -%d Z '
+            'M %s %s a %s %s 0 1 0 %s 0 a %s %s 0 1 0 -%s 0 Z"/></clipPath>'
+            % (k, half, half, half, half, half,
+               _fmt(cx - rd), y, r, r, _fmt(2 * rd), r, r, _fmt(2 * rd)))
+        walls.append('<circle class="%s" data-key="%s" cx="%s" cy="%s" '
+                     'r="%s"/>' % (_wall_class(g, mask), g.mask_labels(mask),
+                                   x, y, r))
 
     coeffs = {X.id(): c for X, c in highlight.items()} if highlight else {}
+    regions = []
     for X in enumerate_shards(one):
-        sides = [s == w for s, w in zip(X.signs, inside_sign)]
-        scene.add_clipped_region(X.id(), rat(coeffs.get(X.id(), 0)), sides)
-    return scene
+        head, fill = _region(X.id(), rat(coeffs.get(X.id(), 0)))
+        regions.append(head)
+        # keep the disk's inside or outside of each wall, in key order
+        regions += ['<g clip-path="url(#%s%d)">'
+                    % ("in" if s == w else "out", k)
+                    for k, (s, w) in enumerate(zip(X.signs, inside_sign))]
+        regions.append('<rect%s x="-%d" y="-%d" width="%d" height="%d"/>'
+                       % (fill, half, half, 2 * half, 2 * half))
+        regions += ["</g>"] * (len(inside_sign) + 1)
+    return _document(4, half, defs, regions, walls, [])
 
 
 # ------------------------------------------------------------- render
@@ -576,8 +452,7 @@ def render(n, highlight=None):
             raise ValueError(
                 "highlight must live over the one-block partition of %s"
                 % ",".join(g.labels))
-    scene = _scene3(highlight) if n == 3 else _scene4(highlight)
-    return scene.to_svg()
+    return _scene3(highlight) if n == 3 else _scene4(highlight)
 
 
 def forest_highlight(ground, text):

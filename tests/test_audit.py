@@ -421,9 +421,20 @@ def test_replay_maintheorem_and_global_claims():
         "ground": list(G4.labels),
     }) is True
     for malformed in ({"claim": "no.such", "ground": ["1"]}, ["dims.series"],
-                      {"ground": ["1"]}, {"claim": "dims.series"}):
+                      {"ground": ["1"]}, {"claim": "dims.series"},
+                      {"claim": "dims.series", "ground": 5},
+                      {"claim": "kernel.span", "ground": ["1", "2"]}):
         with pytest.raises(ValueError):
             replay_counterexample(malformed)
+
+
+def test_replay_lets_a_witness_failure_through(monkeypatch):
+    # malformed input turns into ValueError; a broken check must not
+    def broken(g):
+        raise InvariantViolation("dims.series broke")
+    monkeypatch.setattr(audit, "_dims_witness", broken)
+    with pytest.raises(InvariantViolation):
+        replay_counterexample({"claim": "dims.series", "ground": ["1", "2"]})
 
 
 def test_chamber_counts_table():

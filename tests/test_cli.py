@@ -494,6 +494,8 @@ def test_oversized_ground_is_refused_even_with_allow_large(argv):
     err = r.stderr.decode().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "above %d labels" % cli.MAX_GROUND in err[0]
+    if argv[0] == "derive":
+        assert "--allow-large" not in err[0]
 
 
 def test_max_ground_does_not_follow_the_chamber_table(monkeypatch, capsys):

@@ -169,6 +169,22 @@ def test_annihilator_basis_n4():
     assert rank(M) == 26
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_annihilator_functionals_are_reducer_coefficients(n):
+    # functional j at X is the coefficient, in X's coset representative,
+    # of the j-th free column of the relation matrix, so functionals can
+    # be drawn one at a time from the reducer
+    g = GroundSet.of_size(n)
+    Q = quotient_space(g)
+    pivots = Q.relation_set.matrix().pivots()
+    free = [X for i, X in enumerate(Q.shards) if i not in pivots]
+    basis = Q.relation_set.annihilator_basis()
+    assert len(free) == len(basis) == Q.dim
+    for X in Q.shards:
+        rep = dict(Q.reduce(X).items())
+        assert [f(X) for f in basis] == [rep.get(Y, ZERO) for Y in free]
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_annihilator_duality_double_enumeration(n):
     # kills every relation <=> every single-cut derivative is semisimple
