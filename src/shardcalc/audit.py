@@ -35,6 +35,7 @@ from .calculus import (
     ShardVector,
     dual_forest_derivative,
     forest_derivative,
+    integer_coefficients,
     random_functional,
 )
 from .exactla import ONE, ZERO, RationalMatrix, rank, rat, rat_str
@@ -692,15 +693,6 @@ def _check_dimension(g):
 
 # --------------------------------------------------- main theorem, delayering
 
-def _integer_coefficients(coefficients):
-    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
-    times scale, the lcm of their denominators.  The scale is positive, so
-    no nonzero value becomes zero and no comparison changes direction."""
-    scale = math.lcm(*(c.denominator for c in coefficients.values()))
-    return {k: c.numerator * (scale // c.denominator)
-            for k, c in coefficients.items() if c}, scale
-
-
 def _functional_index(functionals, P):
     """The functionals on support P with, per shard, the (position, value)
     pairs of the functionals that are nonzero on it, each functional's
@@ -709,7 +701,7 @@ def _functional_index(functionals, P):
     for i, f in enumerate(functionals):
         if f.support is not P:
             raise BoundaryMismatchError("functional over a different support")
-        for X, a in _integer_coefficients(f.values)[0].items():
+        for X, a in integer_coefficients(f.values)[0].items():
             by_shard.setdefault(X, []).append((i, a))
     return functionals, by_shard
 
@@ -719,7 +711,7 @@ def _totals(by_shard, v):
     where scale takes v's coefficients to integers: totals[i] is
     functional i's value on v times scale and times the functional's own
     scale, left out when zero."""
-    coefficients, scale = _integer_coefficients(v.entries)
+    coefficients, scale = integer_coefficients(v.entries)
     totals = {}
     for X, m in coefficients.items():
         for i, a in by_shard.get(X, ()):

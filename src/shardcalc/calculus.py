@@ -7,6 +7,8 @@ and a layered forest derives cut by cut, innermost (last-listed) cut first.
 Functionals on the coarse side pull back along the dual derivative.
 """
 
+import math
+
 from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
 from .exactla import ONE, ZERO, Rational, rat, rat_str
 from .forests import BoundaryMismatchError, antisymmetrize
@@ -177,7 +179,11 @@ class ShardVector:
 
 
 class Functional:
-    """Total rational-valued map on the shards of one support partition."""
+    """Total rational-valued map on the shards of one support partition.
+
+    values maps each interned shard of ctx with a nonzero value to that
+    value, a Rational; a shard that is absent takes zero.
+    """
 
     __slots__ = ("ctx", "values")
 
@@ -194,24 +200,25 @@ class Functional:
                 % (len(basis), ctx.P.format())
             )
         self.ctx = ctx
-        self.values = table
+        self.values = {X: c for X, c in table.items() if c}
 
     @classmethod
-    def _trusted(cls, ctx, table):
-        """Wrap {every interned shard of ctx: Rational}, skipping validation."""
+    def _trusted(cls, ctx, values):
+        """Wrap {interned shard of ctx: Rational}, skipping validation;
+        zeros are dropped and missing shards take zero."""
         out = cls.__new__(cls)
         out.ctx = ctx
-        out.values = table
+        out.values = {X: c for X, c in values.items() if c}
         return out
 
     @classmethod
     def zero(cls, support):
         ctx = support if isinstance(support, SupportContext) else context_for(support)
-        return cls(ctx, {X: ZERO for X in enumerate_shards(ctx.P)})
+        return cls._trusted(ctx, {})
 
     @classmethod
     def indicator(cls, X):
-        return cls(X.ctx, {Y: (ONE if Y is X else ZERO) for Y in enumerate_shards(X.support)})
+        return cls._trusted(X.ctx, {X: ONE})
 
     @classmethod
     def from_callable(cls, support, fn):
@@ -229,18 +236,22 @@ class Functional:
     def __call__(self, X):
         if X.ctx is not self.ctx:
             raise BoundaryMismatchError("shard has a different support")
-        return self.values[X]
+        return self.values.get(X, ZERO)
 
     def evaluate_vector(self, v):
         if v.ctx is not self.ctx:
             raise BoundaryMismatchError("vector over a different support")
+        get = self.values.get
         total = ZERO
         for X, c in v.entries.items():
-            total += c * self.values[X]
+            a = get(X)
+            if a is not None:
+                total += c * a
         return total
 
     def items(self):
-        return [(X, self.values[X]) for X in enumerate_shards(self.ctx.P)]
+        get = self.values.get
+        return [(X, get(X, ZERO)) for X in enumerate_shards(self.ctx.P)]
 
     def __eq__(self, other):
         return (
@@ -260,7 +271,8 @@ class Functional:
         }
 
     def __repr__(self):
-        return "Functional(%s, %d shards)" % (self.ctx.P.format(), len(self.values))
+        return "Functional(%s, %d shards)" % (
+            self.ctx.P.format(), len(enumerate_shards(self.ctx.P)))
 
 
 def random_functional(support, seed, span=9):
@@ -314,15 +326,37 @@ def dual_forest_derivative(F, v):
     return ShardVector._trusted(context_for(F.source), out)
 
 
+def integer_coefficients(coefficients):
+    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
+    times scale, the lcm of their denominators.  The scale is positive, so
+    no nonzero value becomes zero and no comparison changes direction."""
+    scale = math.lcm(*(c.denominator for c in coefficients.values()))
+    return {k: c.numerator * (scale // c.denominator)
+            for k, c in coefficients.items() if c}, scale
+
+
 def forest_derivative(F, f):
-    """The functional on target(F) given by X -> f(dual derivative of X)."""
+    """The functional on target(F) given by X -> f(dual derivative of X).
+
+    f's values are scaled to integers once; each derived shard's value is
+    an integer sum over the dual derivative's (likewise scaled) entries,
+    divided by the two scales in one Rational.
+    """
     if f.support is not F.source:
         raise BoundaryMismatchError(
             "functional support %s is not the forest source %s"
             % (f.support.format(), F.source.format())
         )
     fine = context_for(F.target)
+    weights, f_scale = integer_coefficients(f.values)
+    get = weights.get
     values = {}
     for X in enumerate_shards(fine.P):
-        values[X] = f.evaluate_vector(dual_forest_derivative(F, X))
+        entries, scale = integer_coefficients(dual_forest_derivative(F, X).entries)
+        total = 0
+        for Y, m in entries.items():
+            a = get(Y)
+            if a is not None:
+                total += m * a
+        values[X] = Rational(total, f_scale * scale)
     return Functional._trusted(fine, values)

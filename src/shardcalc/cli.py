@@ -23,7 +23,6 @@ in shardcalc.svg.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -224,9 +223,7 @@ def _cmd_derive(args):
     obj = _load_json_file(args.input)
     support_text = _input_support(obj, args)
     ground = _ground_from_partition_text(support_text)
-    if ground.n > MAX_GROUND:  # derive has no --allow-large to suggest
-        raise ValueError("ground sets above %d labels are refused"
-                         % MAX_GROUND)
+    _ground_guard(ground, args.allow_large)
     P = Partition.parse(ground, support_text)
     F = parse_forest(ground, args.forest)
     if args.dual:
@@ -394,6 +391,8 @@ def build_parser():
     p.add_argument("input", metavar="FILE",
                    help="JSON file (- for stdin): a functional or shard "
                         "vector, or a bare map of shard id to rational")
+    p.add_argument("--allow-large", action="store_true",
+                   help="permit ground sets of up to %d labels" % MAX_GROUND)
     _add_common(p)
     p.set_defaults(func=_cmd_derive)
 
@@ -443,6 +442,8 @@ def build_parser():
 
 
 def _write_replay_bundle(exc, argv):
+    import hashlib  # loads OpenSSL's libcrypto: only this exit-3 path needs it
+
     bundle = {
         "schema": 1,
         "kind": "replay",

@@ -21,6 +21,7 @@ in integers.  arrangement.py poses its LPs in the flat's own coordinates.
 """
 
 from fractions import Fraction as Rational
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from ._backend import kernel
@@ -148,22 +149,40 @@ def kernel_basis(M):
     """Basis of the right kernel, one {column: Rational} dict per free column.
 
     Each basis vector has entry 1 at its free column and 0 at the other
-    free columns; pivot coordinates are solved bottom-up.
+    free columns; pivot coordinates are solved bottom-up.  Only the pivot
+    rows that hold a coordinate already solved can give a nonzero one, so
+    those are queued as coordinates appear and solved largest pivot
+    column first: a row holds only columns above its pivot column.
     """
     pivots = M.pivots()
     n = len(M.columns)
     free = [j for j in range(n) if j not in pivots]
-    piv_desc = sorted(pivots.items(), reverse=True)
+    # column -> negated pivot columns of the other rows holding it, so a
+    # min-heap of them pops the largest pivot column first
+    holders = {}
+    for col, prow in pivots.items():
+        for c in prow:
+            if c != col:
+                holders.setdefault(c, []).append(-col)
     basis = []
     for f in free:
         x = {f: ONE}
-        for col, prow in piv_desc:
+        queue = list(holders.get(f, ()))
+        queued = set(queue)
+        heapify(queue)
+        while queue:
+            col = -heappop(queue)
+            prow = pivots[col]
             s = ZERO
             for c, v in prow.items():
                 if c != col and c in x:
                     s += v * x[c]
             if s:
                 x[col] = -s / prow[col]
+                for q in holders.get(col, ()):
+                    if q not in queued:
+                        queued.add(q)
+                        heappush(queue, q)
         basis.append({M.columns[j]: v for j, v in x.items() if v})
     return basis
 

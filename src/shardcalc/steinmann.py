@@ -98,13 +98,7 @@ class RelationSet:
     def annihilator_basis(self):
         """Functionals over the one-block support killing every relation."""
         ctx = context_for(Partition.one_block(self.ground))
-        shards = enumerate_shards(ctx.P)
-        out = []
-        for vec in kernel_basis(self.matrix()):
-            table = dict.fromkeys(shards, ZERO)
-            table.update(vec)
-            out.append(Functional._trusted(ctx, table))
-        return out
+        return [Functional._trusted(ctx, vec) for vec in kernel_basis(self.matrix())]
 
 
 def steinmann_relations(ground):
@@ -304,7 +298,7 @@ def flat_annihilator_basis(P, T):
     for g in steinmann_relations(sub).annihilator_basis():
         values = {}
         for X in enumerate_shards(flat):
-            values[X] = g.values[sub_ctx.intern(X.signs)]
+            values[X] = g(sub_ctx.intern(X.signs))
         out.append(Functional(flat, values))
     return out
 

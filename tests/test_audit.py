@@ -612,8 +612,7 @@ def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
     # annihilators with mixed denominators: f_j / 2 + f_(j+1) / 3 over the
     # basis, whose values are 0 and +-1
     real = steinmann_relations(G4).annihilator_basis()
-    basis = [Functional(f.support, {X: c / 2 + h.values[X] / 3
-                                    for X, c in f.values.items()})
+    basis = [Functional(f.support, {X: c / 2 + h(X) / 3 for X, c in f.items()})
              for f, h in zip(real, real[1:] + real[:1])]
     monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
         types.SimpleNamespace(annihilator_basis=lambda: basis)))

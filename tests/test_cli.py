@@ -1,5 +1,6 @@
 """Command-line behavior: payload shapes, exit codes, IO plumbing."""
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -375,10 +376,26 @@ def test_invariant_violation_writes_replay_bundle(
     assert "replay bundle" in err
     bundles = list(tmp_path.glob("replay-*.json"))
     assert len(bundles) == 1
-    obj = json.loads(bundles[0].read_text())
+    text = bundles[0].read_text()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    assert bundles[0].name == "replay-%s.json" % digest
+    obj = json.loads(text)
     assert obj["argv"] == ["enumerate", "--n", "3"]
     assert obj["counterexample"] == {"support": "(123)"}
     assert obj["kind"] == "replay"
+
+
+def test_cli_runs_without_loading_openssl():
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB of RSS); only the
+    # exit-3 replay bundle needs it, so a passing run never imports it
+    code = ("import sys, shardcalc\n"
+            "from shardcalc import cli\n"
+            "assert cli.main(['verify', '--n', '3']) == 0\n"
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr.decode()
+    assert r.stdout.decode().splitlines()[-1] == "[]"
 
 
 def test_internal_assertion_writes_replay_bundle(
@@ -482,20 +499,27 @@ def _run_cli(args):
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "7", "--allow-large"],
     ["stein-rank", "--n", "13", "--allow-large"],
-    ["derive", "--forest", "[123456,7]", "-"],
+    ["derive", "--allow-large", "--forest", "[123456,7]", "-"],
+    ["derive", "--forest", "[12345,6]", "-"],
 ])
 def test_oversized_ground_is_refused_even_with_allow_large(argv):
-    # derive reads a seven-label functional from stdin; it has no flag
-    payload = json.dumps({"support": "(1234567)", "values": {}}).encode()
+    # derive reads an all-zero-map functional over the forest's labels
+    # from stdin; six labels without the flag are refused by the size
+    # guard, not later by the value check after the 11,292-shard walk
+    labels = "".join(c for c in argv[-2] if c.isdigit()) if argv[0] == "derive" else ""
+    payload = json.dumps({"support": "(%s)" % labels, "values": {}}).encode()
     r = subprocess.run([sys.executable, "-m", "shardcalc", *argv],
                        input=payload, capture_output=True, timeout=60)
     assert r.returncode == 2
     assert r.stdout == b""
     err = r.stderr.decode().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "above %d labels" % cli.MAX_GROUND in err[0]
-    if argv[0] == "derive":
-        assert "--allow-large" not in err[0]
+    if "--allow-large" in argv:
+        assert "above %d labels are refused, even with --allow-large" \
+            % cli.MAX_GROUND in err[0]
+    else:
+        assert "above %d labels are slow; pass --allow-large" \
+            % cli.LARGE_GROUND in err[0]
 
 
 def test_max_ground_does_not_follow_the_chamber_table(monkeypatch, capsys):

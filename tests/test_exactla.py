@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -86,6 +87,35 @@ def test_kernel_vectors_annihilate_rows():
     for vec in basis:
         for row in rows:
             assert sum(v * vec.get(k, 0) for k, v in row.items()) == 0
+
+
+def _dense_back_substitution(m):
+    # every pivot row, largest pivot column first, for every free column
+    pivots = m.pivots()
+    out = []
+    for f in (j for j in range(len(m.columns)) if j not in pivots):
+        x = {f: Fraction(1)}
+        for col, prow in sorted(pivots.items(), reverse=True):
+            s = sum((v * x[c] for c, v in prow.items() if c != col and c in x),
+                    Fraction(0))
+            if s:
+                x[col] = -s / prow[col]
+        out.append({m.columns[j]: v for j, v in x.items() if v})
+    return out
+
+
+def test_kernel_basis_solves_only_reachable_rows_in_order():
+    # the queued solve gives the dense one's vectors, entry order included
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        rows = [{j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.35}
+                for _ in range(rng.randint(1, 8))]
+        m = M(range(n), rows)
+        basis = kernel_basis(m)
+        assert [list(v.items()) for v in basis] == \
+            [list(v.items()) for v in _dense_back_substitution(m)]
+        assert len(basis) == n - rank(m)
 
 
 def test_strictly_feasible_trivial():

@@ -1,12 +1,14 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Every import in a module is used, and every public module-level function
-or class either belongs to the public API (shardcalc.__all__) or has a
-caller inside the package.  Code that only tests reach does not belong
-in src/.
+Every import in a module is used, every name a module loads is bound in
+it (defined, assigned or imported) or a builtin, and every public
+module-level function or class either belongs to the public API
+(shardcalc.__all__) or has a caller inside the package.  Code that only
+tests reach does not belong in src/.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import shardcalc
@@ -46,6 +48,36 @@ def test_no_unused_imports():
                     if name not in used:
                         unused.append("%s:%d %s" % (path.name, node.lineno, name))
     assert unused == []
+
+
+def _names_bound(tree):
+    """Names bound anywhere in a module, in any scope: the check is not
+    scope-exact, but a name bound nowhere is surely undefined."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return bound
+
+
+def test_no_undefined_names():
+    undefined = []
+    for path in MODULES:
+        tree = _tree(path)
+        known = _names_bound(tree) | set(dir(builtins))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id not in known):
+                undefined.append("%s:%d %s" % (path.name, node.lineno, node.id))
+    assert undefined == []
 
 
 def test_every_public_definition_is_exported_or_called():
