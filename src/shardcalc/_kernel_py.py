@@ -33,12 +33,14 @@ def pivot_step(tab, r, c, det):
 
 
 def sign_eval(masks, nums):
-    """Signs of subset sums: for each bitmask, sign(sum of nums over set bits).
+    """Sign pattern of subset sums: bit i from the top of the result, of
+    len(masks) bits, is set when the sum of nums over the set bits of
+    masks[i] is negative.  Returns None if a sum is zero.
 
     nums are integer numerators over a shared positive denominator, so the
-    denominator never matters.  Returns a list of -1 / 0 / +1.
+    denominator never matters.
     """
-    out = []
+    bits = 0
     for mask in masks:
         s = 0
         m = mask
@@ -46,26 +48,22 @@ def sign_eval(masks, nums):
             low = m & -m
             s += nums[low.bit_length() - 1]
             m ^= low
-        out.append(0 if s == 0 else (1 if s > 0 else -1))
-    return out
+        if s == 0:
+            return None
+        bits = bits << 1 | (s < 0)
+    return bits
 
 
-def quick_check(signs, quads):
+def quick_check(bits, quads):
     """Superadditivity screen for a candidate chamber sign pattern.
 
-    signs: +-1 per canonical key class.  quads: precomputed 8-tuples
-    (ia, oa, ib, ob, iu, ou, iv, ov) encoding pairs of subset masks A, B
-    with their union U and intersection V as (class index, orientation);
-    index -1 with orientation 0 marks a mask whose functional is zero on
-    the flat.  Since lambda_A + lambda_B = lambda_U + lambda_V pointwise,
-    a pattern with lambda_A, lambda_B both positive but lambda_U and
-    lambda_V both nonpositive is infeasible.  Returns False on any
-    violation, True if the pattern survives (it may still be infeasible).
+    bits: the pattern as a bitmask.  quads: (mask, want) pairs, each a
+    set of keys with a sign per key that no point of the flat realizes
+    (see SupportContext.quads).  Returns False when bits agrees with some
+    want on its mask, True if the pattern survives (it may still be
+    infeasible).
     """
-    for ia, oa, ib, ob, iu, ou, iv, ov in quads:
-        if oa * signs[ia] > 0 and ob * signs[ib] > 0:
-            vu = ou * signs[iu] if iu >= 0 else 0
-            vv = ov * signs[iv] if iv >= 0 else 0
-            if vu <= 0 and vv <= 0:
-                return False
+    for mask, want in quads:
+        if bits & mask == want:
+            return False
     return True

@@ -10,6 +10,13 @@ A canonical key is the numerically smaller bitmask of the pair
 of blocks maps to exactly one key with an orientation, and lambda_E on the
 flat equals the orientation times the key's functional.
 
+A sign pattern is one int: key k, of the context's K keys, is negative
+where bit K-1-k is set.  Numeric order is then the order of sign strings
+('+' before '-'), and flipping key k is an xor with SupportContext.bit(k).
+Patterns are built only by bit, SupportContext.encode and, at a point,
+kernel.sign_eval.  The witness points of feasible patterns live in the
+context's memo, keyed by pattern, and nowhere else.
+
 Enumeration walks the chamber graph: flip one key sign at a time, screen
 candidates by the superadditivity test, try cheap exactly-verified probe
 points, and fall back to the exact strict-feasibility LP, posed in the
@@ -63,7 +70,7 @@ class SupportContext:
         self._key_quads = None
         self._normals = None
         self._flat_rows = None
-        self._memo = {}  # sign tuple -> witness coords, or None when the LP says no
+        self._memo = {}  # pattern -> witness coords, or None when the LP says no
         self._interned = {}
         self._enumerated = None
         self._classes = {}  # R -> steinmann_classes(P, R)
@@ -82,48 +89,69 @@ class SupportContext:
             return self.key_index[a], 1
         return self.key_index[b], -1
 
-    def intern(self, signs):
-        shard = self._interned.get(signs)
+    def bit(self, k):
+        """The bit of key k in a sign pattern, set where the key is -."""
+        return 1 << (self.K - 1 - k)
+
+    def encode(self, signs):
+        """The sign pattern of +-1 signs given in key order."""
+        bits = 0
+        for s in signs:
+            bits = bits << 1 | (s < 0)
+        return bits
+
+    def intern(self, bits):
+        shard = self._interned.get(bits)
         if shard is None:
-            shard = Shard(self, signs)
-            self._interned[signs] = shard
+            shard = Shard(self, bits)
+            self._interned[bits] = shard
         return shard
 
     # ---- geometry helpers ----
 
     def quads(self):
-        """Superadditivity screen table; see kernel.quick_check."""
+        """Superadditivity screen table of (mask, want) pairs.
+
+        Subsets A, B with union U and intersection V satisfy lambda_A +
+        lambda_B = lambda_U + lambda_V, so no point has lambda_A, lambda_B
+        positive and lambda_U, lambda_V negative (or zero on the flat).
+        mask holds the keys of A, B and of U, V when nonzero; want holds
+        those keys' bits in that forbidden pattern.  No quad names one key
+        with both signs (none does on any support up to n=7), so or-ing
+        the four bits loses nothing.  See kernel.quick_check.
+        """
         if self._quads is not None:
             return self._quads
         oriented = []
         for k, r in enumerate(self.keys):
-            oriented.append((r, k, 1))
-            oriented.append((self.full ^ r, k, -1))
+            oriented.append((r, self.bit(k), 0))
+            oriented.append((self.full ^ r, self.bit(k), self.bit(k)))
         quads = set()
         for i in range(len(oriented)):
-            ma, ia, oa = oriented[i]
+            ma, ba, na = oriented[i]
             for j in range(i + 1, len(oriented)):
-                mb, ib, ob = oriented[j]
+                mb, bb, nb = oriented[j]
                 inter = ma & mb
                 union = ma | mb
                 if inter == ma or inter == mb:
                     continue  # containment carries no pruning power
                 if inter == 0 and union == self.full:
                     continue  # complementary pair, identity is 0 = 0
-                iu, ou = self.lookup(union) if union != self.full else (-1, 0)
-                iv, ov = self.lookup(inter) if inter != 0 else (-1, 0)
-                quads.add((ia, oa, ib, ob, iu, ou, iv, ov))
+                mask, want = ba | bb, na | nb
+                for m in (union, inter):
+                    k, o = self.lookup(m)
+                    if k >= 0:  # lambda_m <= 0 means key k has sign -o
+                        mask |= self.bit(k)
+                        want |= self.bit(k) if o > 0 else 0
+                quads.add((mask, want))
         self._quads = sorted(quads)
         return self._quads
 
     def key_quads(self):
-        """Per key index, the quads naming that key as A, B, U or V."""
+        """Per key index, the quads whose mask holds that key."""
         if self._key_quads is None:
-            per = [[] for _ in range(self.K)]
-            for q in self.quads():
-                for k in {q[0], q[2], q[4], q[6]} - {-1}:
-                    per[k].append(q)
-            self._key_quads = per
+            self._key_quads = [[q for q in self.quads() if q[0] & self.bit(k)]
+                               for k in range(self.K)]
         return self._key_quads
 
     def normals(self):
@@ -183,21 +211,19 @@ def context_for(P):
 class Shard:
     """A face of the arrangement spanning the flat of its support partition.
 
-    SupportContext.intern builds each shard once per sign tuple, and
+    SupportContext.intern builds each shard once per sign pattern, and
     context_for keeps one context per support, so equality and hashing are
-    by identity.  A shard caches its witness point, its sign string and
-    the arrows memo (see calculus.arrow).
+    by identity.  bits is the sign pattern (see the module docstring); a
+    shard also caches the arrows memo (see calculus.arrow).
     """
 
-    __slots__ = ("ctx", "signs", "witness", "_id", "arrows")
+    __slots__ = ("ctx", "bits", "arrows")
 
-    def __init__(self, ctx, signs):
-        if len(signs) != ctx.K or any(s not in (1, -1) for s in signs):
-            raise ValueError("need one sign of +-1 per canonical key")
+    def __init__(self, ctx, bits):
+        if not 0 <= bits < 1 << ctx.K:
+            raise ValueError("need one sign bit per canonical key")
         self.ctx = ctx
-        self.signs = signs
-        self.witness = None
-        self._id = "".join("+" if s > 0 else "-" for s in signs)
+        self.bits = bits
         self.arrows = None
 
     @property
@@ -213,24 +239,29 @@ class Shard:
         idx, orient = self.ctx.lookup(mask)
         if idx < 0:
             return 0
-        return orient * self.signs[idx]
+        return -orient if self.bits & self.ctx.bit(idx) else orient
 
     def id(self):
         """Sign string over the canonical keys, e.g. '++-+'."""
-        return self._id
+        return _sign_text(self.ctx.K, self.bits)
 
     def to_json_obj(self):
         g = self.ctx.ground
         return {
             "support": self.ctx.P.format(),
-            "signs": {
-                g.mask_labels(r): ("+" if s > 0 else "-")
-                for r, s in zip(self.ctx.keys, self.signs)
-            },
+            "signs": dict(zip(map(g.mask_labels, self.ctx.keys),
+                              _sign_text(self.ctx.K, self.bits))),
         }
 
     def __repr__(self):
         return "Shard(%s, %s)" % (self.ctx.P.format(), self.id() or "<point>")
+
+
+_PLUS_MINUS = str.maketrans("01", "+-")
+
+
+def _sign_text(K, bits):
+    return format(bits | 1 << K, "b")[1:].translate(_PLUS_MINUS)
 
 
 def _coords_to_nums(coords):
@@ -241,11 +272,6 @@ def _coords_to_nums(coords):
         g = gcd(lcm, d)
         lcm = lcm // g * d
     return [int(q.numerator) * (lcm // int(q.denominator)) for q in coords]
-
-
-def _key_signs_at(ctx, coords):
-    """Exact sign of every key functional at a rational point."""
-    return kernel.sign_eval(ctx.keys, _coords_to_nums(coords))
 
 
 def shard_from_signs(P, signs, certify=False):
@@ -260,32 +286,31 @@ def shard_from_signs(P, signs, certify=False):
     if isinstance(signs, str):
         if len(signs) != ctx.K or any(c not in "+-" for c in signs):
             raise ValueError("bad sign string %r" % signs)
-        tup = tuple(1 if c == "+" else -1 for c in signs)
+        bits = ctx.encode(1 if c == "+" else -1 for c in signs)
     else:
-        by_mask = {}
+        by_key = {}
         for k, v in signs.items():
             mask = ctx.ground.parse_block(k) if isinstance(k, str) else int(k)
             idx, orient = ctx.lookup(mask)
             if idx < 0:
                 raise ValueError("subset is a union of blocks, carries no sign")
-            if v not in (1, -1, "+", "-"):
+            if type(v) not in (int, str) or v not in (1, -1, "+", "-"):
                 raise ValueError("sign of key %r must be +1, -1, '+' or '-'" % (k,))
-            by_mask[idx] = orient * (1 if v in (1, "+") else -1)
-        if sorted(by_mask) != list(range(ctx.K)):
+            if idx in by_key:
+                raise ValueError("key %r is named twice" % (k,))
+            by_key[idx] = orient * (1 if v in (1, "+") else -1)
+        if len(by_key) != ctx.K:
             raise ValueError("signs must cover every canonical key exactly once")
-        tup = tuple(by_mask[k] for k in range(ctx.K))
-    if certify and _feasible(ctx, tup) is None:
-        raise ValueError("sign pattern %s is not realizable" % repr(tup))
-    shard = ctx.intern(tup)
-    if certify and shard.witness is None:
-        shard.witness = _feasible(ctx, tup)
-    return shard
+        bits = ctx.encode(by_key[k] for k in range(ctx.K))
+    if certify and _feasible(ctx, bits) is None:
+        raise ValueError("sign pattern %s is not realizable"
+                         % _sign_text(ctx.K, bits))
+    return ctx.intern(bits)
 
 
-def _lp_witness(ctx, signs):
-    """Exact LP: coordinates realizing the given key signs inside the flat."""
-    vec = strictly_feasible(
-        ctx.flat_rows(), ["+" if s > 0 else "-" for s in signs])
+def _lp_witness(ctx, bits):
+    """Exact LP: coordinates realizing a sign pattern inside the flat."""
+    vec = strictly_feasible(ctx.flat_rows(), _sign_text(ctx.K, bits))
     if vec is None:
         return None
     coords = [vec.get(i, ZERO) for i in range(ctx.n)]
@@ -295,7 +320,7 @@ def _lp_witness(ctx, signs):
     return tuple(coords)
 
 
-def _probe_candidates(ctx, signs, hint):
+def _probe_candidates(ctx, hint):
     """Cheap rational points likely to realize a flipped sign pattern."""
     if hint is None:
         return
@@ -312,7 +337,7 @@ def _probe_candidates(ctx, signs, hint):
         )
 
 
-def _feasible(ctx, signs, hint=None):
+def _feasible(ctx, bits, hint=None):
     """Witness coordinates for a sign pattern, or None; exact.
 
     Order: memo, superadditivity screen, probe points (each verified by
@@ -320,20 +345,19 @@ def _feasible(ctx, signs, hint=None):
     hits and LP verdicts are memoized; screen rejects are not, since
     re-screening is cheap and they would outnumber every other entry
     (most sign patterns are empty).  A hint
-    (coords, k) is a feasible chamber, which passes every quad; signs
+    (coords, k) is a feasible chamber, which passes every quad; bits
     flips its key k, so only the quads naming k can reject it.
     """
-    if signs in ctx._memo:
-        return ctx._memo[signs]
+    if bits in ctx._memo:
+        return ctx._memo[bits]
     quads = ctx.quads() if hint is None else ctx.key_quads()[hint[1]]
-    if ctx.K and not kernel.quick_check(list(signs), quads):
+    if ctx.K and not kernel.quick_check(bits, quads):
         return None
-    for coords in _probe_candidates(ctx, signs, hint):
-        if tuple(_key_signs_at(ctx, coords)) == signs:
-            ctx._memo[signs] = coords
+    for coords in _probe_candidates(ctx, hint):
+        if kernel.sign_eval(ctx.keys, _coords_to_nums(coords)) == bits:
+            ctx._memo[bits] = coords
             return coords
-    coords = _lp_witness(ctx, signs)
-    ctx._memo[signs] = coords
+    coords = ctx._memo[bits] = _lp_witness(ctx, bits)
     return coords
 
 
@@ -348,7 +372,7 @@ def _generic_flat_point(ctx):
             b = ctx._block_of[i]
             total = sum(raw[j] for j in iter_bits(b))
             coords.append(Rational(raw[i] * popcount(b) - total, popcount(b)))
-        if all(s != 0 for s in _key_signs_at(ctx, coords)):
+        if kernel.sign_eval(ctx.keys, _coords_to_nums(coords)) is not None:
             return tuple(coords)
         span *= 2
     raise AssertionError("could not sample a generic point of the flat")
@@ -359,38 +383,28 @@ def enumerate_shards(P):
     walking the chamber graph from a generic seed point."""
     ctx = context_for(P)
     if ctx.K == 0:
-        shard = ctx.intern(())
-        if shard.witness is None:
-            shard.witness = (ZERO,) * ctx.n
-        return [shard]
+        ctx._memo.setdefault(0, (ZERO,) * ctx.n)
+        return [ctx.intern(0)]
     if ctx._enumerated is not None:
         return list(ctx._enumerated)
 
     start = _generic_flat_point(ctx)
-    first = tuple(_key_signs_at(ctx, start))
+    first = kernel.sign_eval(ctx.keys, _coords_to_nums(start))
     ctx._memo[first] = start
     frontier = [first]
     seen = {first}
     while frontier:
-        signs = frontier.pop()
-        coords = ctx._memo[signs]
+        bits = frontier.pop()
+        coords = ctx._memo[bits]
         for k in range(ctx.K):
-            cand = signs[:k] + (-signs[k],) + signs[k + 1 :]
+            cand = bits ^ ctx.bit(k)
             if cand in seen:
                 continue
-            w = _feasible(ctx, cand, hint=(coords, k))
-            if w is not None:
+            if _feasible(ctx, cand, hint=(coords, k)) is not None:
                 seen.add(cand)
                 frontier.append(cand)
-    out = []
-    for signs in seen:
-        shard = ctx.intern(signs)
-        if shard.witness is None:
-            shard.witness = ctx._memo[signs]
-        out.append(shard)
-    out.sort(key=Shard.id)
-    ctx._enumerated = tuple(out)
-    return list(out)
+    ctx._enumerated = tuple(map(ctx.intern, sorted(seen)))
+    return list(ctx._enumerated)
 
 
 def project(R, X):
@@ -399,15 +413,15 @@ def project(R, X):
     Block T_j yields the shard over P restricted to T_j (completed with
     singletons elsewhere) whose sign at a subset S is X's sign at S; keys
     of the component reduce into T_j, so this is total.  Per support and
-    R, each component's context and the (key index, orientation) in P of
-    its keys are memoized on P's context.
+    R, each component's context and the (bit, orientation) in P of its
+    keys are memoized on P's context.
     """
     ctx = X.ctx
     components = ctx._components.get(R)
     if components is None:
         components = ctx._components[R] = _components(ctx, R)
-    signs = X.signs
-    return [ctx_j.intern(tuple([o * signs[k] for k, o in table]))
+    bits = X.bits
+    return [ctx_j.intern(ctx_j.encode([-o if bits & b else o for b, o in table]))
             for ctx_j, table in components]
 
 
@@ -425,7 +439,7 @@ def _components(ctx, R):
             k, o = ctx.lookup(r)
             if k < 0:
                 raise AssertionError("component key %s vanished upstream" % r)
-            table.append((k, o))
+            table.append((ctx.bit(k), o))
         out.append((ctx_j, table))
     return out
 
@@ -454,18 +468,18 @@ def steinmann_pairs(P, R):
     """
     ctx = context_for(P)
     movable = [
-        k
+        ctx.bit(k)
         for k, r in enumerate(ctx.keys)
         if not is_r_semisimple(P, R, r)
     ]
-    index = {X.signs: X for X in enumerate_shards(P)}
+    index = {X.bits: X for X in enumerate_shards(P)}
     pairs = []
     for X in index.values():
-        for k in movable:
-            Y = index.get(X.signs[:k] + (-X.signs[k],) + X.signs[k + 1 :])
-            if Y is not None and X.id() < Y.id():
+        for b in movable:
+            Y = index.get(X.bits ^ b)
+            if Y is not None and X.bits < Y.bits:
                 pairs.append((X, Y))
-    pairs.sort(key=lambda p: (p[0].id(), p[1].id()))
+    pairs.sort(key=lambda p: (p[0].bits, p[1].bits))
     return pairs
 
 

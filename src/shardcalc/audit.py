@@ -453,14 +453,14 @@ def _blockwise_kernel_vectors(Q):
     g = Q.ground
     fibers = {}
     for X in enumerate_shards(Q):
-        key = tuple(Y.id() for Y in project(Q, X))
+        key = tuple(Y.bits for Y in project(Q, X))
         fibers.setdefault(key, []).append(X)
     vectors = []
     for members in fibers.values():
         for X in members[1:]:
             vectors.append(ShardVector.basis(X) - ShardVector.basis(members[0]))
     blocks = list(Q.blocks)
-    reps = {key: min(ms, key=lambda s: s.id()) for key, ms in fibers.items()}
+    reps = {key: min(ms, key=lambda s: s.bits) for key, ms in fibers.items()}
     per_block_ids = [sorted({key[j] for key in fibers})
                      for j in range(len(blocks))]
     for j, T in enumerate(blocks):
@@ -473,7 +473,7 @@ def _blockwise_kernel_vectors(Q):
                 entries = {}
                 for Y, c in rho.items():
                     key = list(choice)
-                    key.insert(j, Y.id())
+                    key.insert(j, Y.bits)
                     X = reps[tuple(key)]
                     entries[X] = entries.get(X, ZERO) + c
                 vectors.append(ShardVector(Q, entries))
@@ -528,7 +528,7 @@ def _layering_instances(g, max_cuts):
 # ------------------------------------------------------------- kernel theorem
 
 def _component_key(R, X):
-    return tuple(Y.id() for Y in project(R, X))
+    return tuple(Y.bits for Y in project(R, X))
 
 
 def _nested_pairs(g):
@@ -602,7 +602,7 @@ def _diagram_witness(P, F, shards, factors=None):
         rhs = {(): ONE}
         for Fj, Xj in zip(subforests, project(P, X)):
             dj = dual_forest_derivative(Fj, Xj).items()
-            rhs = {key + (Z.id(),): c * cz
+            rhs = {key + (Z.bits,): c * cz
                    for key, c in rhs.items() for Z, cz in dj}
         rhs = {k: v for k, v in rhs.items() if v != ZERO}
         if lhs != rhs:

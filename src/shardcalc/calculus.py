@@ -67,7 +67,7 @@ def _arrow(X, V):
                     "key %s vanished on the fine support" % Q.ground.mask_labels(rep)
                 )
             out.append(s)
-    return ctx.intern(tuple(out))
+    return ctx.intern(ctx.encode(out))
 
 
 class ShardVector:
@@ -123,7 +123,7 @@ class ShardVector:
         return self.entries.get(X, ZERO)
 
     def items(self):
-        return sorted(self.entries.items(), key=lambda kv: kv[0].id())
+        return sorted(self.entries.items(), key=lambda kv: kv[0].bits)
 
     def is_zero(self):
         return not self.entries

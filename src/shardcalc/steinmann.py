@@ -65,13 +65,14 @@ class RelationSet:
     deduplicated up to overall sign, in cut-then-pair order.
     """
 
-    __slots__ = ("ground", "relations", "provenance", "_matrix")
+    __slots__ = ("ground", "relations", "provenance", "_matrix", "_basis")
 
     def __init__(self, ground, relations, provenance):
         self.ground = ground
         self.relations = tuple(relations)
         self.provenance = tuple(provenance)
         self._matrix = None
+        self._basis = None
 
     def __len__(self):
         return len(self.relations)
@@ -97,8 +98,11 @@ class RelationSet:
 
     def annihilator_basis(self):
         """Functionals over the one-block support killing every relation."""
-        ctx = context_for(Partition.one_block(self.ground))
-        return [Functional._trusted(ctx, vec) for vec in kernel_basis(self.matrix())]
+        if self._basis is None:
+            ctx = context_for(Partition.one_block(self.ground))
+            self._basis = tuple(Functional._trusted(ctx, vec)
+                                for vec in kernel_basis(self.matrix()))
+        return list(self._basis)
 
 
 def steinmann_relations(ground):
@@ -129,7 +133,7 @@ def steinmann_relations(ground):
             if items[0][1] < ZERO:
                 vec = -vec
                 items = vec.items()
-            sig = tuple((X.id(), str(c)) for X, c in items)
+            sig = tuple(items)
             if sig in seen:
                 continue
             seen.add(sig)
@@ -279,8 +283,8 @@ def flat_annihilator_basis(P, T):
     """Annihilator basis over the sub-ground of T, moved to its simple flat.
 
     Spreading sub-ground masks into T is monotone, so the canonical keys
-    of the two supports agree position by position and a sign tuple over
-    one is a sign tuple over the other; the move is certified here.
+    of the two supports agree position by position and a sign pattern over
+    one is a sign pattern over the other; the move is certified here.
     """
     ground = P.ground
     positions = list(iter_bits(T))
@@ -298,7 +302,7 @@ def flat_annihilator_basis(P, T):
     for g in steinmann_relations(sub).annihilator_basis():
         values = {}
         for X in enumerate_shards(flat):
-            values[X] = g(sub_ctx.intern(X.signs))
+            values[X] = g(sub_ctx.intern(X.bits))
         out.append(Functional(flat, values))
     return out
 

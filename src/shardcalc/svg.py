@@ -211,7 +211,8 @@ def _scene3(highlight):
     regions, labels = [], []
     for X in enumerate_shards(one):
         poly = box
-        for s, (a, b) in zip(X.signs, forms):
+        for mask, (a, b) in zip(ctx.keys, forms):
+            s = X.sign_of(mask)
             poly = _clip_halfplane(poly, s * a, s * b)
         if len(poly) < 3:
             raise InvariantViolation("chamber %s clipped away" % X.id())
@@ -423,8 +424,8 @@ def _scene4(highlight):
         regions.append(head)
         # keep the disk's inside or outside of each wall, in key order
         regions += ['<g clip-path="url(#%s%d)">'
-                    % ("in" if s == w else "out", k)
-                    for k, (s, w) in enumerate(zip(X.signs, inside_sign))]
+                    % ("in" if X.sign_of(mask) == w else "out", k)
+                    for k, (mask, w) in enumerate(zip(ctx.keys, inside_sign))]
         regions.append('<rect%s x="-%d" y="-%d" width="%d" height="%d"/>'
                        % (fill, half, half, 2 * half, 2 * half))
         regions += ["</g>"] * (len(inside_sign) + 1)

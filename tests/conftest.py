@@ -7,14 +7,14 @@ from shardcalc.arrangement import _lp_witness, context_for
 
 @pytest.fixture
 def lp_chambers():
-    """The chamber walk's oracle: P's feasible sign tuples, sorted, found by
-    posing the exact LP for each of the 2^K sign patterns on its own."""
+    """The chamber walk's oracle: P's feasible sign patterns as sorted
+    bitmasks, found by posing the exact LP for each of the 2^K patterns on
+    its own."""
     def chambers(P):
         ctx = context_for(P)
         assert ctx.K <= 12, "the LP oracle is limited to 12 keys"
-        patterns = (tuple(-1 if bits >> k & 1 else 1 for k in range(ctx.K))
-                    for bits in range(1 << ctx.K))
-        return sorted(s for s in patterns if _lp_witness(ctx, s) is not None)
+        return [bits for bits in range(1 << ctx.K)
+                if _lp_witness(ctx, bits) is not None]
     return chambers
 
 

@@ -18,7 +18,7 @@ from shardcalc._backend import kernel
 from shardcalc import arrangement
 from shardcalc.arrangement import (
     Shard,
-    _key_signs_at,
+    _coords_to_nums,
     context_for,
     enumerate_shards,
     project,
@@ -70,7 +70,7 @@ def test_enumerate_agrees_with_naive_oracle_all_partitions_n_le_4(
         lp_chambers):
     for n in (2, 3, 4):
         for P in all_partitions(g(n)):
-            bfs = sorted(s.signs for s in enumerate_shards(P))
+            bfs = [X.bits for X in enumerate_shards(P)]
             assert bfs == lp_chambers(P), P.format()
 
 
@@ -82,7 +82,7 @@ def test_enumerate_agrees_with_naive_oracle_n5(lp_chambers):
         if context_for(P).K > 12:
             assert len(P.blocks) == 1
             continue
-        bfs = sorted(s.signs for s in enumerate_shards(P))
+        bfs = [X.bits for X in enumerate_shards(P)]
         assert bfs == lp_chambers(P), P.format()
         checked += 1
     assert checked == 51
@@ -99,17 +99,71 @@ def test_flipped_key_screen_matches_full_screen():
         quads = ctx.quads()
         per_key = ctx.key_quads()
         for k in range(ctx.K):
-            assert per_key[k] == [q for q in quads if k in (q[0], q[2], q[4], q[6])]
+            assert per_key[k] == [q for q in quads if q[0] & ctx.bit(k)]
         for X in enumerate_shards(P):
             for k in range(ctx.K):
-                cand = list(X.signs)
-                cand[k] = -cand[k]
+                cand = X.bits ^ ctx.bit(k)
                 verdict = kernel.quick_check(cand, per_key[k])
                 full = kernel.quick_check(cand, quads)
                 assert verdict == full, (P.format(), X.id(), k)
                 candidates += 1
                 rejected += not verdict
     assert candidates > 31104 and 0 < rejected < candidates
+
+
+def _reference_quads(ctx):
+    # the screen as 8-tuples (ia, oa, ib, ob, iu, ou, iv, ov): keys of A, B,
+    # their union U and intersection V with orientations, -1 and 0 where
+    # the functional is zero on the flat
+    oriented = [(m, k, o) for k, r in enumerate(ctx.keys)
+                for m, o in ((r, 1), (ctx.full ^ r, -1))]
+    quads = []
+    for (ma, ia, oa), (mb, ib, ob) in itertools.combinations(oriented, 2):
+        inter, union = ma & mb, ma | mb
+        if inter in (ma, mb) or (inter == 0 and union == ctx.full):
+            continue
+        quads.append((ia, oa, ib, ob) + ctx.lookup(union) + ctx.lookup(inter))
+    return quads
+
+
+def _reference_screen(signs, quads):
+    # rejects lambda_A, lambda_B > 0 with lambda_U, lambda_V <= 0
+    for ia, oa, ib, ob, iu, ou, iv, ov in quads:
+        if oa * signs[ia] > 0 and ob * signs[ib] > 0:
+            if (iu < 0 or ou * signs[iu] < 0) and (iv < 0 or ov * signs[iv] < 0):
+                return False
+    return True
+
+
+def test_bitmask_screen_matches_reference_screen():
+    supports = [P for n in range(2, 6) for P in all_partitions(g(n))]
+    supports.append(part(g(6), "(123|456)"))
+    rejected = 0
+    for P in supports:
+        ctx = context_for(P)
+        reference = _reference_quads(ctx)
+        for X in enumerate_shards(P):
+            signs = [X.sign_of(r) for r in ctx.keys]
+            for k in range(ctx.K):
+                flipped = signs[:k] + [-signs[k]] + signs[k + 1:]
+                verdict = kernel.quick_check(X.bits ^ ctx.bit(k), ctx.quads())
+                assert verdict == _reference_screen(flipped, reference), (
+                    P.format(), X.id(), k)
+                rejected += not verdict
+    assert rejected > 0
+
+
+def test_bits_order_is_sign_string_order():
+    supports = [P for n in range(1, 6) for P in all_partitions(g(n))]
+    supports.append(part(g(6), "(123|456)"))
+    for P in supports:
+        ctx = context_for(P)
+        shards = enumerate_shards(P)
+        assert [X.bits for X in shards] == sorted({X.bits for X in shards})
+        assert sorted(shards, key=Shard.id) == shards, P.format()
+        for X in shards:
+            assert X.id() == "".join(
+                "+" if X.sign_of(r) > 0 else "-" for r in ctx.keys)
 
 
 def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
@@ -121,7 +175,7 @@ def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
     solve = arrangement.strictly_feasible
 
     def recording(A, signs):
-        pattern = tuple(1 if s == "+" else -1 for s in signs)
+        pattern = int(signs.replace("+", "0").replace("-", "1"), 2)
         lp_calls.append(pattern)
         w = solve(A, signs)
         if w is None:
@@ -134,7 +188,7 @@ def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
     memo = context_for(P)._memo
     assert len(lp_calls) == len(set(lp_calls)) > 0
     assert infeasible and {s for s, w in memo.items() if w is None} == infeasible
-    assert {X.signs for X in shards} == {s for s, w in memo.items() if w is not None}
+    assert {X.bits for X in shards} == {s for s, w in memo.items() if w is not None}
 
 
 def test_enumerate_sorted_and_deterministic():
@@ -146,14 +200,17 @@ def test_enumerate_sorted_and_deterministic():
 
 
 def test_enumerated_witnesses_realize_their_signs():
+    # the context's memo is the one store of witness points
     for P in all_partitions(g(4)):
         ctx = context_for(P)
         for X in enumerate_shards(P):
-            assert X.witness is not None
+            witness = ctx._memo[X.bits]
             for b in P.blocks:
-                assert sum(X.witness[i] for i in iter_bits(b)) == 0
-            assert tuple(_key_signs_at(ctx, X.witness)) == X.signs
-            assert [X.sign_of(r) for r in ctx.keys] == list(X.signs)
+                assert sum(witness[i] for i in iter_bits(b)) == 0
+            nums = _coords_to_nums(witness)
+            assert kernel.sign_eval(ctx.keys, nums) == X.bits
+            assert "".join("+" if X.sign_of(r) > 0 else "-"
+                           for r in ctx.keys) == X.id()
 
 
 def test_complement_and_reduction_sign_consistency():
@@ -174,7 +231,8 @@ def test_shard_from_signs_roundtrip():
     P = one_block(4)
     for X in enumerate_shards(P):
         assert shard_from_signs(P, X.id()) is X  # interned
-        assert shard_from_signs(P, dict(zip(context_for(P).keys, X.signs))) is X
+        keys = context_for(P).keys
+        assert shard_from_signs(P, {r: X.sign_of(r) for r in keys}) is X
         assert shard_from_signs(P, X.to_json_obj()["signs"]) is X
 
 
@@ -193,6 +251,18 @@ def test_shard_from_signs_certify_rejects_empty_pattern():
     assert got.id() == some_bad
 
 
+@pytest.mark.parametrize("signs", [
+    {"1": "+", "2": "+"}, {"1": "+", "2": "-"}, {"1": True}, {"1": 1.0},
+    {"1": "+", 0b001: "+"}], ids=["contradicting", "repeated", "bool",
+                                 "float", "label-and-mask"])
+def test_shard_from_signs_refuses_malformed_maps(signs):
+    # over (12|3) the subsets 1 and 2 name the one key, with opposite signs
+    P = part(g(3), "(12|3)")
+    assert shard_from_signs(P, {"1": 1}) is shard_from_signs(P, {"2": "-"})
+    with pytest.raises(ValueError):
+        shard_from_signs(P, signs)
+
+
 def test_project_identity_for_one_block_r():
     P = part(g(4), "(12|34)")
     R = one_block(4)
@@ -205,7 +275,7 @@ def test_project_zero_dim_components():
     X = enumerate_shards(part(G, "(1|2|3|4)"))[0]
     comps = project(part(G, "(12|34)"), X)
     assert len(comps) == 2
-    assert all(c.signs == () for c in comps)
+    assert all(c.bits == 0 and c.id() == "" for c in comps)
     assert all(c.support == part(G, "(1|2|3|4)") for c in comps)
 
 
@@ -219,7 +289,7 @@ def test_project_restriction_example():
     comps = project(R, X)
     right = comps[1]
     assert right.support == part(G, "(1|2|34)")
-    assert len(right.signs) == 1
+    assert right.ctx.K == 1
     assert right.sign_of(G.parse_block("3")) == 1
 
 
@@ -275,7 +345,7 @@ def test_steinmann_adjacent_witness_meets_two_blocks():
     found = 0
     for cls in steinmann_classes(P, P):
         for X1, X2 in itertools.combinations(cls, 2):
-            diff = [r for r, a, b in zip(keys, X1.signs, X2.signs) if a != b]
+            diff = [r for r in keys if X1.sign_of(r) != X2.sign_of(r)]
             found += len(diff) == 1
             for r in diff:
                 red = reduction_mask(P, r)

@@ -18,6 +18,15 @@ def test_active_backend_is_reported():
         assert callable(getattr(kernel, name)), name
 
 
+def test_sign_eval_packs_signs_and_refuses_zero_sums():
+    # bit i from the top is set where the i-th subset sum is negative
+    nums = [3, -5, 2]
+    assert kernel.sign_eval([0b001, 0b010, 0b011, 0b110], nums) == 0b0111
+    assert kernel.sign_eval([0b001, 0b101], nums) == 0b00
+    assert kernel.sign_eval([0b001, 0b111, 0b010], nums) is None
+    assert kernel.sign_eval([], nums) == 0
+
+
 def test_pivot_rejects_zero_pivot():
     tab = [[0, 1], [2, 3]]
     with pytest.raises(ZeroDivisionError):

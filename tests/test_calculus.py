@@ -66,8 +66,8 @@ def test_arrow_inherits_codim_one_signs():
             Y
             for Y in enumerate_shards(P)
             if all(
-                Y.signs[i] == X.sign_of(rep)
-                for i, rep in enumerate(ctxP.keys)
+                Y.sign_of(rep) == X.sign_of(rep)
+                for rep in ctxP.keys
                 if X.sign_of(rep) != 0
             )
         ]
@@ -321,7 +321,7 @@ def test_functional_totality_and_errors():
         Functional(P, {shards[0]: 1})
     f = Functional.zero(P)
     assert all(c == ZERO for _, c in f.items())
-    g = Functional.from_callable(P, lambda X: rat(1) if X.signs[0] > 0 else ZERO)
+    g = Functional.from_callable(P, lambda X: rat(1) if X.id()[0] == "+" else ZERO)
     assert sum(c for _, c in g.items()) == rat(3)
     with pytest.raises(BoundaryMismatchError):
         f(zero_dim_shard(G3))
@@ -394,7 +394,7 @@ def test_forest_derivative_matches_fractional_evaluation(monkeypatch, fractional
 
 
 def test_shards_of_another_support_are_refused_not_reinterned():
-    # (12|3) and (13|2) have equally many keys, so their sign tuples line
+    # (12|3) and (13|2) have equally many keys, so their sign patterns line
     # up; a shard of one is still not a shard of the other
     P = Partition.parse(G3, "(12|3)")
     Q = Partition.parse(G3, "(13|2)")

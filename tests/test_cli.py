@@ -461,13 +461,21 @@ def test_non_exact_value_is_usage_error(tmp_path, capsys, value):
      {"support": "(1|2)", "signs": 5}),
     (["derive", "--dual", "--forest", "[12,3]"],
      {"support": "(12|3)", "signs": {"1": "x"}}),
+    # over (12|3) the subsets 1 and 2 name the same key
+    (["derive", "--dual", "--forest", "[12,3]"],
+     {"support": "(12|3)", "signs": {"1": "+", "2": "+"}}),
+    (["derive", "--dual", "--forest", "[12,3]"],
+     {"support": "(12|3)", "signs": {"1": True}}),
+    (["derive", "--dual", "--forest", "[12,3]"],
+     {"support": "(12|3)", "signs": {"1": 1.0}}),
     # sign strings of the right length that name no face of the support
     (["derive", "--dual", "--forest", "[12,34]"],
      {"support": "(12|34)", "values": {"++-+": 1}}),
     (["render", "--n", "4", "--vector"],
      {"support": "(1234)", "values": {"++++++-": 5}}),
 ], ids=["support-number", "dual-support-number", "render-support-number",
-        "signs-number", "sign-value", "derive-no-face", "render-no-face"])
+        "signs-number", "sign-value", "sign-key-twice", "sign-bool",
+        "sign-float", "derive-no-face", "render-no-face"])
 def test_malformed_payload_is_usage_error(tmp_path, capsys, argv, payload):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))

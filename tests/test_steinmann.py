@@ -7,6 +7,7 @@ from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat, rowspace_red
 from shardcalc.ground import GroundSet, NotFinerError, Partition
 from shardcalc.forests import Cut, cut_forest, iter_forests, parse_forest
 from shardcalc import arrangement
+from shardcalc import steinmann
 from shardcalc.arrangement import (
     SupportMismatchError,
     context_for,
@@ -125,8 +126,7 @@ def test_relations_equal_the_validated_four_term_vectors_n5():
 def test_relations_pair_differs_on_one_movable_key():
     R = steinmann_relations(G4)
     for V, (X1, X2) in R.provenance:
-        diff = [k for k in range(len(X1.signs)) if X1.signs[k] != X2.signs[k]]
-        assert len(diff) == 1
+        assert bin(X1.bits ^ X2.bits).count("1") == 1
         assert X1.id() < X2.id()
 
 
@@ -167,6 +167,23 @@ def test_annihilator_basis_n4():
     for f in basis:
         M.add_row({X.id(): c for X, c in f.values.items() if c})
     assert rank(M) == 26
+
+
+def test_annihilator_basis_solves_the_kernel_once(monkeypatch):
+    calls = []
+    solve = steinmann.kernel_basis
+
+    def counting(M):
+        calls.append(M)
+        return solve(M)
+
+    monkeypatch.setattr(steinmann, "kernel_basis", counting)
+    R = steinmann_relations(G4)
+    fresh = RelationSet(R.ground, R.relations, R.provenance)
+    first = fresh.annihilator_basis()
+    first.clear()  # the caller's list is its own
+    assert fresh.annihilator_basis() == fresh.annihilator_basis() != []
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -491,9 +508,9 @@ def testflat_annihilator_basis_transport():
     sub_basis = steinmann_relations(sub).annihilator_basis()
     sub_shards = enumerate_shards(Partition.one_block(sub))
     for f, g in zip(fb, sub_basis):
-        table = {X.signs: f(X) for X in enumerate_shards(flat)}
+        table = {X.id(): f(X) for X in enumerate_shards(flat)}
         for Y in sub_shards:
-            assert table[Y.signs] == g(Y)
+            assert table[Y.id()] == g(Y)
 
 
 @given(st.integers(0, 2**32 - 1))
