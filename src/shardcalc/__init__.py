@@ -11,10 +11,7 @@ from .audit import (
     SAMPLE_SEED,
     full_audit,
     replay_counterexample,
-    verify_factorization,
-    verify_kernel_theorem,
-    verify_lie_axioms,
-    verify_module_axioms,
+    run_suite,
     zie_dimension,
 )
 from .calculus import (
@@ -82,11 +79,8 @@ __all__ = [
     "rat_str",
     "render",
     "replay_counterexample",
+    "run_suite",
     "shard_from_signs",
     "steinmann_relations",
-    "verify_factorization",
-    "verify_kernel_theorem",
-    "verify_lie_axioms",
-    "verify_module_axioms",
     "zie_dimension",
 ]

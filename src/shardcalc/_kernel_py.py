@@ -1,7 +1,7 @@
 """Compute kernels, reached as shardcalc._backend.kernel.
 
 Three hot loops live here: the fraction-free integer simplex pivot,
-exact sign evaluation of subset sums at a rational point, and the
+exact sign evaluation of subset sums at an integer point, and the
 superadditivity quick-rejection test used to prune sign patterns before
 they reach the LP.
 """

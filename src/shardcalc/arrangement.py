@@ -15,7 +15,9 @@ where bit K-1-k is set.  Numeric order is then the order of sign strings
 ('+' before '-'), and flipping key k is an xor with SupportContext.bit(k).
 Patterns are built only by bit, SupportContext.encode and, at a point,
 kernel.sign_eval.  The witness points of feasible patterns live in the
-context's memo, keyed by pattern, and nowhere else.
+context's memo, keyed by pattern, and nowhere else.  A pattern does not
+change when its point is multiplied by a positive number, so witness
+points are integer vectors, exact up to a positive scale.
 
 Enumeration walks the chamber graph: flip one key sign at a time, screen
 candidates by the superadditivity test, try cheap exactly-verified probe
@@ -25,10 +27,10 @@ backs each "no" with a checked Farkas certificate.
 """
 
 import random
-from math import gcd
+from math import lcm
 
 from ._backend import kernel
-from .exactla import ZERO, Rational, RationalMatrix, strictly_feasible
+from .exactla import RationalMatrix, integer_coefficients, strictly_feasible
 from .ground import (
     NotFinerError,
     Partition,
@@ -78,6 +80,7 @@ class SupportContext:
         self.relations = None  # steinmann.RelationSet, one-block only
         self.quotient = None  # steinmann.QuotientSpace, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
+        self.block_lcm = lcm(*map(popcount, P.blocks))
 
     def lookup(self, mask):
         """Map a subset mask to (key index, orientation); (-1, 0) if zero."""
@@ -155,7 +158,8 @@ class SupportContext:
         return self._key_quads
 
     def normals(self):
-        """Per key: flat-projected normal vector g and its squared norm."""
+        """Per key: its flat-projected normal times block_lcm, an integer
+        vector g, and the squared norm of g."""
         if self._normals is not None:
             return self._normals
         out = []
@@ -163,11 +167,10 @@ class SupportContext:
             g = []
             for i in range(self.n):
                 b = self._block_of[i]
+                size = popcount(b)
                 inside = popcount(r & b)
-                val = Rational(int(bool(r >> i & 1)) * popcount(b) - inside, popcount(b))
-                g.append(val)
-            gg = sum((q * q for q in g), ZERO)
-            out.append((tuple(g), gg))
+                g.append(((r >> i & 1) * size - inside) * (self.block_lcm // size))
+            out.append((g, sum(q * q for q in g)))
         self._normals = out
         return out
 
@@ -264,16 +267,6 @@ def _sign_text(K, bits):
     return format(bits | 1 << K, "b")[1:].translate(_PLUS_MINUS)
 
 
-def _coords_to_nums(coords):
-    """Common-denominator integer numerators of a rational coordinate tuple."""
-    lcm = 1
-    for q in coords:
-        d = int(q.denominator)
-        g = gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(q.numerator) * (lcm // int(q.denominator)) for q in coords]
-
-
 def shard_from_signs(P, signs, certify=False):
     """Build a shard from sign data without enumeration.
 
@@ -309,32 +302,34 @@ def shard_from_signs(P, signs, certify=False):
 
 
 def _lp_witness(ctx, bits):
-    """Exact LP: coordinates realizing a sign pattern inside the flat."""
+    """Exact LP: an integer point realizing a sign pattern inside the flat."""
     vec = strictly_feasible(ctx.flat_rows(), _sign_text(ctx.K, bits))
     if vec is None:
         return None
-    coords = [vec.get(i, ZERO) for i in range(ctx.n)]
+    free = integer_coefficients(vec)[0]
+    coords = [free.get(i, 0) for i in range(ctx.n)]
     for b in ctx.P.blocks:
-        coords[b.bit_length() - 1] = -sum(
-            (coords[i] for i in iter_bits(b)), ZERO)
-    return tuple(coords)
+        coords[b.bit_length() - 1] = -sum(coords[i] for i in iter_bits(b))
+    return coords
 
 
 def _probe_candidates(ctx, hint):
-    """Cheap rational points likely to realize a flipped sign pattern."""
+    """Cheap integer points likely to realize a flipped sign pattern.
+
+    Moving x along the flipped key's normal g by theta = a/b times the way
+    to its wall gives x - theta * (<x, g> / |g|^2) * g; each candidate is
+    that point times b * |g|^2.
+    """
     if hint is None:
         return
     coords, flipped = hint
     g, gg = ctx.normals()[flipped]
-    lam = sum((coords[i] for i in iter_bits(ctx.keys[flipped])), ZERO)
+    lam = sum(x * y for x, y in zip(coords, g))
     if lam == 0 or gg == 0:
         return
-    step = lam / gg
-    for theta_num, theta_den in ((2, 1), (3, 2), (9, 8), (17, 16)):
-        theta = Rational(theta_num, theta_den)
-        yield tuple(
-            coords[i] - theta * step * g[i] for i in range(ctx.n)
-        )
+    for a, b in ((2, 1), (3, 2), (9, 8), (17, 16)):
+        u, v = b * gg, a * lam
+        yield [u * x - v * y for x, y in zip(coords, g)]
 
 
 def _feasible(ctx, bits, hint=None):
@@ -354,7 +349,7 @@ def _feasible(ctx, bits, hint=None):
     if ctx.K and not kernel.quick_check(bits, quads):
         return None
     for coords in _probe_candidates(ctx, hint):
-        if kernel.sign_eval(ctx.keys, _coords_to_nums(coords)) == bits:
+        if kernel.sign_eval(ctx.keys, coords) == bits:
             ctx._memo[bits] = coords
             return coords
     coords = ctx._memo[bits] = _lp_witness(ctx, bits)
@@ -362,7 +357,8 @@ def _feasible(ctx, bits, hint=None):
 
 
 def _generic_flat_point(ctx):
-    """Fixed-seed rational point of the flat avoiding all key hyperplanes."""
+    """Fixed-seed integer point of the flat avoiding all key hyperplanes:
+    a seeded point projected onto the flat, times block_lcm."""
     rnd = random.Random("%s|%s|0" % (ctx.ground.labels, ctx.P.blocks))
     span = 9
     for _ in range(200):
@@ -370,10 +366,11 @@ def _generic_flat_point(ctx):
         coords = []
         for i in range(ctx.n):
             b = ctx._block_of[i]
+            size = popcount(b)
             total = sum(raw[j] for j in iter_bits(b))
-            coords.append(Rational(raw[i] * popcount(b) - total, popcount(b)))
-        if kernel.sign_eval(ctx.keys, _coords_to_nums(coords)) is not None:
-            return tuple(coords)
+            coords.append((raw[i] * size - total) * (ctx.block_lcm // size))
+        if kernel.sign_eval(ctx.keys, coords) is not None:
+            return coords
         span *= 2
     raise AssertionError("could not sample a generic point of the flat")
 
@@ -383,13 +380,13 @@ def enumerate_shards(P):
     walking the chamber graph from a generic seed point."""
     ctx = context_for(P)
     if ctx.K == 0:
-        ctx._memo.setdefault(0, (ZERO,) * ctx.n)
+        ctx._memo.setdefault(0, [0] * ctx.n)
         return [ctx.intern(0)]
     if ctx._enumerated is not None:
         return list(ctx._enumerated)
 
     start = _generic_flat_point(ctx)
-    first = kernel.sign_eval(ctx.keys, _coords_to_nums(start))
+    first = kernel.sign_eval(ctx.keys, start)
     ctx._memo[first] = start
     frontier = [first]
     seen = {first}

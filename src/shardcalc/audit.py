@@ -35,10 +35,9 @@ from .calculus import (
     ShardVector,
     dual_forest_derivative,
     forest_derivative,
-    integer_coefficients,
     random_functional,
 )
-from .exactla import ONE, ZERO, RationalMatrix, rank, rat, rat_str
+from .exactla import ONE, ZERO, RationalMatrix, integer_coefficients, rank, rat, rat_str
 from .forests import (
     BoundaryMismatchError,
     Cut,
@@ -561,16 +560,13 @@ def _span_witness(P, R):
 
 
 def _surjective_witness(P, R):
-    g = P.ground
-    got = {_component_key(R, X) for X in enumerate_shards(P)}
-    expected = 1
-    for T in R.blocks:
-        blocks = [b for b in P.blocks if b & T]
-        blocks += [1 << i for i in iter_bits(g.full_mask ^ T)]
-        expected *= len(enumerate_shards(Partition(g, blocks)))
+    shards = enumerate_shards(P)
+    got = {_component_key(R, X) for X in shards}
+    expected = math.prod(len(enumerate_shards(Y.support))
+                         for Y in project(R, shards[0]))
     if len(got) != expected:
         return _counterexample(
-            "kernel.surjective", g, fine=P.format(), coarse=R.format(),
+            "kernel.surjective", P.ground, fine=P.format(), coarse=R.format(),
             realized=len(got), expected=expected)
     return None
 
@@ -1080,28 +1076,6 @@ def run_suite(suite, n, seed=SAMPLE_SEED):
                 entries.append(AuditEntry(
                     claim, statement, m, instances, ce is None, ce, *notes))
     return AuditReport(suite, n, entries)
-
-
-def verify_lie_axioms(n, seed=SAMPLE_SEED):
-    """Bracket identities: exhaustive for n <= 4, fixed-seed sampled at 5."""
-    return run_suite("lie", n, seed)
-
-
-def verify_module_axioms(n):
-    """Unit, action, and coset laws of dual derivation, exhaustive n <= 4."""
-    return run_suite("module", n)
-
-
-def verify_kernel_theorem(n):
-    """Projection kernels across every nested support pair: the spanning
-    claim at sizes 2..5, the tuple surjectivity sweep capped at four."""
-    return run_suite("kernel", n)
-
-
-def verify_factorization(n, seed=SAMPLE_SEED):
-    """Blockwise product structure: the commuting square exhaustively up
-    to size four, the dimension count up to five (sampled at five)."""
-    return run_suite("factorization", n, seed)
 
 
 def full_audit(n, seed=SAMPLE_SEED):

@@ -7,10 +7,8 @@ and a layered forest derives cut by cut, innermost (last-listed) cut first.
 Functionals on the coarse side pull back along the dual derivative.
 """
 
-import math
-
 from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
-from .exactla import ONE, ZERO, Rational, rat, rat_str
+from .exactla import ONE, ZERO, Rational, integer_coefficients, rat, rat_str
 from .forests import BoundaryMismatchError, antisymmetrize
 from .ground import GroundMismatchError, Partition
 
@@ -324,15 +322,6 @@ def dual_forest_derivative(F, v):
             "cut-by-cut and antisymmetrized evaluations disagree for %r" % (F,)
         )
     return ShardVector._trusted(context_for(F.source), out)
-
-
-def integer_coefficients(coefficients):
-    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
-    times scale, the lcm of their denominators.  The scale is positive, so
-    no nonzero value becomes zero and no comparison changes direction."""
-    scale = math.lcm(*(c.denominator for c in coefficients.values()))
-    return {k: c.numerator * (scale // c.denominator)
-            for k, c in coefficients.items() if c}, scale
 
 
 def forest_derivative(F, f):

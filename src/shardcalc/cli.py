@@ -256,7 +256,7 @@ def _stein_rank_payload(ground):
     shards = len(enumerate_shards(one))
     rank = steinmann_relations(ground).rank()
     qdim = quotient_dim(ground)
-    oracle = zie_dimension(ground.n) if ground.n <= 12 else None
+    oracle = zie_dimension(ground.n)
     return {
         "schema": 1,
         "ground": list(ground.labels),
@@ -264,7 +264,7 @@ def _stein_rank_payload(ground):
         "relation_rank": rank,
         "quotient_dim": qdim,
         "oracle_dim": oracle,
-        "agree": (qdim == oracle) if oracle is not None else None,
+        "agree": qdim == oracle,
     }
 
 
@@ -279,11 +279,9 @@ def _cmd_stein_rank(args):
         lines = ["ground: %s" % ",".join(ground.labels)]
         for key in ("shards", "relation_rank", "quotient_dim", "oracle_dim"):
             lines.append("%s: %s" % (key.replace("_", " "), payload[key]))
-        agree = payload["agree"]
-        lines.append("agree: %s"
-                     % ("n/a" if agree is None else ("yes" if agree else "NO")))
+        lines.append("agree: %s" % ("yes" if payload["agree"] else "NO"))
         _emit("\n".join(lines) + "\n", args)
-    return 0 if payload["agree"] in (True, None) else 1
+    return 0 if payload["agree"] else 1
 
 
 def _cmd_verify(args):

@@ -9,6 +9,11 @@ rank and kernel_basis use fraction-free integer elimination with content
 reduction; the columns at play downstream are shards, so rows are mostly
 small incidence data.
 
+integer_coefficients is the package's one rule for clearing denominators:
+it multiplies a rational map by the lcm of its denominators.  The scale
+is positive, so signs survive it; this is how arrangement.py keeps its
+witness points as integer vectors, exact up to a positive scale.
+
 strictly_feasible answers "is there a point where these linear forms take
 these signs" by an exact simplex with Bland's rule: maximize a slack t
 with all strict rows relaxed by t and every variable boxed, feasible iff
@@ -22,7 +27,7 @@ in integers.  arrangement.py poses its LPs in the flat's own coordinates.
 
 from fractions import Fraction as Rational
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from ._backend import kernel
 
@@ -88,14 +93,18 @@ def _content_reduce(row):
     return row
 
 
+def integer_coefficients(coefficients):
+    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
+    times scale, the lcm of their denominators.  The scale is positive, so
+    no nonzero value becomes zero and no comparison changes direction."""
+    scale = lcm(*(c.denominator for c in coefficients.values()))
+    return {k: c.numerator * (scale // c.denominator)
+            for k, c in coefficients.items() if c}, scale
+
+
 def _int_row(row):
     """Clear denominators and content of one row: a positive rescaling."""
-    lcm = 1
-    for v in row.values():
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    return _content_reduce(
-        {c: v.numerator * (lcm // v.denominator) for c, v in row.items()})
+    return _content_reduce(integer_coefficients(row)[0])
 
 
 def _eliminate(row, pivots):

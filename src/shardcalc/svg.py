@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 from .arrangement import context_for, enumerate_shards
 from .calculus import InvariantViolation, ShardVector, dual_forest_derivative
-from .exactla import ONE, ZERO, rat, rat_str
+from .exactla import ONE, ZERO, integer_coefficients, rat, rat_str
 from .forests import parse_forest
 from .ground import GroundSet, Partition
 
@@ -126,15 +126,10 @@ def _cross(a, b):
 
 
 def _primitive(vec):
-    """Scale a rational vector to coprime integers, keeping direction."""
-    den = 1
-    for x in vec:
-        den = den * int(rat(x).denominator)
-    ints = [int(rat(x) * den) for x in vec]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [t // g for t in ints]
-    return tuple(ints)
+    """Scale a nonzero rational vector to coprime integers, keeping direction."""
+    ints = integer_coefficients(dict(enumerate(vec)))[0]
+    g = gcd(*ints.values())
+    return tuple(ints.get(i, 0) // g for i in range(len(vec)))
 
 
 # ---------------------------------------------------------- n=3 scene

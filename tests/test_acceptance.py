@@ -16,10 +16,7 @@ from shardcalc.audit import (
     CHAMBER_COUNTS,
     SAMPLE_SEED,
     full_audit,
-    verify_factorization,
-    verify_kernel_theorem,
-    verify_lie_axioms,
-    verify_module_axioms,
+    run_suite,
     zie_dimension,
 )
 from shardcalc.calculus import (
@@ -120,16 +117,16 @@ def test_criterion_02_quotient_dimensions():
               " at n=5")
 def test_criterion_03_lie_axioms():
     for n in (2, 3, 4):
-        report = verify_lie_axioms(n)
+        report = run_suite("lie", n)
         assert report.passed, n
         for e in report.entries:
             assert e.notes is None or "seed" not in (e.notes or {}), (
                 "size %d must be exhaustive" % n)
-    report = verify_lie_axioms(5, seed=SAMPLE_SEED)
+    report = run_suite("lie", 5, seed=SAMPLE_SEED)
     assert report.passed
     total = sum(e.instances for e in report.entries)
     assert total == 1000
-    again = verify_lie_axioms(5, seed=SAMPLE_SEED)
+    again = run_suite("lie", 5, seed=SAMPLE_SEED)
     assert [e.instances for e in again.entries] == \
         [e.instances for e in report.entries]
 
@@ -138,7 +135,7 @@ def test_criterion_03_lie_axioms():
               " projection, all (P,R) to n=5")
 def test_criterion_04_kernel_theorem():
     for n in (2, 3, 4, 5):
-        report = verify_kernel_theorem(n)
+        report = run_suite("kernel", n)
         assert report.passed, n
         entry = _audit_entries(report)[("kernel.span", n)]
         assert entry.passed and entry.instances > 0
@@ -148,7 +145,7 @@ def test_criterion_04_kernel_theorem():
               " all (P,R) to n=4")
 def test_criterion_05_projection_surjectivity():
     for n in (2, 3, 4):
-        report = verify_kernel_theorem(n)
+        report = run_suite("kernel", n)
         entry = _audit_entries(report)[("kernel.surjective", n)]
         assert entry.passed, n
         assert entry.counterexample is None
@@ -158,11 +155,11 @@ def test_criterion_05_projection_surjectivity():
               " cuts, every P, to n=4")
 def test_criterion_06_factorization_diagram():
     for n in (2, 3, 4):
-        report = verify_factorization(n)
+        report = run_suite("factorization", n)
         assert report.passed, n
         entry = _audit_entries(report)[("factorization.diagram", min(n, 4))]
         assert entry.passed
-    entry = _audit_entries(verify_factorization(4))[
+    entry = _audit_entries(run_suite("factorization", 4))[
         ("factorization.diagram", 4)]
     assert entry.instances >= 268
 
@@ -224,7 +221,7 @@ def test_criterion_08_layering_sensitivity():
 @criterion(9, "module axioms: unit and composition action hold to n=4")
 def test_criterion_09_module_axioms():
     for n in (2, 3, 4):
-        report = verify_module_axioms(n)
+        report = run_suite("module", n)
         assert report.passed, n
         entries = _audit_entries(report)
         assert entries[("module.unit", n)].passed

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from shardcalc._backend import kernel
 from shardcalc import arrangement
 from shardcalc.arrangement import (
     Shard,
-    _coords_to_nums,
     context_for,
     enumerate_shards,
     project,
@@ -205,12 +206,76 @@ def test_enumerated_witnesses_realize_their_signs():
         ctx = context_for(P)
         for X in enumerate_shards(P):
             witness = ctx._memo[X.bits]
+            assert all(type(x) is int for x in witness)
             for b in P.blocks:
                 assert sum(witness[i] for i in iter_bits(b)) == 0
-            nums = _coords_to_nums(witness)
-            assert kernel.sign_eval(ctx.keys, nums) == X.bits
+            assert kernel.sign_eval(ctx.keys, witness) == X.bits
             assert "".join("+" if X.sign_of(r) > 0 else "-"
                            for r in ctx.keys) == X.id()
+
+
+def _is_positive_multiple(v, ref):
+    t = next(Fraction(x) / q for x, q in zip(v, ref) if q)
+    return t > 0 and all(x == t * q for x, q in zip(v, ref))
+
+
+def _rational_start(ctx):
+    # the seeded point projected onto the flat, in rationals
+    rnd = random.Random("%s|%s|0" % (ctx.ground.labels, ctx.P.blocks))
+    span = 9
+    while True:
+        raw = [rnd.randint(-span, span) for _ in range(ctx.n)]
+        x = []
+        for i in range(ctx.n):
+            b = ctx.P.block_of(i)
+            total = sum(raw[j] for j in iter_bits(b))
+            x.append(Fraction(raw[i] * popcount(b) - total, popcount(b)))
+        if all(sum(x[i] for i in iter_bits(r)) for r in ctx.keys):
+            return x
+        span *= 2
+
+
+def _rational_normal(ctx, r):
+    # the indicator of key r projected onto the flat
+    return [Fraction((r >> i & 1) * popcount(ctx.P.block_of(i))
+                     - popcount(r & ctx.P.block_of(i)),
+                     popcount(ctx.P.block_of(i))) for i in range(ctx.n)]
+
+
+def test_integer_walk_points_are_positive_multiples_of_rational_ones(monkeypatch):
+    # every point the walk handles is an integer vector; on a support with
+    # two non-singleton blocks of unequal size, as (12|345), a point not
+    # scaled by block_lcm / |b| per block points elsewhere
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    probes = []
+    probe = arrangement._probe_candidates
+
+    def recording(ctx, hint):
+        for j, cand in enumerate(probe(ctx, hint)):
+            probes.append((ctx, hint, j, cand))
+            yield cand
+
+    monkeypatch.setattr(arrangement, "_probe_candidates", recording)
+    supports = [P for n in range(2, 6) for P in all_partitions(g(n))]
+    for P in supports + [part(g(6), "(123|456)")]:
+        ctx = context_for(P)
+        enumerate_shards(P)
+        if not ctx.K:
+            continue
+        start = arrangement._generic_flat_point(ctx)
+        assert all(type(x) is int for x in start)
+        assert _is_positive_multiple(start, _rational_start(ctx))
+        for r, (gk, gg) in zip(ctx.keys, ctx.normals()):
+            assert all(type(x) is int for x in gk) and gg == sum(x * x for x in gk)
+            assert _is_positive_multiple(gk, _rational_normal(ctx, r))
+    thetas = (Fraction(2), Fraction(3, 2), Fraction(9, 8), Fraction(17, 16))
+    for ctx, (x, k), j, cand in probes:
+        ref = _rational_normal(ctx, ctx.keys[k])
+        step = sum(x[i] for i in iter_bits(ctx.keys[k])) / sum(q * q for q in ref)
+        assert all(type(c) is int for c in cand)
+        assert _is_positive_multiple(
+            cand, [x[i] - thetas[j] * step * ref[i] for i in range(ctx.n)])
+    assert len(probes) > 1000
 
 
 def test_complement_and_reduction_sign_consistency():

@@ -18,10 +18,7 @@ from shardcalc.audit import (
     _vector_ref,
     full_audit,
     replay_counterexample,
-    verify_factorization,
-    verify_kernel_theorem,
-    verify_lie_axioms,
-    verify_module_axioms,
+    run_suite,
     zie_dimension,
     zie_series,
 )
@@ -113,21 +110,21 @@ def test_egf_series_rejects_non_dimensions():
 
 def test_lie_axioms_counts_small():
     # n=2: the single bipartition of (1|2), one tree each side
-    r = verify_lie_axioms(2)
+    r = run_suite("lie", 2)
     assert r.passed
     assert r.entry("lie.antisymmetry").instances == 1
     assert r.entry("lie.jacobi").instances == 0
     # n=3: 6 bipartitions of the blocks of (1|2|3), doubletons carry two
     # trees, so 3*1 + 3*2 over singletons plus one pair for each of the
     # three two-block partitions
-    r = verify_lie_axioms(3)
+    r = run_suite("lie", 3)
     assert r.passed
     assert r.entry("lie.antisymmetry").instances == 12
     assert r.entry("lie.jacobi").instances == 1
 
 
 def test_lie_axioms_exhaustive_n4():
-    r = verify_lie_axioms(4)
+    r = run_suite("lie", 4)
     assert r.passed
     assert r.entry("lie.antisymmetry").instances > 100
     assert r.entry("lie.jacobi").instances > 10
@@ -135,22 +132,22 @@ def test_lie_axioms_exhaustive_n4():
 
 def test_lie_axioms_bounds():
     with pytest.raises(ValueError):
-        verify_lie_axioms(1)
+        run_suite("lie", 1)
     with pytest.raises(ValueError):
-        verify_lie_axioms(6)
+        run_suite("lie", 6)
 
 
 def test_module_axioms_small():
-    r = verify_module_axioms(3)
+    r = run_suite("module", 3)
     assert r.passed
     assert r.entry("module.unit").instances == 13
     assert r.entry("module.action").instances == 49
     with pytest.raises(ValueError):
-        verify_module_axioms(5)
+        run_suite("module", 5)
 
 
 def test_module_axioms_n4():
-    r = verify_module_axioms(4)
+    r = run_suite("module", 4)
     assert r.passed
     # the relation span itself must ride through the identity tree
     assert r.entry("module.coset_kernel").instances >= len(
@@ -162,7 +159,7 @@ def test_kernel_theorem_pair_counts():
     # pairs (P, R) with P finer than R number sum over R of the product
     # of Bell numbers of the block sizes
     for n, want in ((2, 3), (3, 12), (4, 60)):
-        r = verify_kernel_theorem(n)
+        r = run_suite("kernel", n)
         assert r.passed
         assert r.entry("kernel.span").instances == want
         assert r.entry("kernel.surjective").instances == want
@@ -170,10 +167,10 @@ def test_kernel_theorem_pair_counts():
 
 
 def test_factorization_suite():
-    r = verify_factorization(3)
+    r = run_suite("factorization", 3)
     assert r.passed
     assert r.entry("factorization.dimension").instances == bell(3)
-    r = verify_factorization(4)
+    r = run_suite("factorization", 4)
     assert r.passed
     assert r.entry("factorization.dimension").instances == bell(4)
 

@@ -12,6 +12,8 @@ from shardcalc.exactla import (
     ONE,
     Rational,
     RationalMatrix,
+    ZERO,
+    integer_coefficients,
     kernel_basis,
     rank,
     rat,
@@ -116,6 +118,18 @@ def test_kernel_basis_solves_only_reachable_rows_in_order():
         assert [list(v.items()) for v in basis] == \
             [list(v.items()) for v in _dense_back_substitution(m)]
         assert len(basis) == n - rank(m)
+
+
+def test_integer_coefficients_clears_denominators_by_their_lcm():
+    assert integer_coefficients({}) == ({}, 1)
+    values = {"a": Rational(1, 4), "b": Rational(-5, 6), "c": ZERO, "d": 3}
+    ints, scale = integer_coefficients(values)
+    # lcm(4, 6) = 12, where the product of the denominators would be 24
+    assert scale == 12
+    assert ints == {"a": 3, "b": -10, "d": 36}
+    assert all(type(v) is int for v in ints.values())
+    assert {k: Rational(v, scale) for k, v in ints.items()} == {
+        k: v for k, v in values.items() if v}
 
 
 def test_strictly_feasible_trivial():
