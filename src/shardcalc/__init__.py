@@ -19,6 +19,7 @@ from .calculus import (
     InvariantViolation,
     ShardVector,
     dual_forest_derivative,
+    dual_rows,
     forest_derivative,
     random_functional,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "compose",
     "cut_forest",
     "dual_forest_derivative",
+    "dual_rows",
     "enumerate_shards",
     "factorize",
     "forest_derivative",

@@ -34,6 +34,7 @@ from .calculus import (
     InvariantViolation,
     ShardVector,
     dual_forest_derivative,
+    dual_rows,
     forest_derivative,
     random_functional,
 )
@@ -290,14 +291,18 @@ def _nonempty_submasks(mask):
 _BRACKET_PARTS = {"lie.antisymmetry": 2, "lie.jacobi": 3}
 
 
+def _units(shards):
+    return [{X: 1} for X in shards]
+
+
 def _cancellation_witness(claim, forests, shards):
     """The dual derivatives of `forests` must sum to zero on each shard."""
-    for X in shards:
-        total = None
-        for F in forests:
-            d = dual_forest_derivative(F, X)
-            total = d if total is None else total + d
-        if not total.is_zero():
+    totals = [collections.Counter() for _ in shards]
+    for F in forests:
+        for total, row in zip(totals, dual_rows(F, _units(shards))):
+            total.update(row)
+    for X, total in zip(shards, totals):
+        if any(total.values()):
             return _counterexample(
                 claim, X.ground,
                 forests=[format_forest(F) for F in forests],
@@ -418,12 +423,10 @@ def _unit_instances(g):
 def _composite_witness(claim, outer, inner, shards):
     """Deriving along compose(outer, inner) must equal deriving along
     inner, then along outer, on each shard of the inner target."""
-    C = compose(outer, inner)
-    for X in shards:
-        direct = dual_forest_derivative(C, X)
-        staged = dual_forest_derivative(
-            outer, dual_forest_derivative(inner, X))
-        if direct != staged:
+    direct = dual_rows(compose(outer, inner), _units(shards))
+    staged = dual_rows(outer, dual_rows(inner, _units(shards)))
+    for X, d, s in zip(shards, direct, staged):
+        if d != s:
             return _counterexample(
                 claim, X.ground,
                 forests=[format_forest(outer), format_forest(inner)],
@@ -589,18 +592,16 @@ def _diagram_witness(P, F, shards, factors=None):
     deriving the product of `factors` (one functional per block) must
     give the product of the blockwise derivatives."""
     subforests = _block_subforests(P, F)
-    for X in shards:
-        lhs = {}
-        for Y, c in dual_forest_derivative(F, X):
-            key = _component_key(P, Y)
-            lhs[key] = lhs.get(key, ZERO) + c
-        lhs = {k: v for k, v in lhs.items() if v != ZERO}
-        rhs = {(): ONE}
+    for X, row in zip(shards, dual_rows(F, _units(shards))):
+        lhs = collections.Counter()
+        for Y, c in row.items():
+            lhs[_component_key(P, Y)] += c
+        lhs = {k: v for k, v in lhs.items() if v}
+        rhs = {(): 1}  # products of nonzero rows: no entry cancels
         for Fj, Xj in zip(subforests, project(P, X)):
-            dj = dual_forest_derivative(Fj, Xj).items()
+            (dj,) = dual_rows(Fj, [{Xj: 1}])
             rhs = {key + (Z.bits,): c * cz
-                   for key, c in rhs.items() for Z, cz in dj}
-        rhs = {k: v for k, v in rhs.items() if v != ZERO}
+                   for key, c in rhs.items() for Z, cz in dj.items()}
         if lhs != rhs:
             return _counterexample(
                 "factorization.diagram", P.ground, support=P.format(),
@@ -652,14 +653,14 @@ def _solvable_dim(P):
         for X in cls[1:]:
             M.add_row({X: ONE, X0: -ONE})
     for F in _single_cut_forests(P):
-        duals = {X: dual_forest_derivative(F, X)
-                 for X in enumerate_shards(F.target)}
+        fine = enumerate_shards(F.target)
+        duals = dict(zip(fine, dual_rows(F, _units(fine))))
         for cls in steinmann_classes(F.target, F.target):
             X0 = cls[0]
             for X in cls[1:]:
-                row = (duals[X] - duals[X0]).entries
-                if row:
-                    M.add_row(row)
+                row = collections.Counter(duals[X])
+                row.subtract(duals[X0])
+                M.add_row(row)
     return len(shards) - rank(M)
 
 
@@ -702,12 +703,12 @@ def _functional_index(functionals, P):
     return functionals, by_shard
 
 
-def _totals(by_shard, v):
-    """The indexed functionals on shard vector v, as (totals, scale),
-    where scale takes v's coefficients to integers: totals[i] is
-    functional i's value on v times scale and times the functional's own
-    scale, left out when zero."""
-    coefficients, scale = integer_coefficients(v.entries)
+def _totals(by_shard, row):
+    """The indexed functionals on a dual_rows row, as (totals, scale),
+    where scale takes the row's coefficients to integers: totals[i] is
+    functional i's value on the row times scale and times the
+    functional's own scale, left out when zero."""
+    coefficients, scale = integer_coefficients(row)
     totals = {}
     for X, m in coefficients.items():
         for i, a in by_shard.get(X, ()):
@@ -740,7 +741,7 @@ def _annihilator_witness(F, index, shards, classes):
     derived, so the sweep (all shards of F.target) also runs the
     derivative's own cross-check on shards in singleton classes."""
     functionals, by_shard = index
-    duals = {X: dual_forest_derivative(F, X) for X in shards}
+    duals = dict(zip(shards, dual_rows(F, _units(shards))))
     pairs = [(cls[0], X) for cls in classes for X in cls[1:]]
     totals = {X: _totals(by_shard, duals[X])
               for cls in classes for X in cls}
@@ -796,11 +797,10 @@ def _delayering_witness(index, shards, F0, *others):
     the first layering F0 and each other layering of each shard.  F0 is
     derived once for the whole group."""
     functionals, by_shard = index
-    totals0 = [_totals(by_shard, dual_forest_derivative(F0, X))
-               for X in shards]
+    totals0 = [_totals(by_shard, row) for row in dual_rows(F0, _units(shards))]
     for Fi in others:
-        totalsi = [_totals(by_shard, dual_forest_derivative(Fi, X))
-                   for X in shards]
+        totalsi = [_totals(by_shard, row)
+                   for row in dual_rows(Fi, _units(shards))]
         fail = _first_failure(zip(totals0, totalsi))
         if fail is not None:
             i, pos = fail

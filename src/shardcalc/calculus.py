@@ -4,7 +4,11 @@ A cut V splitting a block of P into C and D sends a shard X with support Q
 (the fine side) to the shard X^V with support P lying on the positive side
 of the new wall; the dual derivative of a cut is the difference X^V - X^Vbar,
 and a layered forest derives cut by cut, innermost (last-listed) cut first.
-Functionals on the coarse side pull back along the dual derivative.
+Every coefficient of a shard's dual derivative is an integer: dual_rows
+derives any number of coefficient maps along one forest over plain ints,
+checking each against the antisymmetrized sum of arrow chains, and
+dual_forest_derivative is its one-row form on ShardVectors.  Functionals
+on the coarse side pull back along the dual derivative.
 """
 
 from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
@@ -284,68 +288,93 @@ def random_functional(support, seed, span=9):
     )
 
 
-def _dual_cut(entries, V):
+def _dual_cut(entries, V, W):
+    # X -> X^V - X^W for the cut V and its reversal W
     out = {}
-    rev = V.reversed()
     for X, c in entries.items():
-        for Y, s in ((arrow(X, V), c), (arrow(X, rev), -c)):
-            out[Y] = out.get(Y, 0) + s
+        Y = arrow(X, V)
+        out[Y] = out.get(Y, 0) + c
+        Y = arrow(X, W)
+        out[Y] = out.get(Y, 0) - c
     return {Y: c for Y, c in out.items() if c}
 
 
-def dual_forest_derivative(F, v):
-    """Push a shard vector from target(F) up to source(F).
+def dual_rows(F, vectors):
+    """Push maps {shard of target(F): coefficient} up to source(F).
 
-    Evaluates twice: cut by cut (innermost first), and as the signed sum of
-    arrow chains over every left/right switch of F.  The two totals must
-    match; disagreement raises InvariantViolation.
+    Returns one {shard of source(F): coefficient} map per input, nonzero
+    entries only; integer inputs give integer coefficients.  Each row is
+    evaluated twice: cut by cut (innermost first), and as the signed sum
+    of arrow chains over the switches of F, antisymmetrized once for the
+    whole call.  The two must match; disagreement raises
+    InvariantViolation.
     """
-    entries = {v: 1} if isinstance(v, Shard) else v.entries
+    fine = context_for(F.target)
+    cuts = [(V, V.reversed()) for V in reversed(F.cuts)]
+    chains = [(sign, G.cuts[::-1]) for sign, G in antisymmetrize(F)]
+    rows = []
+    for v in vectors:
+        entries = {}
+        for X, c in v.items():
+            if X.ctx is not fine:
+                raise BoundaryMismatchError(
+                    "shard %s is not over the forest target %s"
+                    % (X.id(), F.target.format()))
+            if c:
+                entries[X] = c
+        out = entries
+        for V, W in cuts:
+            out = _dual_cut(out, V, W)
+        acc = {}
+        for sign, chain in chains:
+            for X, c in entries.items():
+                for V in chain:
+                    X = arrow(X, V)
+                acc[X] = acc.get(X, 0) + (c if sign > 0 else -c)
+        if out != {Y: c for Y, c in acc.items() if c}:
+            raise InvariantViolation(
+                "cut-by-cut and antisymmetrized evaluations disagree for %r" % (F,)
+            )
+        rows.append(out)
+    return rows
+
+
+def dual_forest_derivative(F, v):
+    """Push a shard or shard vector from target(F) up to source(F): the
+    one-row dual_rows, with its cross-check, as a ShardVector."""
     if v.support is not F.target:
         raise BoundaryMismatchError(
             "vector support %s is not the forest target %s"
             % (v.support.format(), F.target.format())
         )
-    out = entries
-    for V in reversed(F.cuts):
-        out = _dual_cut(out, V)
-
-    acc = {}
-    for sign, G in antisymmetrize(F):
-        chain = G.cuts[::-1]
-        for X, c in entries.items():
-            for V in chain:
-                X = arrow(X, V)
-            acc[X] = acc.get(X, 0) + (c if sign > 0 else -c)
-    if out != {Y: c for Y, c in acc.items() if c}:
-        raise InvariantViolation(
-            "cut-by-cut and antisymmetrized evaluations disagree for %r" % (F,)
-        )
-    return ShardVector._trusted(context_for(F.source), out)
+    entries = {v: 1} if isinstance(v, Shard) else v.entries
+    return ShardVector._trusted(context_for(F.source), dual_rows(F, [entries])[0])
 
 
 def forest_derivative(F, f):
     """The functional on target(F) given by X -> f(dual derivative of X).
 
-    f's values are scaled to integers once; each derived shard's value is
-    an integer sum over the dual derivative's (likewise scaled) entries,
-    divided by the two scales in one Rational.
+    All shards of target(F) are derived in one dual_rows call, and a
+    shard's row has integer coefficients.  f's values are scaled to
+    integers once, so each derived shard's value is an integer sum over
+    its row divided by f's scale, in one Rational.  Rows still pass
+    through integer_coefficients, so a rational row is scaled exactly too.
     """
     if f.support is not F.source:
         raise BoundaryMismatchError(
             "functional support %s is not the forest source %s"
             % (f.support.format(), F.source.format())
         )
-    fine = context_for(F.target)
+    shards = enumerate_shards(F.target)
     weights, f_scale = integer_coefficients(f.values)
     get = weights.get
     values = {}
-    for X in enumerate_shards(fine.P):
-        entries, scale = integer_coefficients(dual_forest_derivative(F, X).entries)
+    for X, row in zip(shards, dual_rows(F, [{X: 1} for X in shards])):
+        entries, scale = integer_coefficients(row)
         total = 0
         for Y, m in entries.items():
             a = get(Y)
             if a is not None:
                 total += m * a
         values[X] = Rational(total, f_scale * scale)
-    return Functional._trusted(fine, values)
+    return Functional._trusted(context_for(F.target), values)

@@ -206,7 +206,7 @@ def _cmd_enumerate(args):
         ground = GroundSet.of_size(args.n)
         P = Partition.one_block(ground)
     else:
-        ground = (_parse_labels_csv(args.labels) if args.labels
+        ground = (_parse_labels_csv(args.labels) if args.labels is not None
                   else _ground_from_partition_text(args.partition))
         P = Partition.parse(ground, args.partition)
     _ground_guard(ground, args.allow_large)
@@ -463,6 +463,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (args.command == "enumerate" and args.labels is not None
+                and args.partition is None):
+            # --labels names the ground of --partition; no argparse group
+            # can say that one option needs another
+            parser.error("enumerate: argument --labels: not allowed "
+                         "without argument --partition")
     except SystemExit as exc:
         return exc.code or 0
     try:

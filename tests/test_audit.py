@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shardcalc import audit
+from shardcalc import audit, calculus, forests
 from shardcalc.arrangement import enumerate_shards
 from shardcalc.audit import (
     CHAMBER_COUNTS,
@@ -27,6 +27,7 @@ from shardcalc.calculus import (
     InvariantViolation,
     ShardVector,
     dual_forest_derivative,
+    dual_rows,
     random_functional,
 )
 from shardcalc.exactla import rat
@@ -475,21 +476,27 @@ def test_separation_fails_when_every_functional_misses(monkeypatch):
     assert replay_counterexample(ce) is False
 
 
-def _counting_derivative(monkeypatch):
+def _counting_rows(monkeypatch):
+    # counts the (forest, shard) pairs the sweeps derive through dual_rows,
+    # each input being the unit map of one shard
     calls = collections.Counter()
-    real = audit.dual_forest_derivative
+    real = audit.dual_rows
 
-    def counting(F, X):
-        calls[format_forest(F), X.id()] += 1
-        return real(F, X)
-    monkeypatch.setattr(audit, "dual_forest_derivative", counting)
+    def counting(F, vectors):
+        vectors = list(vectors)
+        for v in vectors:
+            (X,) = v
+            assert v[X] == 1
+            calls[format_forest(F), X.id()] += 1
+        return real(F, vectors)
+    monkeypatch.setattr(audit, "dual_rows", counting)
     return calls
 
 
 def test_maintheorem_sweep_derives_every_shard(monkeypatch):
     # every derivation runs the derivative's own cut-by-cut cross-check,
     # so shards in singleton Steinmann classes are derived too
-    calls = _counting_derivative(monkeypatch)
+    calls = _counting_rows(monkeypatch)
     assert audit._check_maintheorem_annihilator(G4, 2)[1] is None
     assert calls == collections.Counter(
         (format_forest(F), X.id())
@@ -498,13 +505,40 @@ def test_maintheorem_sweep_derives_every_shard(monkeypatch):
 
 
 def test_delayering_sweep_derives_each_layering_once(monkeypatch):
-    calls = _counting_derivative(monkeypatch)
+    calls = _counting_rows(monkeypatch)
     assert audit._check_delayering_annihilator(G4, 3)[1] is None
     assert calls == collections.Counter(
         (format_forest(F), X.id())
         for members in audit._layering_groups(G4, 3)
         for F in members
         for X in enumerate_shards(members[0].target))
+
+
+def test_maintheorem_sweep_antisymmetrizes_once_per_forest(monkeypatch):
+    # one dual_rows call per forest: a per-shard antisymmetrize would count
+    # once per shard of the forest's target
+    calls = collections.Counter()
+
+    def counted(F):
+        calls[format_forest(F)] += 1
+        return forests.antisymmetrize(F)
+    monkeypatch.setattr(calculus, "antisymmetrize", counted)
+    assert audit._check_maintheorem_annihilator(G4, 2)[1] is None
+    assert calls == collections.Counter(
+        format_forest(F) for F in iter_forests(Partition.one_block(G4), 2))
+
+
+def test_maintheorem_sweep_raises_on_a_flipped_switch_sign(monkeypatch):
+    # the rows the sweep compares are cross-checked against the
+    # antisymmetrized sum; one flipped sign there is a broken invariant,
+    # not a counterexample
+    def one_sign_flipped(F):
+        terms = forests.antisymmetrize(F)
+        sign, G = terms[-1]
+        return terms[:-1] + [(-sign, G)]
+    monkeypatch.setattr(calculus, "antisymmetrize", one_sign_flipped)
+    with pytest.raises(InvariantViolation, match="disagree"):
+        audit._check_maintheorem_annihilator(G4, 2)
 
 
 def _with_extra_functionals(monkeypatch):
@@ -587,20 +621,31 @@ def test_delayering_sparse_sweep_matches_functional_major_loop(monkeypatch):
 
 
 def _fractional(shift):
-    # derivation k, one k per (forest, shard), comes out divided by k, or
-    # shifted by 1/k times a Steinmann relation, which no annihilator
-    # functional sees; either way the sides of a comparison carry
-    # different denominators
+    # row k, one k per (forest, shard), comes out divided by k, or shifted
+    # by 1/k times a Steinmann relation, which no annihilator functional
+    # sees; either way the sides of a comparison carry different
+    # denominators
     rels = steinmann_relations(G4).relations
     ks = {}
 
-    def derive(F, X):
-        k = ks.setdefault((format_forest(F), X.id()), len(ks) + 1)
-        d = dual_forest_derivative(F, X)
-        if shift:
-            return d + rels[k % len(rels)].scale(Fraction(1, k))
-        return d.scale(Fraction(1, k))
-    return derive
+    def rows(F, vectors):
+        vectors = list(vectors)
+        out = []
+        for (X,), row in zip(vectors, dual_rows(F, vectors)):
+            k = ks.setdefault((format_forest(F), X.id()), len(ks) + 1)
+            d = ShardVector(F.source, row)
+            if shift:
+                d = d + rels[k % len(rels)].scale(Fraction(1, k))
+            else:
+                d = d.scale(Fraction(1, k))
+            out.append(d.entries)
+        return out
+    return rows, ks
+
+
+def _one_row(rows):
+    # a derive(F, X) for the reference loops over a dual_rows stand-in
+    return lambda F, X: ShardVector(F.source, rows(F, [{X: 1}])[0])
 
 
 @pytest.mark.parametrize("shift", [False, True], ids=["scaled", "shifted"])
@@ -613,33 +658,42 @@ def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
              for f, h in zip(real, real[1:] + real[:1])]
     monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
         types.SimpleNamespace(annihilator_basis=lambda: basis)))
-    derive = _fractional(shift)
-    monkeypatch.setattr(audit, "dual_forest_derivative", derive)
+    rows, ks = _fractional(shift)
+    derive = _one_row(rows)
+    monkeypatch.setattr(audit, "dual_rows", rows)
     main = audit._check_maintheorem_annihilator(G4, 3)
     delayering = audit._check_delayering_annihilator(G4, 3)
+    # the sweeps derive through the stand-in: every shard of every forest
+    # when nothing fails, else up to the first failure
+    derived = set(ks)
+    if shift:
+        assert derived == {(format_forest(F), X.id())
+                           for F in iter_forests(Partition.one_block(G4), 3)
+                           for X in enumerate_shards(F.target)}
+    else:
+        assert derived and main[1] is not None and delayering[1] is not None
     assert main == _reference_annihilator(G4, 3, basis, derive)
     assert delayering == _reference_delayering(G4, 3, basis, derive)
     if shift:
         # the values are those of the true derivatives: nothing fails
-        monkeypatch.setattr(audit, "dual_forest_derivative",
-                            dual_forest_derivative)
+        monkeypatch.setattr(audit, "dual_rows", dual_rows)
         assert main == audit._check_maintheorem_annihilator(G4, 3)
         assert delayering == audit._check_delayering_annihilator(G4, 3)
         assert main[1] is None and delayering[1] is None
-    else:
-        assert main[1] is not None and delayering[1] is not None
 
 
 def _distinct_scales(real):
-    # each derivation comes out scaled by a new factor, so no two agree
+    # each row comes out scaled by a new factor, so no two agree
     counter = itertools.count(1)
-    return lambda F, v: real(F, v).scale(next(counter))
+    return lambda F, vectors: [{Y: c * k for Y, c in row.items()}
+                               for row, k in zip(real(F, vectors), counter)]
 
 
-def _doubled_outer(real):
-    # staged derivatives come out doubled, direct ones do not
-    return lambda F, v: (real(F, v).scale(2) if isinstance(v, ShardVector)
-                         else real(F, v))
+def _doubled(real):
+    # every row comes out doubled: a direct derivative twice the true one,
+    # a staged one four times
+    return lambda F, vectors: [{Y: 2 * c for Y, c in row.items()}
+                               for row in real(F, vectors)]
 
 
 _never_contains = types.SimpleNamespace(contains=lambda v: False)
@@ -652,12 +706,13 @@ _FIRST_FAILS = {
     "dims.series": (4, [(audit, "zie_dimension", lambda n: -1)]),
     "duality.relations": (
         4, [(audit, "is_semisimply_differentiable", lambda f: None)]),
-    "lie.antisymmetry": (3, [(ShardVector, "is_zero", lambda self: False)]),
-    "lie.jacobi": (3, [(ShardVector, "is_zero", lambda self: False)]),
+    "lie.antisymmetry": (
+        3, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
+    "lie.jacobi": (
+        3, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "module.unit": (3, [(audit, "dual_forest_derivative",
                          lambda F, v: ShardVector.zero(F.source))]),
-    "module.action": (3, [(audit, "dual_forest_derivative",
-                           _doubled_outer(audit.dual_forest_derivative))]),
+    "module.action": (3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
     "module.coset_kernel": (
         4, [(audit, "quotient_space", lambda g: _never_contains)]),
     "module.layering": (
@@ -670,19 +725,16 @@ _FIRST_FAILS = {
         3, [(audit, "_component_key", lambda P, Y: ())]),
     "factorization.dimension": (3, [(audit, "quotient_dim", lambda g: 0)]),
     "maintheorem.annihilator": (
-        4, [(audit, "dual_forest_derivative",
-             _distinct_scales(audit.dual_forest_derivative))]),
+        4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "maintheorem.converse": (
         4, [(audit, "is_semisimple", lambda f: True)]),
     "delayering.annihilator": (
-        4, [(audit, "dual_forest_derivative",
-             _distinct_scales(audit.dual_forest_derivative))]),
+        4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     # every one of the 32 seeds the row tries misses, so the last one fails
     "delayering.separation": (
         4, [(Functional, "evaluate_vector", lambda self, v: 0)]),
     "calculus.functoriality": (
-        3, [(audit, "dual_forest_derivative",
-             _doubled_outer(audit.dual_forest_derivative))]),
+        3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
 }
 
 

@@ -24,6 +24,7 @@ from shardcalc.calculus import (
     ShardVector,
     arrow,
     dual_forest_derivative,
+    dual_rows,
     forest_derivative,
     random_functional,
 )
@@ -120,10 +121,53 @@ def test_dual_derivative_cross_check_catches_a_wrong_sign(monkeypatch):
 
     F = parse_forest(G3, "[[1,2],3]")
     X = zero_dim_shard(G3)
+    f = random_functional(F.source, 1)
     dual_forest_derivative(F, X)
+    forest_derivative(F, f)
     monkeypatch.setattr(calculus, "antisymmetrize", one_sign_flipped)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match=r"\[\[1,2\],3\]"):
         dual_forest_derivative(F, X)
+    with pytest.raises(InvariantViolation, match=r"\[\[1,2\],3\]"):
+        forest_derivative(F, f)
+
+
+def test_dual_rows_equal_one_row_derivatives():
+    # every forest with <= 3 cuts from every support at n=4, all shards of
+    # its target in one call: the rows are the one-row derivatives, as ints
+    forests_checked = 0
+    for P in all_partitions(G4):
+        for F in iter_forests(P, 3):
+            shards = enumerate_shards(F.target)
+            rows = dual_rows(F, [{X: 1} for X in shards])
+            assert len(rows) == len(shards)
+            for X, row in zip(shards, rows):
+                assert row == dual_forest_derivative(F, X).entries
+                assert all(type(c) is int and c != 0 for c in row.values())
+            forests_checked += 1
+    assert forests_checked == 365
+    # mixed Fraction and int coefficients, a zero among them, give the
+    # derivative of the ShardVector they make
+    F = parse_forest(G4, "[123,4]")
+    X, Y, Z = enumerate_shards(F.target)[:3]
+    v = {X: Fraction(1, 3), Y: -2, Z: Fraction(0)}
+    (row,) = dual_rows(F, [v])
+    assert row == dual_forest_derivative(F, ShardVector(F.target, v)).entries
+    assert row and all(c != 0 for c in row.values())
+
+
+def test_dual_rows_antisymmetrize_once_and_refuse_other_supports(monkeypatch):
+    F = parse_forest(G4, "[[12,3],4]")
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return forests.antisymmetrize(G)
+    monkeypatch.setattr(calculus, "antisymmetrize", counted)
+    shards = enumerate_shards(F.target)
+    assert len(dual_rows(F, [{X: 1} for X in shards])) == len(shards)
+    assert calls == [F]
+    with pytest.raises(BoundaryMismatchError):
+        dual_rows(F, [{enumerate_shards(F.source)[0]: 1}])
 
 
 def test_trusted_results_equal_validated_construction():
@@ -366,16 +410,18 @@ def _mixed_functional(P, seed):
 def test_forest_derivative_matches_fractional_evaluation(monkeypatch, fractional):
     # the integer sums over scaled values give what Fraction arithmetic
     # over the dual derivative gives, for every forest with <= 2 cuts at
-    # n=4; a shard's dual derivative has integer coefficients, so the
-    # fractional case divides the k-th one by k to reach its scaling too
-    derive = dual_forest_derivative
+    # n=4; a shard's row has integer coefficients, so the fractional case
+    # divides the k-th one by k to reach its scaling too
+    rows = dual_rows
     if fractional:
         ks = {}
 
-        def derive(F, X):
-            k = ks.setdefault((id(F), X), len(ks) + 1)
-            return dual_forest_derivative(F, X).scale(Fraction(1, k))
-        monkeypatch.setattr(calculus, "dual_forest_derivative", derive)
+        def rows(F, vectors):
+            vectors = list(vectors)
+            return [{Y: Fraction(c, ks.setdefault((id(F), X), len(ks) + 1))
+                     for Y, c in row.items()}
+                    for (X,), row in zip(vectors, dual_rows(F, vectors))]
+        monkeypatch.setattr(calculus, "dual_rows", rows)
     forests_checked = 0
     for P in all_partitions(G4):
         f = _mixed_functional(P, forests_checked)
@@ -383,7 +429,7 @@ def test_forest_derivative_matches_fractional_evaluation(monkeypatch, fractional
             expected = {}
             for X in enumerate_shards(F.target):
                 total = Fraction(0)
-                for Y, c in derive(F, X).items():
+                for Y, c in rows(F, [{X: 1}])[0].items():
                     total += c * f(Y)
                 expected[X] = total
             df = forest_derivative(F, f)

@@ -68,6 +68,24 @@ def test_enumerate_explicit_labels(capsys):
     assert [obj["signs"] for obj in lines] == [{"a": "+"}, {"a": "-"}]
 
 
+@pytest.mark.parametrize("labels", ["a,b,a", ""])
+def test_enumerate_refuses_labels_without_partition(capsys, labels):
+    # --labels names the ground of --partition; with --n it was ignored
+    code, out, err = run_main(
+        capsys, ["enumerate", "--labels", labels, "--n", "3"])
+    assert (code, out) == (2, "")
+    assert "argument --labels: not allowed without argument --partition" in err
+
+
+def test_enumerate_refuses_empty_labels(capsys):
+    # an empty --labels is bad input, as for stein-rank, not a silent
+    # fall back to the labels the partition names
+    code, out, err = run_main(
+        capsys, ["enumerate", "--partition", "(ab|c)", "--labels", ""])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_enumerate_zero_dimensional_support(capsys):
     code, out, _ = run_main(capsys, ["enumerate", "--partition", "(1|2|3)"])
     assert code == 0
