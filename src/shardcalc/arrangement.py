@@ -27,7 +27,7 @@ backs each "no" with a checked Farkas certificate.
 """
 
 import random
-from math import lcm
+from math import gcd, lcm
 
 from ._backend import kernel
 from .exactla import RationalMatrix, integer_coefficients, strictly_feasible
@@ -339,7 +339,8 @@ def _feasible(ctx, bits, hint=None):
     exact sign evaluation), then the LP as the final authority.  Probe
     hits and LP verdicts are memoized; screen rejects are not, since
     re-screening is cheap and they would outnumber every other entry
-    (most sign patterns are empty).  A hint
+    (most sign patterns are empty).  A probe hit is divided by its
+    content first, so points do not grow along chains of probes.  A hint
     (coords, k) is a feasible chamber, which passes every quad; bits
     flips its key k, so only the quads naming k can reject it.
     """
@@ -350,7 +351,8 @@ def _feasible(ctx, bits, hint=None):
         return None
     for coords in _probe_candidates(ctx, hint):
         if kernel.sign_eval(ctx.keys, coords) == bits:
-            ctx._memo[bits] = coords
+            content = gcd(*coords)
+            coords = ctx._memo[bits] = [x // content for x in coords]
             return coords
     coords = ctx._memo[bits] = _lp_witness(ctx, bits)
     return coords

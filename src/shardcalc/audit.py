@@ -32,8 +32,6 @@ from .arrangement import (
 from .calculus import (
     Functional,
     InvariantViolation,
-    ShardVector,
-    dual_forest_derivative,
     dual_rows,
     forest_derivative,
     random_functional,
@@ -65,7 +63,6 @@ from .steinmann import (
     is_semisimply_differentiable,
     product,
     quotient_dim,
-    quotient_space,
     simple_flat,
     steinmann_relations,
 )
@@ -248,17 +245,14 @@ def _load_shard(ground, ref):
     return shard_from_signs(Partition.parse(ground, ref["support"]), ref["id"])
 
 
-def _vector_ref(v):
-    return {
-        "support": v.support.format(),
-        "values": {X.id(): rat_str(c) for X, c in v.items()},
-    }
+def _vector_ref(P, v):
+    return {"support": P.format(),
+            "values": dict(sorted((X.id(), rat_str(c)) for X, c in v.items()))}
 
 
 def _load_vector(ground, ref):
     P = Partition.parse(ground, ref["support"])
-    return ShardVector(
-        P, {shard_from_signs(P, k): rat(c) for k, c in ref["values"].items()})
+    return {shard_from_signs(P, k): rat(c) for k, c in ref["values"].items()}
 
 
 def _load_functional(ground, ref):
@@ -273,15 +267,6 @@ def _union(masks):
     out = 0
     for m in masks:
         out |= m
-    return out
-
-
-def _nonempty_submasks(mask):
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
     return out
 
 
@@ -334,10 +319,12 @@ def _ordered_groups(free, k, low=0):
     if not k:
         yield ()
         return
-    for s in _nonempty_submasks(free):
+    s = free
+    while s:
         if (s & -s) > low:
             for rest in _ordered_groups(free ^ s, k - 1, s & -s):
                 yield (s,) + rest
+        s = (s - 1) & free
 
 
 def _bracket_instances(g, claim):
@@ -406,7 +393,7 @@ def _check_lie(g, seed, per_claim=500):
 # -------------------------------------------------------------- module axioms
 
 def _unit_witness(F, X):
-    if dual_forest_derivative(F, X) != ShardVector.basis(X):
+    if dual_rows(F, [{X: 1}]) != [{X: 1}]:
         return _counterexample(
             "module.unit", X.ground,
             forests=[format_forest(F)], shard=_shard_ref(X))
@@ -455,12 +442,11 @@ def _blockwise_kernel_vectors(Q):
     g = Q.ground
     fibers = {}
     for X in enumerate_shards(Q):
-        key = tuple(Y.bits for Y in project(Q, X))
-        fibers.setdefault(key, []).append(X)
+        fibers.setdefault(_component_key(Q, X), []).append(X)
     vectors = []
     for members in fibers.values():
         for X in members[1:]:
-            vectors.append(ShardVector.basis(X) - ShardVector.basis(members[0]))
+            vectors.append({X: 1, members[0]: -1})
     blocks = list(Q.blocks)
     reps = {key: min(ms, key=lambda s: s.bits) for key, ms in fibers.items()}
     per_block_ids = [sorted({key[j] for key in fibers})
@@ -477,27 +463,29 @@ def _blockwise_kernel_vectors(Q):
                     key = list(choice)
                     key.insert(j, Y.bits)
                     X = reps[tuple(key)]
-                    entries[X] = entries.get(X, ZERO) + c
-                vectors.append(ShardVector(Q, entries))
+                    entries[X] = entries.get(X, 0) + int(c)
+                vectors.append({X: c for X, c in entries.items() if c})
     return vectors
 
 
-def _coset_witness(T, v):
-    if not quotient_space(T.ground).contains(dual_forest_derivative(T, v)):
+def _coset_witness(index, T, v):
+    """No annihilating functional may be nonzero on v's dual derivative."""
+    if _totals(index[1], dual_rows(T, [v])[0])[0]:
         return _counterexample(
             "module.coset_kernel", T.ground,
-            forests=[format_forest(T)], vector=_vector_ref(v))
+            forests=[format_forest(T)], vector=_vector_ref(T.target, v))
     return None
 
 
 def _coset_instances(g, max_cuts):
+    index = _annihilator_index(g)
     kernels = {}
     for T in iter_forests(Partition.one_block(g), max_cuts):
         Q = T.target
         if Q.blocks not in kernels:
             kernels[Q.blocks] = _blockwise_kernel_vectors(Q)
         for v in kernels[Q.blocks]:
-            yield T, v
+            yield index, T, v
 
 
 def _layering_groups(g, max_cuts):
@@ -509,22 +497,14 @@ def _layering_groups(g, max_cuts):
     return [ms for ms in groups.values() if len(ms) > 1]
 
 
-def _layering_witness(F0, F1, X):
-    diff = dual_forest_derivative(F0, X) - dual_forest_derivative(F1, X)
-    if not quotient_space(F0.ground).contains(diff):
-        return _counterexample(
-            "module.layering", F0.ground,
-            forests=[format_forest(F0), format_forest(F1)],
-            shard=_shard_ref(X))
-    return None
-
-
 def _layering_instances(g, max_cuts):
+    """Each (layering pair, shard), judged by every annihilating functional."""
+    index = _annihilator_index(g)
     for F0, *others in _layering_groups(g, max_cuts):
         shards = enumerate_shards(F0.target)
         for Fi in others:
             for X in shards:
-                yield F0, Fi, X
+                yield "module.layering", index, [X], F0, Fi
 
 
 # ------------------------------------------------------------- kernel theorem
@@ -703,6 +683,13 @@ def _functional_index(functionals, P):
     return functionals, by_shard
 
 
+def _annihilator_index(g):
+    """The indexed annihilator basis: a one-block row lies in the relation
+    span exactly when _totals finds no nonzero value on it."""
+    return _functional_index(steinmann_relations(g).annihilator_basis(),
+                             Partition.one_block(g))
+
+
 def _totals(by_shard, row):
     """The indexed functionals on a dual_rows row, as (totals, scale),
     where scale takes the row's coefficients to integers: totals[i] is
@@ -757,8 +744,8 @@ def _annihilator_witness(F, index, shards, classes):
 
 
 def _check_maintheorem_annihilator(g, max_cuts):
-    basis = steinmann_relations(g).annihilator_basis()
-    index = _functional_index(basis, Partition.one_block(g))
+    index = _annihilator_index(g)
+    basis = index[0]
     instances = 0
     for F in iter_forests(Partition.one_block(g), max_cuts):
         classes = [cls for cls in steinmann_classes(F.target, F.target)
@@ -792,10 +779,10 @@ def _check_maintheorem_converse(g, seed=SAMPLE_SEED):
     return 1, _converse_witness(g, None), None
 
 
-def _delayering_witness(index, shards, F0, *others):
+def _delayering_witness(claim, index, shards, F0, *others):
     """Each indexed functional must agree on the dual derivatives along
     the first layering F0 and each other layering of each shard.  F0 is
-    derived once for the whole group."""
+    derived once for the whole group; `claim` names the counterexample."""
     functionals, by_shard = index
     totals0 = [_totals(by_shard, row) for row in dual_rows(F0, _units(shards))]
     for Fi in others:
@@ -805,7 +792,7 @@ def _delayering_witness(index, shards, F0, *others):
         if fail is not None:
             i, pos = fail
             return _counterexample(
-                "delayering.annihilator", F0.ground,
+                claim, F0.ground,
                 forests=[format_forest(F0), format_forest(Fi)],
                 functional=functionals[i].to_json_obj(),
                 shard=_shard_ref(shards[pos]))
@@ -813,12 +800,12 @@ def _delayering_witness(index, shards, F0, *others):
 
 
 def _check_delayering_annihilator(g, max_cuts):
-    basis = steinmann_relations(g).annihilator_basis()
-    index = _functional_index(basis, Partition.one_block(g))
+    index = _annihilator_index(g)
+    basis = index[0]
     instances = 0
     for F0, *others in _layering_groups(g, max_cuts):
-        ce = _delayering_witness(
-            index, enumerate_shards(F0.target), F0, *others)
+        ce = _delayering_witness("delayering.annihilator",
+                                 index, enumerate_shards(F0.target), F0, *others)
         if ce is not None:
             done = [format_forest(Fi) for Fi in others].index(ce["forests"][1])
             return (instances + done * len(basis)
@@ -830,15 +817,19 @@ def _check_delayering_annihilator(g, max_cuts):
 def _separation_witness(g, seed):
     """The functional drawn from `seed` must tell apart the two layerings
     of some layering pair of the one-block support (forests of up to
-    n - 1 cuts).  Returns (pairs examined, counterexample or None)."""
-    f = random_functional(Partition.one_block(g), seed)
+    n - 1 cuts), judged as _delayering_witness judges an indexed
+    functional, one shard at a time.  Returns (pairs examined,
+    counterexample or None)."""
+    one = Partition.one_block(g)
+    _, by_shard = _functional_index([random_functional(one, seed)], one)
     instances = 0
     for F0, *others in _layering_groups(g, g.n - 1):
         for Fi in others:
             instances += 1
             for X in enumerate_shards(F0.target):
-                if (f.evaluate_vector(dual_forest_derivative(F0, X))
-                        != f.evaluate_vector(dual_forest_derivative(Fi, X))):
+                pair = [_totals(by_shard, dual_rows(F, [{X: 1}])[0])
+                        for F in (F0, Fi)]
+                if _first_failure([pair]) is not None:
                     return instances, None
     return instances, _counterexample(
         "delayering.separation", g, seed=seed)
@@ -915,12 +906,14 @@ def _functoriality_draws(g, count=200, budget=2, seed=SAMPLE_SEED):
     rng = random.Random(seed)
     parts = all_partitions(g)
     cache = {}
+
+    def draw(P):
+        if P not in cache:
+            cache[P] = iter_forests(P, budget)
+        return rng.choice(cache[P])
     for _ in range(count):
-        P = rng.choice(parts)
-        if P.blocks not in cache:
-            cache[P.blocks] = iter_forests(P, budget)
-        F1 = rng.choice(cache[P.blocks])
-        F2 = rng.choice(iter_forests(F1.target, budget))
+        F1 = draw(rng.choice(parts))
+        F2 = draw(F1.target)
         X = rng.choice(enumerate_shards(F2.target))
         yield "calculus.functoriality", F1, F2, [X]
 
@@ -997,7 +990,8 @@ _CLAIMS = (
     _Row(None, 4, 4, {"delayering.annihilator": (
         "relation-killing functionals do not see the layering order",
         lambda g, ce: _delayering_witness(
-            _indexed_functional(g, ce), _shards(g, ce), *_forests(g, ce)))},
+            "delayering.annihilator", _indexed_functional(g, ce),
+            _shards(g, ce), *_forests(g, ce)))},
         lambda g, seed: [_check_delayering_annihilator(g, g.n - 1)]),
     _Row(None, 4, 4, {"delayering.separation": (
         "a fixed reference functional distinguishes two layerings of one forest",
@@ -1024,14 +1018,16 @@ _CLAIMS = (
         lambda g, seed: [_sweep(_composite_witness, _action_instances(g))]),
     _Row("module", 2, 4, {"module.coset_kernel": (
         "dual tree derivatives map the blockwise relation kernel into the relation span",
-        lambda g, ce: _coset_witness(
-            *_forests(g, ce), _load_vector(g, ce["vector"])))},
+        lambda g, ce: _coset_witness(_annihilator_index(g), *_forests(g, ce),
+                                     _load_vector(g, ce["vector"])))},
         lambda g, seed: [_sweep(_coset_witness, _coset_instances(g, g.n - 1))]),
     _Row("module", 2, 4, {"module.layering": (
         "layerings of one delayered forest agree modulo the relation span",
-        lambda g, ce: _layering_witness(*_forests(g, ce), *_shards(g, ce)))},
+        lambda g, ce: _delayering_witness(
+            "module.layering", _annihilator_index(g), _shards(g, ce),
+            *_forests(g, ce)))},
         lambda g, seed: [_sweep(
-            _layering_witness, _layering_instances(g, g.n - 1))]),
+            _delayering_witness, _layering_instances(g, g.n - 1))]),
     _Row("kernel", 2, 5, {"kernel.span": (
         "within-class differences span the kernel of componentwise projection",
         lambda g, ce: _span_witness(*_fine_coarse(g, ce)))},

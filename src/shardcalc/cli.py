@@ -85,11 +85,12 @@ def _dump(obj):
 
 
 def _ground_from_partition_text(text):
-    """Infer the ground set from the labels a partition names."""
+    """Infer the ground set from the labels a partition names; braces
+    around a block, as Partition.parse accepts, are no part of a label."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("partition text must be parenthesized: %r" % text)
-    body = text[1:-1]
+    body = text[1:-1].replace("{", "").replace("}", "")
     if "," in body:
         labels = set()
         for block in body.split("|"):

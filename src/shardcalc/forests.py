@@ -233,38 +233,23 @@ def _parse_tree(ground, text, i, depth=0):
     return _parse_leaf(ground, text, i)
 
 
-def _preorder_internal(roots):
-    nodes = []
-
-    def walk(nd):
-        if nd.left is not None:
-            nodes.append(nd)
-            walk(nd.left)
-            walk(nd.right)
-
-    for r in roots:
-        walk(r)
-    return nodes
-
-
-def _ancestor_pairs(roots):
-    """(i, j) meaning preorder node i must come before node j."""
-    nodes = _preorder_internal(roots)
-    index = {id(nd): k for k, nd in enumerate(nodes)}
-    pairs = []
+def _preorder(roots):
+    """The internal nodes of the trees in preorder, the numbering that "@"
+    layerings use, and the pairs (i, j) meaning node i must come before
+    node j."""
+    nodes, pairs = [], []
 
     def walk(nd, anc):
-        if nd.left is None:
-            return
-        k = index[id(nd)]
-        for a in anc:
-            pairs.append((a, k))
-        walk(nd.left, anc + [k])
-        walk(nd.right, anc + [k])
+        if nd.left is not None:
+            k = len(nodes)
+            nodes.append(nd)
+            pairs.extend((a, k) for a in anc)
+            walk(nd.left, anc + [k])
+            walk(nd.right, anc + [k])
 
     for r in roots:
         walk(r, [])
-    return len(nodes), pairs
+    return nodes, pairs
 
 
 def _linear_extensions(count, pairs, limit=None):
@@ -310,8 +295,8 @@ def parse_forest(ground, text):
             raise ForestSyntaxError("expected '|' between trees", i)
         i += 1
     source = Partition(ground, [r.mask for r in roots])
-    nodes = _preorder_internal(roots)
-    count, pairs = _ancestor_pairs(roots)
+    nodes, pairs = _preorder(roots)
+    count = len(nodes)
 
     if layer_text is None:
         exts = _linear_extensions(count, pairs, limit=2)
@@ -362,56 +347,25 @@ def _leaf_text(ground, mask):
 
 def format_forest(F):
     """Bracket text with an explicit @layering whenever several exist."""
-    ground = F.ground
-    children = {}  # parent mask -> (left, right), per layer replay
-    for c in F.cuts:
-        children[c.parent] = (c.left, c.right)
+    children = {c.parent: c for c in F.cuts}  # a block is split at most once
 
-    def render(mask):
-        if mask in children:
-            l, r = children[mask]
-            return "[%s,%s]" % (render(l), render(r))
-        return _leaf_text(ground, mask)
+    def grow(mask):
+        c = children.get(mask)
+        return _Node(mask) if c is None else _Node(mask, grow(c.left), grow(c.right))
 
-    body = "|".join(render(b) for b in F.source.blocks)
+    def render(nd):
+        if nd.left is None:
+            return _leaf_text(F.ground, nd.mask)
+        return "[%s,%s]" % (render(nd.left), render(nd.right))
 
-    # preorder index of each cut, matching parse_forest's numbering
-    order = []
-
-    def walk(mask):
-        if mask in children:
-            order.append(mask)
-            l, r = children[mask]
-            walk(l)
-            walk(r)
-
-    for b in F.source.blocks:
-        walk(b)
-    pre_index = {mask: k for k, mask in enumerate(order)}
-    perm = tuple(pre_index[c.parent] for c in F.cuts)
-
-    count = len(F.cuts)
-    # ancestor closure via replay: a cut's parent was produced by the cut
-    # that created it; chase creators transitively
-    creator = {}
-    for k, c in enumerate(F.cuts):
-        creator[c.left] = k
-        creator[c.right] = k
-    anc_pairs = set()
-    for k, c in enumerate(F.cuts):
-        m = c.parent
-        while m in creator:
-            kk = creator[m]
-            anc_pairs.add((pre_index[F.cuts[kk].parent], pre_index[c.parent]))
-            m = F.cuts[kk].parent
-    exts = _linear_extensions(count, sorted(anc_pairs), limit=2)
-    if len(exts) <= 1:
+    roots = [grow(b) for b in F.source.blocks]
+    body = "|".join(render(r) for r in roots)
+    nodes, pairs = _preorder(roots)
+    if len(_linear_extensions(len(nodes), pairs, limit=2)) <= 1:
         return body
-    if count <= 10:
-        suffix = "".join(str(k) for k in perm)
-    else:
-        suffix = ",".join(str(k) for k in perm)
-    return body + "@" + suffix
+    pre_index = {nd.mask: k for k, nd in enumerate(nodes)}
+    perm = [str(pre_index[c.parent]) for c in F.cuts]
+    return body + "@" + ("" if len(perm) <= 10 else ",").join(perm)
 
 
 def all_trees(P, block, leaves):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -190,6 +191,17 @@ def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
     assert len(lp_calls) == len(set(lp_calls)) > 0
     assert infeasible and {s for s, w in memo.items() if w is None} == infeasible
     assert {X.bits for X in shards} == {s for s, w in memo.items() if w is not None}
+
+
+def test_memoized_walk_points_have_content_one(monkeypatch):
+    # probe hits are memoized divided by their content; kept as found, the
+    # walk's points grow along chains of probes (to 223 bits on this one)
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    P = part(g(6), "(123|456)")
+    assert len(enumerate_shards(P)) == 1296
+    points = [w for w in context_for(P)._memo.values() if w is not None]
+    assert len(points) == 1296
+    assert all(math.gcd(*w) == 1 for w in points)
 
 
 def test_enumerate_sorted_and_deterministic():

@@ -311,10 +311,10 @@ def test_replay_module_claims():
         "claim": "module.coset_kernel",
         "ground": list(G4.labels),
         "forests": [format_forest(identity_forest(one))],
-        "vector": _vector_ref(rel),
+        "vector": _vector_ref(one, rel.entries),
     }
     assert replay_counterexample(ce) is True
-    bad = dict(ce, vector=_vector_ref(ShardVector.basis(X)))
+    bad = dict(ce, vector=_vector_ref(one, {X: 1}))
     assert replay_counterexample(bad) is False
 
     FL = parse_forest(G4, "[[1,2],[3,4]]@L")
@@ -696,8 +696,6 @@ def _doubled(real):
                                for row in real(F, vectors)]
 
 
-_never_contains = types.SimpleNamespace(contains=lambda v: False)
-
 # claim -> (ground size, patches that make the first instance its row's
 # run checks at that size fail)
 _FIRST_FAILS = {
@@ -710,13 +708,13 @@ _FIRST_FAILS = {
         3, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "lie.jacobi": (
         3, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
-    "module.unit": (3, [(audit, "dual_forest_derivative",
-                         lambda F, v: ShardVector.zero(F.source))]),
+    "module.unit": (3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
     "module.action": (3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
+    # every derived row reads as outside the relation span
     "module.coset_kernel": (
-        4, [(audit, "quotient_space", lambda g: _never_contains)]),
+        4, [(audit, "_totals", lambda by_shard, row: ({0: 1}, 1))]),
     "module.layering": (
-        4, [(audit, "quotient_space", lambda g: _never_contains)]),
+        4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "kernel.span": (3, [(audit, "rank", lambda M: -1)]),
     "kernel.surjective": (
         3, [(audit, "enumerate_shards",
@@ -732,7 +730,7 @@ _FIRST_FAILS = {
         4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     # every one of the 32 seeds the row tries misses, so the last one fails
     "delayering.separation": (
-        4, [(Functional, "evaluate_vector", lambda self, v: 0)]),
+        4, [(audit, "dual_rows", lambda F, vectors: [{} for _ in vectors])]),
     "calculus.functoriality": (
         3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
 }

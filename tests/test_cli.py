@@ -68,6 +68,27 @@ def test_enumerate_explicit_labels(capsys):
     assert [obj["signs"] for obj in lines] == [{"a": "+"}, {"a": "-"}]
 
 
+def test_braced_blocks_infer_the_same_ground_as_explicit_labels(
+        tmp_path, capsys):
+    # braces group a block's labels and are no part of any label
+    braced = run_main(capsys, ["enumerate", "--partition", "({a1,b}|c)"])
+    assert braced[0] == 0
+    assert braced == run_main(
+        capsys, ["enumerate", "--partition", "({a1,b}|c)",
+                 "--labels", "a1,b,c"])
+    P = Partition.parse(G3, "(12|3)")
+    values = {X.id(): str(k + 1) for k, X in enumerate(enumerate_shards(P))}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"support": "({1,2}|3)", "values": values}))
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(values))
+    derived = run_main(capsys, ["derive", "--forest", "[1,2]|3", str(path)])
+    assert derived[0] == 0
+    assert derived == run_main(
+        capsys, ["derive", "--forest", "[1,2]|3", "--support", "(12|3)",
+                 str(bare)])
+
+
 @pytest.mark.parametrize("labels", ["a,b,a", ""])
 def test_enumerate_refuses_labels_without_partition(capsys, labels):
     # --labels names the ground of --partition; with --n it was ignored

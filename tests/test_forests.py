@@ -265,6 +265,17 @@ def test_format_omits_annotation_only_when_unique():
     assert format_forest(F).endswith("@012")
 
 
+@pytest.mark.parametrize("layering", [
+    "0,1,2,3,4,5,6,7,8,9,10", "0,4,6,8,10,9,7,5,1,3,2"])
+def test_format_separates_layerings_of_more_than_ten_cuts(layering):
+    g = GroundSet.of_size(12)
+    text = "[[[1,2],[3,4]],[[5,6],[[7,8],[[9,10],[11,12]]]]]@" + layering
+    F = parse_forest(g, text)
+    assert len(F.cuts) == 11
+    assert format_forest(F) == text
+    assert parse_forest(g, format_forest(F)) == F
+
+
 _POOL = iter_forests(Partition(G4, [0b1111]), 3) + iter_forests(
     Partition(G4, [0b0011, 0b1100]), 3
 )
