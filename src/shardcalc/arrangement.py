@@ -50,7 +50,10 @@ class SupportContext:
     """Cached per-support data: keys, lookup tables, LP scaffold, memos.
 
     context_for keeps one context per support, which makes this the root
-    of every per-support cache, the steinmann.py relations included.
+    of every per-support cache, the steinmann.py relations included.  A
+    two-block context may intern shards its support never walked: by
+    restriction to a hyperplane, steinmann_relations reads them off the
+    one-block chambers, with no witness.
     """
 
     def __init__(self, P):
@@ -443,66 +446,34 @@ def _components(ctx, R):
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def steinmann_pairs(P, R):
-    """Shard pairs over P differing on exactly one non-R-semisimple key.
-
-    Flipping each such key and hashing the result finds the pairs in one
-    sweep; each pair appears once, id-sorted.  R must be coarser than P.
-    """
-    ctx = context_for(P)
-    movable = [
-        ctx.bit(k)
-        for k, r in enumerate(ctx.keys)
-        if not is_r_semisimple(P, R, r)
-    ]
-    index = {X.bits: X for X in enumerate_shards(P)}
-    pairs = []
-    for X in index.values():
-        for b in movable:
-            Y = index.get(X.bits ^ b)
-            if Y is not None and X.bits < Y.bits:
-                pairs.append((X, Y))
-    pairs.sort(key=lambda p: (p[0].bits, p[1].bits))
-    return pairs
-
-
 def steinmann_classes(P, R):
     """Steinmann R-equivalence classes of enumerate_shards(P).
 
-    Two shards are joined when they form one of steinmann_pairs(P, R);
-    classes are tuples sorted by least member, memoized on P's context.
+    Two shards are joined when they differ on exactly one key that is not
+    R-semisimple; a class is the set reached by such flips from its least
+    member.  Classes are id-sorted tuples in order of their least members,
+    memoized on P's context.
     """
     if not is_finer(P, R):
         raise NotFinerError("%s is not finer than %s" % (P.format(), R.format()))
     ctx = context_for(P)
     classes = ctx._classes.get(R)
     if classes is None:
+        movable = [ctx.bit(k) for k, r in enumerate(ctx.keys)
+                   if not is_r_semisimple(P, R, r)]
         shards = enumerate_shards(P)
-        index = {X: i for i, X in enumerate(shards)}
-        uf = _UnionFind(len(shards))
-        for X, Y in steinmann_pairs(P, R):
-            uf.union(index[X], index[Y])
-        # shards are id-sorted, so each group fills in id order and the
-        # groups arrive in order of their least members
-        groups = {}
-        for i in range(len(shards)):
-            groups.setdefault(uf.find(i), []).append(shards[i])
-        classes = tuple(tuple(g) for g in groups.values())
-        ctx._classes[R] = classes
+        unseen = {X.bits for X in shards}
+        classes = []
+        for X in shards:
+            if X.bits not in unseen:
+                continue
+            unseen.remove(X.bits)
+            found = [X.bits]
+            for bits in found:  # the loop also visits what it appends
+                for b in movable:
+                    if bits ^ b in unseen:
+                        unseen.remove(bits ^ b)
+                        found.append(bits ^ b)
+            classes.append(tuple(map(ctx.intern, sorted(found))))
+        classes = ctx._classes[R] = tuple(classes)
     return classes

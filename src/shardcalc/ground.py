@@ -42,10 +42,12 @@ class GroundSet:
         labels = tuple(str(x) for x in labels)
         if not labels:
             raise ValueError("ground set must be nonempty")
+        if "" in labels:
+            raise ValueError("labels must be nonempty")
         if len(set(labels)) != len(labels):
             raise ValueError("ground set labels must be distinct")
         bad = set("|,(){}[]@ \t\n")
-        if any(x == "" or set(x) & bad for x in labels):
+        if any(set(x) & bad for x in labels):
             raise ValueError("labels may not contain syntax characters or spaces")
         self.labels = labels
         self.n = len(labels)

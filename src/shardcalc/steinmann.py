@@ -5,14 +5,15 @@ of shards that differ on exactly one movable key.  Pushing such a pair
 up to the one-block support along the merging cut and its reverse gives
 a four-term alternating vector; the span of all of these is the
 relation subspace, and the quotient of the one-block shard span by it
-is the semisimple quotient.  A functional kills every relation exactly
-when all its single-cut derivatives are constant on Steinmann classes,
-and such functionals over a product support expand uniquely in
-blockwise tensor bases.
-
-Relation generation is independent per cut, so batches could run in
-parallel; everything here is sequential and all orders are fixed by
-shard ids, which keeps outputs reproducible.
+is the semisimple quotient.  By restriction to the hyperplane lambda_S
+= 0 (Zaslavsky 1975; Orlik and Terao 1992), each shard over (S|T) is
+exactly the pair of one-block chambers it is pushed up to, which differ
+only on the key of S; so the relations are read off the one-block
+chambers, and no support with two blocks is walked.  A functional kills
+every relation exactly when all its single-cut derivatives are constant
+on Steinmann classes, and such functionals over a product support expand
+uniquely in blockwise tensor bases.  All orders are fixed by shard ids,
+which keeps outputs reproducible.
 """
 
 from itertools import combinations, product as iter_product
@@ -24,15 +25,15 @@ from .arrangement import (
     enumerate_shards,
     project,
     steinmann_classes,
-    steinmann_pairs,
 )
-from .calculus import Functional, InvariantViolation, ShardVector, arrow, forest_derivative
+from .calculus import Functional, InvariantViolation, ShardVector, forest_derivative
 from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank, rowspace_reducer
 from .forests import Cut, cut_forest
 from .ground import (
     GroundMismatchError,
     GroundSet,
     Partition,
+    is_r_semisimple,
     iter_bits,
     popcount,
 )
@@ -108,28 +109,42 @@ class RelationSet:
 def steinmann_relations(ground):
     """All four-term wall relations over ground, deduplicated up to sign.
 
-    One candidate per cut V merging a bipartition (S|T) with both sides
-    of size at least two and per adjacent pair X1, X2 over (S|T); the
-    vector is normalized so its id-least entry is positive before
-    deduplication.  The set is kept on the one-block context.
+    For each bipartition (S|T) with both sides of size at least two, a
+    one-block chamber Y with lambda_S > 0 whose flip at the key of S is
+    also a chamber is X^V for exactly one shard X over Q = (S|T), and the
+    flip is X^W; X's sign at a key of Q is Y's.  Pairs of such X that
+    differ on one key that is not Q-semisimple give the candidates, in
+    (S, T) order and then by the pair's sign patterns; each vector is
+    normalized so its id-least entry is positive before deduplication.
+    The set is kept on the one-block context.
     """
     ctx = context_for(Partition.one_block(ground))
     if ctx.relations is not None:
         return ctx.relations
     relations, provenance, seen = [], [], set()
-    for S, T in _halves(ground):
+    halves = _halves(ground)
+    chambers = {Y.bits: Y for Y in enumerate_shards(ctx.P)} if halves else {}
+    for S, T in halves:
         Q = Partition(ground, [S, T])
+        ctxQ = context_for(Q)
+        kS, oS = ctx.lookup(S)
+        flip = ctx.bit(kS)
+        above = 0 if oS > 0 else flip  # Y's bit at kS where lambda_S > 0
+        table = [(ctx.bit(k), o) for k, o in map(ctx.lookup, ctxQ.keys)]
+        lifts = {}  # Q pattern -> (X^V, X^W)
+        for bits, Y in chambers.items():
+            if bits & flip == above and bits ^ flip in chambers:
+                q = ctxQ.encode(-o if bits & b else o for b, o in table)
+                lifts[q] = (Y, chambers[bits ^ flip])
+        movable = [ctxQ.bit(k) for k, r in enumerate(ctxQ.keys)
+                   if not is_r_semisimple(Q, Q, r)]
+        pairs = sorted((q, q | b) for q in lifts for b in movable
+                       if not q & b and q | b in lifts)
         V = Cut(ground, ground.full_mask, S)
-        W = V.reversed()
-        for X1, X2 in steinmann_pairs(Q, Q):
-            acc = {}
-            for Y, c in ((arrow(X1, V), 1), (arrow(X1, W), -1),
-                         (arrow(X2, W), 1), (arrow(X2, V), -1)):
-                acc[Y] = acc.get(Y, 0) + c
-            vec = ShardVector._trusted(ctx, acc)
+        for q1, q2 in pairs:
+            (Y1V, Y1W), (Y2V, Y2W) = lifts[q1], lifts[q2]
+            vec = ShardVector._trusted(ctx, {Y1V: 1, Y1W: -1, Y2W: 1, Y2V: -1})
             items = vec.items()
-            if not items:
-                continue
             if items[0][1] < ZERO:
                 vec = -vec
                 items = vec.items()
@@ -138,7 +153,7 @@ def steinmann_relations(ground):
                 continue
             seen.add(sig)
             relations.append(vec)
-            provenance.append((V, (X1, X2)))
+            provenance.append((V, (ctxQ.intern(q1), ctxQ.intern(q2))))
     ctx.relations = RelationSet(ground, relations, provenance)
     return ctx.relations
 

@@ -13,6 +13,7 @@ from shardcalc.ground import (
     Partition,
     all_partitions,
     coarser_partitions,
+    is_r_semisimple,
     iter_bits,
     popcount,
     reduction_mask,
@@ -452,14 +453,15 @@ def test_steinmann_classes_fig_pairs():
 def test_steinmann_classes_are_memoized_per_support_and_r(monkeypatch):
     G = g(4)
     P = part(G, "(12|34)")
+    # each class computation reads the shard list once; a memo hit does not
     sweeps = []
-    real = arrangement.steinmann_pairs
+    real = arrangement.enumerate_shards
 
-    def counted(P, R):
-        sweeps.append(R.blocks)
-        return real(P, R)
+    def counted(P):
+        sweeps.append(P.blocks)
+        return real(P)
 
-    monkeypatch.setattr(arrangement, "steinmann_pairs", counted)
+    monkeypatch.setattr(arrangement, "enumerate_shards", counted)
     monkeypatch.setattr(context_for(P), "_classes", {})
     first = steinmann_classes(P, P)
     # tuples of tuples: the caller cannot change the memo
@@ -476,6 +478,45 @@ def test_steinmann_classes_are_memoized_per_support_and_r(monkeypatch):
         steinmann_classes(P, part(G, "(13|24)"))
     with pytest.raises(GroundMismatchError):
         steinmann_classes(P, Partition(GroundSet(["a", "b", "c", "d"]), P.blocks))
+
+
+def _union_find_classes(P, R):
+    """Steinmann classes by union-find over the pairs of shards that
+    differ on one key that is not R-semisimple."""
+    ctx = context_for(P)
+    shards = enumerate_shards(P)
+    index = {X.bits: i for i, X in enumerate(shards)}
+    parent = list(range(len(shards)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for k, r in enumerate(ctx.keys):
+        if is_r_semisimple(P, R, r):
+            continue
+        for X in shards:
+            j = index.get(X.bits ^ ctx.bit(k))
+            if j is not None:
+                a, b = find(index[X.bits]), find(j)
+                parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i, X in enumerate(shards):
+        groups.setdefault(find(i), []).append(X)
+    return tuple(tuple(grp) for grp in groups.values())
+
+
+def test_steinmann_classes_equal_union_find_over_flip_pairs():
+    checked = 0
+    for n in range(1, 5):
+        G = g(n)
+        for P in all_partitions(G):
+            for R in coarser_partitions(G, P):
+                assert steinmann_classes(P, R) == _union_find_classes(P, R), \
+                    (P.format(), R.format())
+                checked += 1
+    assert checked == 1 + 3 + 12 + 60
 
 
 def test_steinmann_classes_one_block_r_are_singletons():

@@ -257,6 +257,16 @@ def test_stein_rank_labels(capsys):
     assert obj["quotient_dim"] == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["stein-rank", "--labels", ""],
+    ["stein-rank", "--labels", "a,,b"],
+    ["enumerate", "--partition", "(ab|c)", "--labels", "a,,b,c"],
+])
+def test_empty_label_is_reported_as_such(capsys, argv):
+    code, out, err = run_main(capsys, argv)
+    assert (code, out, err) == (2, "", "error: labels must be nonempty\n")
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_passes_and_writes_json(tmp_path, capsys):

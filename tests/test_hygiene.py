@@ -1,10 +1,10 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
 Every import in a module is used, every name a module loads is bound in
-it (defined, assigned or imported) or a builtin, and every public
-module-level function or class either belongs to the public API
+it (defined, assigned or imported) or a builtin, and every module-level
+function or class, private or public, either belongs to the public API
 (shardcalc.__all__) or has a caller inside the package.  Code that only
-tests reach does not belong in src/.
+tests reach, or nothing reaches, does not belong in src/.
 """
 
 import ast
@@ -80,7 +80,9 @@ def test_no_undefined_names():
     assert undefined == []
 
 
-def test_every_public_definition_is_exported_or_called():
+def _orphans():
+    """Module-level functions and classes outside shardcalc.__all__ that
+    no other top-level statement of the package references."""
     trees = {path.name: _tree(path) for path in MODULES}
     # names referenced by each top-level statement, so a definition's own
     # body (a recursive call, say) does not count as a caller
@@ -93,13 +95,21 @@ def test_every_public_definition_is_exported_or_called():
     for name, stmt, _ in statements:
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if stmt.name.startswith("_") or stmt.name in shardcalc.__all__:
+        if stmt.name in shardcalc.__all__:
             continue
         if not any(stmt.name in used
                    for _, other, used in statements
                    if other is not stmt):
             orphans.append("%s:%s" % (name, stmt.name))
-    assert orphans == []
+    return orphans
+
+
+def test_every_public_definition_is_exported_or_called():
+    assert [o for o in _orphans() if not o.split(":")[1].startswith("_")] == []
+
+
+def test_every_private_definition_is_called():
+    assert [o for o in _orphans() if o.split(":")[1].startswith("_")] == []
 
 
 def _calls_with_scope(tree):

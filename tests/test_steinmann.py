@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat, rowspace_reducer
-from shardcalc.ground import GroundSet, NotFinerError, Partition
+from shardcalc.ground import (
+    GroundSet,
+    NotFinerError,
+    Partition,
+    all_partitions,
+    is_r_semisimple,
+)
 from shardcalc.forests import Cut, cut_forest, iter_forests, parse_forest
 from shardcalc import arrangement
 from shardcalc import steinmann
@@ -121,6 +127,61 @@ def test_relations_equal_the_validated_four_term_vectors_n5():
             expected = -expected
         assert vec == expected
         assert all(type(c) is Fraction for _, c in vec.items())
+
+
+def _pair_walk_relations(ground):
+    """The relations by walking each two-block support (S|T): pair its
+    shards that differ on one key that is not semisimple, and lift each
+    pair through arrow along V = (S|T) and its reverse."""
+    n = ground.n
+    halves = sorted((S, ground.full_mask ^ S) for S in range(1, 1 << n, 2)
+                    if 2 <= bin(S).count("1") <= n - 2)
+    rows, provenance = [], []
+    for S, T in halves:
+        Q = Partition(ground, [S, T])
+        ctxQ = context_for(Q)
+        shards = {X.bits: X for X in enumerate_shards(Q)}
+        movable = [ctxQ.bit(k) for k, r in enumerate(ctxQ.keys)
+                   if not is_r_semisimple(Q, Q, r)]
+        pairs = sorted((q, q | b) for q in shards for b in movable
+                       if not q & b and q | b in shards)
+        V = Cut(ground, ground.full_mask, S)
+        W = V.reversed()
+        for q1, q2 in pairs:
+            X1, X2 = shards[q1], shards[q2]
+            vec = (ShardVector.basis(arrow(X1, V))
+                   - ShardVector.basis(arrow(X1, W))
+                   + ShardVector.basis(arrow(X2, W))
+                   - ShardVector.basis(arrow(X2, V)))
+            if vec.items()[0][1] < ZERO:
+                vec = -vec
+            if vec not in rows:
+                rows.append(vec)
+                provenance.append((V, (X1, X2)))
+    return rows, provenance
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_relations_equal_the_two_block_pair_walk(n):
+    # relations read off one-block chambers equal, row for row and with
+    # the same provenance, those built from walked two-block shards
+    ground = GroundSet.of_size(n)
+    rows, provenance = _pair_walk_relations(ground)
+    R = steinmann_relations(ground)
+    assert list(R.relations) == rows
+    assert list(R.provenance) == provenance
+
+
+def test_relations_walk_no_multi_block_support():
+    # labels no other test uses, so no other test has walked these supports
+    ground = GroundSet(["v", "w", "x", "y", "z"])
+    assert len(steinmann_relations(ground)) == 300
+    two_block = [P for P in all_partitions(ground) if len(P.blocks) == 2]
+    assert len(two_block) == 15
+    assert all(context_for(P)._enumerated is None for P in two_block)
+    small = GroundSet(["v", "w", "x"])
+    assert len(steinmann_relations(small)) == 0
+    assert context_for(Partition.one_block(small))._enumerated is None
 
 
 def test_relations_pair_differs_on_one_movable_key():
