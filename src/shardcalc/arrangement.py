@@ -81,7 +81,6 @@ class SupportContext:
         self._classes = {}  # R -> steinmann_classes(P, R)
         self._components = {}  # R -> project's (context, key table) per block
         self.relations = None  # steinmann.RelationSet, one-block only
-        self.quotient = None  # steinmann.QuotientSpace, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
         self.block_lcm = lcm(*map(popcount, P.blocks))
 

@@ -45,7 +45,7 @@ from .calculus import (
 from .exactla import rat, rat_str
 from .forests import parse_forest
 from .ground import GroundSet, Partition
-from .steinmann import quotient_dim, steinmann_relations
+from .steinmann import steinmann_relations
 from .svg import forest_highlight, render
 
 OUTDIR_ENV = "SHARDCALC_OUTDIR"
@@ -256,7 +256,7 @@ def _stein_rank_payload(ground):
     one = Partition.one_block(ground)
     shards = len(enumerate_shards(one))
     rank = steinmann_relations(ground).rank()
-    qdim = quotient_dim(ground)
+    qdim = shards - rank
     oracle = zie_dimension(ground.n)
     return {
         "schema": 1,

@@ -2,9 +2,8 @@
 
 All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
 exported as Rational.  Matrices are sparse rows over a shared ordered
-column basis of arbitrary hashable keys.  Vectors in and out (rows,
-kernel vectors, coset representatives, LP witnesses) are plain
-{column: Rational} dicts; those returned hold only nonzero entries.
+column basis of arbitrary hashable keys; rows keep int entries as ints.
+Kernel vectors and LP witnesses are {column: nonzero Rational} dicts.
 rank and kernel_basis use fraction-free integer elimination with content
 reduction; the columns at play downstream are shards, so rows are mostly
 small incidence data.
@@ -50,8 +49,8 @@ def rat_str(q):
 class RationalMatrix:
     """Ordered sparse rows over a shared ordered column basis.
 
-    The echelon form that rank, kernel_basis and rowspace_reducer share is
-    computed once per row set: add_row discards it.
+    The echelon form that rank and kernel_basis share is computed once
+    per row set: add_row discards it.
     """
 
     def __init__(self, columns, rows=()):
@@ -69,7 +68,7 @@ class RationalMatrix:
         for k, v in row.items():
             if k not in self.col_index:
                 raise KeyError("row key %r outside the column basis" % (k,))
-            v = v if type(v) is Rational else rat(v)
+            v = v if type(v) in (int, Rational) else rat(v)
             if v:
                 out[self.col_index[k]] = v
         self.rows.append(out)
@@ -94,7 +93,7 @@ def _content_reduce(row):
 
 
 def integer_coefficients(coefficients):
-    """({key: int}, scale): the nonzero rationals of a {key: Rational} map
+    """({key: int}, scale): the nonzero values of a {key: int or Rational} map
     times scale, the lcm of their denominators.  The scale is positive, so
     no nonzero value becomes zero and no comparison changes direction."""
     scale = lcm(*(c.denominator for c in coefficients.values()))
@@ -194,43 +193,6 @@ def kernel_basis(M):
                         heappush(queue, q)
         basis.append({M.columns[j]: v for j, v in x.items() if v})
     return basis
-
-
-def rowspace_reducer(M):
-    """Linear map to canonical coset representatives mod the rowspace of M.
-
-    The representative is the unique coset member supported on free
-    columns.  One pass over pivot columns in increasing order suffices:
-    a pivot row's minimum column is its own pivot column, so clearing a
-    column never reintroduces an earlier one.
-    """
-    pivots = M.pivots()
-    index = M.col_index
-    cols = M.columns
-
-    def reduce(vec):
-        work = {}
-        for key, val in vec.items():
-            if key not in index:
-                raise KeyError("vector key %r outside the column basis" % (key,))
-            val = val if type(val) is Rational else rat(val)
-            if val:
-                work[index[key]] = val
-        for col in sorted(pivots):
-            v = work.get(col)
-            if not v:
-                continue
-            prow = pivots[col]
-            f = v / prow[col]
-            for c, w in prow.items():
-                nv = work.get(c, ZERO) - f * w
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
-        return {cols[j]: v for j, v in work.items()}
-
-    return reduce
 
 
 def _farkas_holds(rows, signs, mults):

@@ -27,7 +27,7 @@ from .arrangement import (
     steinmann_classes,
 )
 from .calculus import Functional, InvariantViolation, ShardVector, forest_derivative
-from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank, rowspace_reducer
+from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank
 from .forests import Cut, cut_forest
 from .ground import (
     GroundMismatchError,
@@ -122,6 +122,7 @@ def steinmann_relations(ground):
     if ctx.relations is not None:
         return ctx.relations
     relations, provenance, seen = [], [], set()
+    neg = -ONE  # rows share ONE and neg rather than a Fraction per entry
     halves = _halves(ground)
     chambers = {Y.bits: Y for Y in enumerate_shards(ctx.P)} if halves else {}
     for S, T in halves:
@@ -143,37 +144,42 @@ def steinmann_relations(ground):
         V = Cut(ground, ground.full_mask, S)
         for q1, q2 in pairs:
             (Y1V, Y1W), (Y2V, Y2W) = lifts[q1], lifts[q2]
-            vec = ShardVector._trusted(ctx, {Y1V: 1, Y1W: -1, Y2W: 1, Y2V: -1})
-            items = vec.items()
-            if items[0][1] < ZERO:
-                vec = -vec
-                items = vec.items()
-            sig = tuple(items)
+            plus = min(Y1V.bits, Y2W.bits), max(Y1V.bits, Y2W.bits)
+            minus = min(Y1W.bits, Y2V.bits), max(Y1W.bits, Y2V.bits)
+            # the bits-least chamber's coefficient is made positive
+            if plus < minus:
+                s, t, sig = ONE, neg, plus + minus
+            else:
+                s, t, sig = neg, ONE, minus + plus
             if sig in seen:
                 continue
             seen.add(sig)
-            relations.append(vec)
+            relations.append(ShardVector._trusted(
+                ctx, {Y1V: s, Y1W: t, Y2W: s, Y2V: t}))
             provenance.append((V, (ctxQ.intern(q1), ctxQ.intern(q2))))
     ctx.relations = RelationSet(ground, relations, provenance)
     return ctx.relations
 
 
 class QuotientSpace:
-    """One-block shard span modulo the relation span.
+    """One-block shard span modulo the relation span, a view over its dual.
 
-    Coset representatives are the unique members supported on the free
-    columns of the relation matrix over the id-sorted shard basis.
+    free holds the shards at the free columns of the relation matrix.  The
+    j-th annihilator functional f_j is 1 at the j-th free shard Y_j and 0
+    at the others, so sum_j f_j(v) Y_j is the unique member of v's coset
+    supported on free, its canonical representative.
     """
 
-    __slots__ = ("ground", "relation_set", "shards", "rank", "dim", "_reduce")
+    __slots__ = ("ground", "relation_set", "shards", "free", "dim")
 
     def __init__(self, ground):
         self.ground = ground
         self.relation_set = steinmann_relations(ground)
-        self.shards = tuple(self.relation_set.shard_basis())
-        self.rank = self.relation_set.rank()
-        self.dim = len(self.shards) - self.rank
-        self._reduce = rowspace_reducer(self.relation_set.matrix())
+        M = self.relation_set.matrix()
+        self.shards = M.columns
+        pivots = M.pivots()
+        self.free = tuple(X for i, X in enumerate(self.shards) if i not in pivots)
+        self.dim = len(self.free)
 
     def reduce(self, v):
         """Canonical coset representative of a one-block ShardVector."""
@@ -181,7 +187,9 @@ class QuotientSpace:
             v = ShardVector.basis(v)
         if v.support != Partition.one_block(self.ground):
             raise SupportMismatchError("vector is not over the one-block support")
-        return ShardVector._trusted(v.ctx, self._reduce(v.entries))
+        basis = self.relation_set.annihilator_basis()
+        return ShardVector._trusted(
+            v.ctx, {Y: f.evaluate_vector(v) for f, Y in zip(basis, self.free)})
 
     def contains(self, v):
         """True iff v lies in the relation span."""
@@ -189,16 +197,14 @@ class QuotientSpace:
 
 
 def quotient_space(ground):
-    """The QuotientSpace of ground, kept on the one-block context."""
-    ctx = context_for(Partition.one_block(ground))
-    if ctx.quotient is None:
-        ctx.quotient = QuotientSpace(ground)
-    return ctx.quotient
+    """The QuotientSpace of ground."""
+    return QuotientSpace(ground)
 
 
 def quotient_dim(ground):
     """Number of one-block shards minus the relation rank."""
-    return quotient_space(ground).dim
+    R = steinmann_relations(ground)
+    return len(R.matrix().columns) - R.rank()
 
 
 def is_semisimple(f, R=None):

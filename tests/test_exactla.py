@@ -74,11 +74,23 @@ def test_one_echelon_per_row_set(monkeypatch):
     m = M(["x", "y", "z"], [{"x": 1, "y": -1}])
     assert rank(m) == 1
     assert kernel_basis(m) == [{"x": 1, "y": 1}, {"z": 1}]
-    exactla.rowspace_reducer(m)
     assert len(calls) == 1
     m.add_row({"y": 1, "z": 1})
     assert rank(m) == 2
     assert len(calls) == 2
+
+
+def test_int_rows_equal_fraction_rows():
+    rows = [{0: 2, 1: -4, 3: 6}, {1: 3, 2: -1}, {0: 2, 1: 2, 2: -2, 3: 6}]
+    ints = M([0, 1, 2, 3], rows)
+    fracs = M([0, 1, 2, 3], [{c: Fraction(v) for c, v in r.items()} for r in rows])
+    assert all(type(v) is int for r in ints.rows for v in r.values())
+    assert all(type(v) is Fraction for r in fracs.rows for v in r.values())
+    assert ints.pivots() == fracs.pivots()
+    assert rank(ints) == rank(fracs) == 2
+    assert kernel_basis(ints) == kernel_basis(fracs)
+    with pytest.raises(TypeError):
+        M([0, 1], [{0: 1, 1: 0.5}])
 
 
 def test_kernel_vectors_annihilate_rows():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat, rowspace_reducer
+from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat
 from shardcalc.ground import (
     GroundSet,
     NotFinerError,
@@ -206,7 +206,6 @@ def test_relations_and_quotient_live_on_the_one_block_context(monkeypatch):
     assert steinmann_relations(G4).relations[0].ctx is ctx
     assert quotient_space(G4).shards[0].ctx is ctx
     assert ctx.relations is steinmann_relations(G4)
-    assert ctx.quotient is quotient_space(G4)
 
 
 def test_quotient_dims_match_series_oracle():
@@ -249,15 +248,19 @@ def test_annihilator_basis_solves_the_kernel_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_annihilator_functionals_are_reducer_coefficients(n):
-    # functional j at X is the coefficient, in X's coset representative,
-    # of the j-th free column of the relation matrix, so functionals can
-    # be drawn one at a time from the reducer
+    # functional j is 1 at the j-th free shard and 0 at the other free
+    # shards, so the coefficients f_j(X) that reduce reads off the
+    # functionals give a member of X's coset supported on the free shards
     g = GroundSet.of_size(n)
     Q = quotient_space(g)
     pivots = Q.relation_set.matrix().pivots()
     free = [X for i, X in enumerate(Q.shards) if i not in pivots]
     basis = Q.relation_set.annihilator_basis()
+    assert list(Q.free) == free
     assert len(free) == len(basis) == Q.dim
+    for j, f in enumerate(basis):
+        assert [f(Y) for Y in free] == [ONE if k == j else ZERO
+                                        for k in range(len(free))]
     for X in Q.shards:
         rep = dict(Q.reduce(X).items())
         assert [f(X) for f in basis] == [rep.get(Y, ZERO) for Y in free]
@@ -391,26 +394,30 @@ def test_quotient_reduce_properties():
 
 
 def test_quotient_reduce_equals_construction_from_sign_strings():
-    # the reducer works on shard-keyed vectors; the reference keys the
-    # relation matrix by sign string and maps representatives back
+    # the coset member supported on the free shards is unique: a difference
+    # of two such members in the relation span would be a relation row
+    # combination with no pivot column, hence zero.  The reference keys
+    # the relation matrix by sign string, so reduce's representative is
+    # pinned by a matrix it never sees.
     for g in (G2, G3, G4, G5):
         qs = quotient_space(g)
         P = Partition.one_block(g)
-        byid = {X.id(): X for X in qs.shards}
-        M = RationalMatrix(list(byid))
-        for v in qs.relation_set:
-            M.add_row({X.id(): c for X, c in v.items()})
-        old = rowspace_reducer(M)
+        ids = [X.id() for X in qs.shards]
+        rows = [{X.id(): c for X, c in v.items()} for v in qs.relation_set]
+        M = RationalMatrix(ids, rows)
+        base = rank(M)
+        free = {k for i, k in enumerate(ids) if i not in M.pivots()}
+        assert len(free) == qs.dim
         vectors = [ShardVector.basis(X) for X in qs.shards]
         for seed in range(3):
             f = random_functional(P, seed)
             vectors.append(ShardVector(P, dict(f.items())))
         for v in vectors:
-            red = old({X.id(): c for X, c in v.items()})
-            expected = ShardVector(P, {byid[k]: c for k, c in red.items()})
             got = qs.reduce(v)
-            assert got == expected
+            assert all(X.id() in free for X, _ in got.items())
             assert all(type(c) is Fraction and c != 0 for _, c in got.items())
+            gap = {X.id(): c for X, c in (v - got).items()}
+            assert rank(RationalMatrix(ids, rows + [gap])) == base
 
 
 def test_delayering_difference_lies_in_relation_span():
