@@ -31,7 +31,6 @@ from .arrangement import (
 )
 from .calculus import (
     Functional,
-    InvariantViolation,
     dual_rows,
     forest_derivative,
     random_functional,
@@ -74,66 +73,19 @@ CHAMBER_COUNTS = {1: 1, 2: 2, 3: 6, 4: 32, 5: 370, 6: 11292}
 # Every sampled check derives its randomness from this constant.
 SAMPLE_SEED = 271828
 
-_SERIES_LIMIT = 12
-
-
-class EgfSeries:
-    """Truncated exponential generating function with exact coefficients."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        self.coefficients = list(coefficients)
-
-    def dimension(self, n):
-        """n! times the x^n coefficient, demanded to be a nonnegative int."""
-        if not 0 <= n < len(self.coefficients):
-            raise ValueError(
-                "series holds degrees 0..%d, got %d"
-                % (len(self.coefficients) - 1, n)
-            )
-        value = self.coefficients[n] * rat(math.factorial(n))
-        if value.denominator != 1 or value < 0:
-            raise InvariantViolation(
-                "degree %d term %s is not a dimension" % (n, rat_str(value))
-            )
-        return int(value)
-
-
-def zie_series(upto=_SERIES_LIMIT):
-    """The series -log(2 - e^x) as an EgfSeries through degree `upto`.
-
-    With u = e^x - 1 the function equals -log(1 - u), so the coefficients
-    come from summing u^m / m with exact rational arithmetic.
-    """
-    u = [ZERO] + [rat(1) / rat(math.factorial(k)) for k in range(1, upto + 1)]
-    total = [ZERO] * (upto + 1)
-    power = [ONE] + [ZERO] * upto
-    for m in range(1, upto + 1):
-        nxt = [ZERO] * (upto + 1)
-        for a in range(upto + 1):
-            if power[a] == ZERO:
-                continue
-            for b in range(1, upto + 1 - a):
-                nxt[a + b] += power[a] * u[b]
-        power = nxt
-        inv = rat(1) / rat(m)
-        for d in range(upto + 1):
-            total[d] += power[d] * inv
-    return EgfSeries(total)
-
-
-_ZIE = None
-
 
 def zie_dimension(n):
-    """Expected quotient dimension at ground size n, from zie_series."""
-    global _ZIE
-    if not 1 <= n <= _SERIES_LIMIT:
-        raise ValueError("dimensions are tabulated for sizes 1..%d" % _SERIES_LIMIT)
-    if _ZIE is None:
-        _ZIE = zie_series(_SERIES_LIMIT)
-    return _ZIE.dimension(n)
+    """Expected quotient dimension at ground size n: n! [x^n] -log(2 - e^x),
+    which is the sum over k of (k - 1)! S(n, k).  With u = e^x - 1 the
+    series is -log(1 - u) = sum_k u^k / k, and n! [x^n] u^k / k! is
+    S(n, k), the Stirling number of the second kind, built row by row
+    from S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)."""
+    if not 1 <= n <= 12:
+        raise ValueError("dimensions are tabulated for sizes 1..12")
+    row = [1]  # S(0, k) for k = 0
+    for _ in range(n):
+        row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return sum(math.factorial(k - 1) * s for k, s in enumerate(row) if k)
 
 
 class AuditEntry:
@@ -817,20 +769,18 @@ def _check_delayering_annihilator(g, max_cuts):
 def _separation_witness(g, seed):
     """The functional drawn from `seed` must tell apart the two layerings
     of some layering pair of the one-block support (forests of up to
-    n - 1 cuts), judged as _delayering_witness judges an indexed
-    functional, one shard at a time.  Returns (pairs examined,
-    counterexample or None)."""
+    n - 1 cuts), each pair judged by _delayering_witness.  Returns (pairs
+    examined, counterexample or None)."""
     one = Partition.one_block(g)
-    _, by_shard = _functional_index([random_functional(one, seed)], one)
+    index = _functional_index([random_functional(one, seed)], one)
     instances = 0
     for F0, *others in _layering_groups(g, g.n - 1):
+        shards = enumerate_shards(F0.target)
         for Fi in others:
             instances += 1
-            for X in enumerate_shards(F0.target):
-                pair = [_totals(by_shard, dual_rows(F, [{X: 1}])[0])
-                        for F in (F0, Fi)]
-                if _first_failure([pair]) is not None:
-                    return instances, None
+            if _delayering_witness("delayering.separation", index, shards,
+                                   F0, Fi) is not None:
+                return instances, None
     return instances, _counterexample(
         "delayering.separation", g, seed=seed)
 
@@ -1059,6 +1009,9 @@ def run_suite(suite, n, seed=SAMPLE_SEED):
     size n: each row at min(n, its largest size) unless that is below its
     smallest, and each entry with the size it was checked at.  A suite
     takes sizes 2 up to the largest size among its rows."""
+    if suite not in SUITES + ("full",):
+        raise ValueError("suite must be one of %s or \"full\", got %r"
+                         % (", ".join(SUITES), suite))
     rows = [row for row in _CLAIMS if suite in ("full", row.suite)]
     largest = max(row.largest for row in rows)
     if not 2 <= n <= largest:

@@ -368,6 +368,13 @@ def format_forest(F):
     return body + "@" + ("" if len(perm) <= 10 else ",").join(perm)
 
 
+def _splits(atoms):
+    """Unions of the nonempty proper subsets of the disjoint masks `atoms`,
+    in the order of their pick masks (bit t picks atoms[t])."""
+    for pick in range(1, (1 << len(atoms)) - 1):
+        yield sum(a for t, a in enumerate(atoms) if pick >> t & 1)
+
+
 def all_trees(P, block, leaves):
     """All layered binary trees over `block` with the given leaf blocks.
 
@@ -394,14 +401,7 @@ def all_trees(P, block, leaves):
             results.append(tuple(cuts))
             return
         for m in splittable:
-            atoms = [a for a in atom_masks if a & m]
-            for pick in range(1, 1 << len(atoms)):
-                if pick == (1 << len(atoms)) - 1:
-                    continue
-                left = 0
-                for t in range(len(atoms)):
-                    if pick >> t & 1:
-                        left |= atoms[t]
+            for left in _splits([a for a in atom_masks if a & m]):
                 cuts.append(Cut(P.ground, m, left))
                 rec([b for b in blocks if b != m] + [m & ~left, left], cuts)
                 cuts.pop()
@@ -425,14 +425,7 @@ def iter_forests(P, max_cuts):
         for m in sorted(blocks):
             if popcount(m) < 2:
                 continue
-            bits = list(iter_bits(m))
-            for pick in range(1, 1 << len(bits)):
-                if pick == (1 << len(bits)) - 1:
-                    continue
-                left = 0
-                for t in range(len(bits)):
-                    if pick >> t & 1:
-                        left |= 1 << bits[t]
+            for left in _splits([1 << i for i in iter_bits(m)]):
                 cuts.append(Cut(P.ground, m, left))
                 rec([b for b in blocks if b != m] + [m ^ left, left], cuts)
                 cuts.pop()

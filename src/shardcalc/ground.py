@@ -203,29 +203,9 @@ def is_r_semisimple(P, R, emask):
 
 
 def all_partitions(ground):
-    """All partitions of the ground set, deterministic order.
-
-    Generated by placing elements in index order (restricted growth), then
-    sorted by (block count, block masks).
-    """
-    out = []
-
-    def rec(i, blocks):
-        if i == ground.n:
-            out.append(Partition(ground, blocks))
-            return
-        bit = 1 << i
-        for j in range(len(blocks)):
-            blocks[j] |= bit
-            rec(i + 1, blocks)
-            blocks[j] &= ~bit
-        blocks.append(bit)
-        rec(i + 1, blocks)
-        blocks.pop()
-
-    rec(0, [])
-    out.sort(key=lambda p: (len(p.blocks), p.blocks))
-    return out
+    """All partitions of the ground set: those coarser than the singletons,
+    sorted by (block count, block masks)."""
+    return coarser_partitions(ground, Partition.singletons(ground))
 
 
 def coarser_partitions(ground, P):

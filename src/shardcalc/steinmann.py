@@ -16,7 +16,7 @@ uniquely in blockwise tensor bases.  All orders are fixed by shard ids,
 which keeps outputs reproducible.
 """
 
-from itertools import combinations, product as iter_product
+from itertools import product as iter_product
 
 from .arrangement import (
     Shard,
@@ -33,6 +33,7 @@ from .ground import (
     GroundMismatchError,
     GroundSet,
     Partition,
+    all_partitions,
     is_r_semisimple,
     iter_bits,
     popcount,
@@ -45,17 +46,8 @@ class NotSemisimpleError(ValueError):
 
 def _halves(ground):
     """Bipartition masks (S, T), |S|, |T| >= 2, S holding the least label."""
-    n = ground.n
-    full = ground.full_mask
-    out = []
-    for size in range(2, n - 1):
-        for rest in combinations(range(1, n), size - 1):
-            S = 1
-            for i in rest:
-                S |= 1 << i
-            out.append((S, full ^ S))
-    out.sort()
-    return out
+    return [P.blocks for P in all_partitions(ground)
+            if len(P.blocks) == 2 and min(map(popcount, P.blocks)) >= 2]
 
 
 class RelationSet:

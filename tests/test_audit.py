@@ -13,14 +13,12 @@ from shardcalc.audit import (
     SAMPLE_SEED,
     AuditEntry,
     AuditReport,
-    EgfSeries,
     _shard_ref,
     _vector_ref,
     full_audit,
     replay_counterexample,
     run_suite,
     zie_dimension,
-    zie_series,
 )
 from shardcalc.calculus import (
     Functional,
@@ -30,7 +28,6 @@ from shardcalc.calculus import (
     dual_rows,
     random_functional,
 )
-from shardcalc.exactla import rat
 from shardcalc.forests import (
     Cut,
     LayeredForest,
@@ -84,29 +81,22 @@ def bell(n):
 
 
 def test_zie_series_matches_fraction_oracle():
-    want = series_oracle(8)
-    got = [zie_dimension(k) for k in range(1, 9)]
+    want = series_oracle(12)
+    got = [zie_dimension(k) for k in range(1, 13)]
     assert got == want
     assert got[:6] == [1, 2, 6, 26, 150, 1082]
-
-
-def test_zie_series_object():
-    s = zie_series(5)
-    assert s.dimension(0) == 0
-    assert s.dimension(3) == 6
-    with pytest.raises(ValueError):
-        s.dimension(6)
     with pytest.raises(ValueError):
         zie_dimension(0)
     with pytest.raises(ValueError):
         zie_dimension(13)
 
 
-def test_egf_series_rejects_non_dimensions():
-    with pytest.raises(InvariantViolation):
-        EgfSeries([rat("1/3")]).dimension(0)
-    with pytest.raises(InvariantViolation):
-        EgfSeries([rat(-2)]).dimension(0)
+def test_run_suite_rejects_unknown_suite():
+    # the CLI's "all" is run_suite's "full"
+    for name in ("all", "nope"):
+        with pytest.raises(ValueError, match="factorization or \"full\"") as exc:
+            run_suite(name, 3)
+        assert repr(name) in str(exc.value)
 
 
 def test_lie_axioms_counts_small():

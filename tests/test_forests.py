@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from shardcalc.ground import GroundSet, Partition, GroundMismatchError
+from shardcalc.ground import GroundSet, Partition, GroundMismatchError, all_partitions
 from shardcalc.forests import (
     AmbiguousLayeringError,
     BoundaryMismatchError,
@@ -236,6 +236,74 @@ def test_all_trees_against_merge_sequences():
     rec([1, 2, 4, 8], [])
     assert built == seqs
     assert len(built) == 144
+
+
+def _pick_mask_lefts(atoms):
+    # the split loop as first written: bit t of pick takes atoms[t]; the
+    # empty and the full pick are skipped
+    for pick in range(1, 1 << len(atoms)):
+        if pick == (1 << len(atoms)) - 1:
+            continue
+        left = 0
+        for t in range(len(atoms)):
+            if pick >> t & 1:
+                left |= atoms[t]
+        yield left
+
+
+def _pick_mask_forests(P, max_cuts):
+    out = []
+
+    def rec(blocks, cuts):
+        out.append(tuple(cuts))
+        if len(cuts) == max_cuts:
+            return
+        for m in sorted(blocks):
+            bits = [1 << i for i in range(P.ground.n) if m >> i & 1]
+            if len(bits) < 2:
+                continue
+            for left in _pick_mask_lefts(bits):
+                cuts.append(Cut(P.ground, m, left))
+                rec([b for b in blocks if b != m] + [m ^ left, left], cuts)
+                cuts.pop()
+
+    rec(list(P.blocks), [])
+    return out
+
+
+def _pick_mask_trees(P, block, leaves):
+    results = []
+
+    def rec(blocks, cuts):
+        splittable = [m for m in blocks if m not in leaves]
+        if not splittable:
+            results.append(tuple(cuts))
+            return
+        for m in splittable:
+            for left in _pick_mask_lefts([a for a in leaves if a & m]):
+                cuts.append(Cut(P.ground, m, left))
+                rec([b for b in blocks if b != m] + [m & ~left, left], cuts)
+                cuts.pop()
+
+    rec([block], [])
+    return sorted(set(results), key=lambda cs: tuple(c.serial() for c in cs))
+
+
+def test_iter_forests_order_matches_pick_mask_loop():
+    for n in range(1, 5):
+        for P in all_partitions(GroundSet.of_size(n)):
+            for max_cuts in range(4):
+                got = [tuple(F.cuts) for F in iter_forests(P, max_cuts)]
+                assert got == _pick_mask_forests(P, max_cuts), (P, max_cuts)
+
+
+def test_all_trees_order_matches_pick_mask_loop():
+    G5 = GroundSet.of_size(5)
+    P = Partition.one_block(G5)
+    for text in ("(1|2|3|4|5)", "(13|2|4|5)", "(124|35)"):
+        leaves = list(Partition.parse(G5, text).blocks)
+        got = [tuple(F.cuts) for F in all_trees(P, G5.full_mask, leaves)]
+        assert got == _pick_mask_trees(P, G5.full_mask, leaves), text
 
 
 def test_all_trees_validation():

@@ -173,6 +173,19 @@ def test_all_partitions_unique_and_deterministic():
     assert ps == all_partitions(G)
 
 
+def test_all_partitions_order_matches_restricted_growth():
+    # element i joins one of the blocks opened so far or opens a new one;
+    # the result is sorted by (block count, blocks)
+    for n in range(1, 7):
+        grown = [[]]
+        for i in range(n):
+            grown = [bs[:j] + [(bs + [0])[j] | 1 << i] + bs[j + 1:]
+                     for bs in grown for j in range(len(bs) + 1)]
+        want = sorted((len(bs), tuple(bs)) for bs in grown)
+        got = [(len(P.blocks), P.blocks) for P in all_partitions(g(n))]
+        assert got == want, n
+
+
 def test_coarser_partitions():
     G = g(4)
     P = part(G, "(12|34)")

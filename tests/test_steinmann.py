@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,18 @@ def series_dims(upto):
         assert d.denominator == 1
         out.append(int(d))
     return out
+
+
+def test_halves_order_matches_combinations():
+    # |S| >= 2 sets holding label 1, from itertools.combinations, sorted
+    for n in range(1, 8):
+        G = GroundSet.of_size(n)
+        want = []
+        for size in range(2, n - 1):
+            for rest in itertools.combinations(range(1, n), size - 1):
+                S = 1 | sum(1 << i for i in rest)
+                want.append((S, G.full_mask ^ S))
+        assert steinmann._halves(G) == sorted(want), n
 
 
 def test_no_relations_below_four():
