@@ -30,7 +30,7 @@ import random
 from math import gcd, lcm
 
 from ._backend import kernel
-from .exactla import RationalMatrix, integer_coefficients, strictly_feasible
+from .exactla import strictly_feasible
 from .ground import (
     NotFinerError,
     Partition,
@@ -177,7 +177,8 @@ class SupportContext:
         return out
 
     def flat_rows(self):
-        """Key functionals in the flat's own coordinates, for the LP.
+        """Key functionals in the flat's own coordinates, for the LP:
+        (free labels, one {free position: int} row per key).
 
         Every label but the last of its block is free; the last is minus
         the sum of the block's others.  So key r reads +1 on r's labels in
@@ -189,17 +190,18 @@ class SupportContext:
         lasts = 0
         for b in self.P.blocks:
             lasts |= 1 << (b.bit_length() - 1)
+        free = [i for i in range(self.n) if not lasts >> i & 1]
+        position = {i: j for j, i in enumerate(free)}
         rows = []
         for r in self.keys:
             row = {}
             for b in self.P.blocks:
                 if r >> (b.bit_length() - 1) & 1:
-                    row.update((i, -1) for i in iter_bits(b & ~r))
+                    row.update((position[i], -1) for i in iter_bits(b & ~r))
                 else:
-                    row.update((i, 1) for i in iter_bits(b & r))
+                    row.update((position[i], 1) for i in iter_bits(b & r))
             rows.append(row)
-        free = [i for i in range(self.n) if not lasts >> i & 1]
-        self._flat_rows = RationalMatrix(free, rows)
+        self._flat_rows = free, rows
         return self._flat_rows
 
 
@@ -305,11 +307,15 @@ def shard_from_signs(P, signs, certify=False):
 
 def _lp_witness(ctx, bits):
     """Exact LP: an integer point realizing a sign pattern inside the flat."""
-    vec = strictly_feasible(ctx.flat_rows(), _sign_text(ctx.K, bits))
-    if vec is None:
+    free, rows = ctx.flat_rows()
+    rows = [{j: -v for j, v in row.items()} if bits & ctx.bit(k) else row
+            for k, row in enumerate(rows)]
+    x = strictly_feasible(rows, len(free))
+    if x is None:
         return None
-    free = integer_coefficients(vec)[0]
-    coords = [free.get(i, 0) for i in range(ctx.n)]
+    coords = [0] * ctx.n
+    for i, v in zip(free, x):
+        coords[i] = v
     for b in ctx.P.blocks:
         coords[b.bit_length() - 1] = -sum(coords[i] for i in iter_bits(b))
     return coords

@@ -81,7 +81,7 @@ def zie_dimension(n):
     S(n, k), the Stirling number of the second kind, built row by row
     from S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)."""
     if not 1 <= n <= 12:
-        raise ValueError("dimensions are tabulated for sizes 1..12")
+        raise ValueError("the series oracle covers sizes 1..12")
     row = [1]  # S(0, k) for k = 0
     for _ in range(n):
         row = [k * a + b for k, (a, b) in enumerate(zip(row + [0], [0] + row))]

@@ -3,25 +3,26 @@
 All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
 exported as Rational.  Matrices are sparse rows over a shared ordered
 column basis of arbitrary hashable keys; rows keep int entries as ints.
-Kernel vectors and LP witnesses are {column: nonzero Rational} dicts.
-rank and kernel_basis use fraction-free integer elimination with content
+Kernel vectors are {column: nonzero Rational} dicts.  rank and
+kernel_basis use fraction-free integer elimination with content
 reduction; the columns at play downstream are shards, so rows are mostly
 small incidence data.
 
 integer_coefficients is the package's one rule for clearing denominators:
 it multiplies a rational map by the lcm of its denominators.  The scale
-is positive, so signs survive it; this is how arrangement.py keeps its
-witness points as integer vectors, exact up to a positive scale.
+is positive, so signs survive it.
 
-strictly_feasible answers "is there a point where these linear forms take
-these signs" by an exact simplex with Bland's rule: maximize a slack t
-with all strict rows relaxed by t and every variable boxed, feasible iff
-the optimum is strictly positive.  The tableau is one integer matrix over
-a running determinant (fraction-free pivoting, as in Avis's lrs).  A
-witness is re-verified and scaled so the largest absolute entry is 1 (a
-zero witness, possible only when every row is '0', is returned unscaled);
-a "no" carries the Farkas certificate of the final objective row, checked
-in integers.  arrangement.py poses its LPs in the flat's own coordinates.
+strictly_feasible answers Gordan's alternative for integer rows: either
+some integer point makes every row positive, or nonnegative multipliers,
+not all zero, combine the rows to zero.  Callers orient each row by the
+sign they want, so every row asks for "> 0".  An exact simplex with
+Bland's rule maximizes a slack t with every row relaxed by t and every
+variable boxed; the rows are feasible iff the optimum is positive.  The
+tableau is one integer matrix over a running determinant (fraction-free
+pivoting, as in Avis's lrs).  A point is re-verified and divided by its
+content; a "no" carries the multipliers of the final objective row,
+checked in integers.  arrangement.py poses its LPs in the flat's own
+coordinates.
 """
 
 from fractions import Fraction as Rational
@@ -195,80 +196,62 @@ def kernel_basis(M):
     return basis
 
 
-def _farkas_holds(rows, signs, mults):
-    """True when mults prove that no x gives the rows these signs.
+def _farkas_holds(rows, mults):
+    """True when mults prove that no x makes every row positive.
 
-    Holds when y_k >= 0 on the strict rows, with a positive sum there, and
-    sum_k y_k * s_k * row_k = 0, s_k being -1 on '-' rows and +1 otherwise
-    ('0' rows take any y_k): at a point realizing the signs that sum
-    would be positive and zero at once.
+    Holds when every y_k >= 0, their sum is positive and sum_k y_k * row_k
+    = 0: at a point with every row positive that sum would be positive and
+    zero at once (Gordan's alternative).
     """
-    if len(mults) != len(rows):
+    if len(mults) != len(rows) or any(y < 0 for y in mults):
         return False
-    weight = 0
     total = {}
-    for row, s, y in zip(rows, signs, mults):
-        if s != "0":
-            if y < 0:
-                return False
-            weight += y
-        if s == "-":
-            y = -y
+    for row, y in zip(rows, mults):
         for j, v in row.items():
             total[j] = total.get(j, 0) + y * v
-    return weight > 0 and not any(total.values())
+    return sum(mults) > 0 and not any(total.values())
 
 
-def strictly_feasible(A, signs):
-    """Witness x with (A x)_i strictly +, strictly -, or 0 per signs, or None.
+def strictly_feasible(rows, width):
+    """An integer point x with row . x > 0 for every row, or None.
 
-    signs: one of '+', '-', '0' per row.  The witness is a dict from A's
-    columns to nonzero Rationals, absent columns reading zero, with max
-    absolute entry 1.  None comes only with a Farkas certificate that
-    passed _farkas_holds; a witness or a certificate that fails its check
-    raises AssertionError.
+    rows: {position: int} maps over positions 0..width-1.  The point is
+    a list of width ints divided by their content; with no rows it is
+    the zero point.  None comes only with multipliers that passed
+    _farkas_holds; a point or multipliers that fail their check raise
+    AssertionError.
     """
-    if len(signs) != len(A.rows):
-        raise ValueError("need exactly one sign per row")
-    bad = [s for s in signs if s not in ("+", "-", "0")]
-    if bad:
-        raise ValueError("signs must be '+', '-' or '0', got %r" % bad[0])
-
     # Columns u_0..u_{m-1}, v_0..v_{m-1} (x = u - v), t, then one slack
-    # per row, then the right-hand side.  Rows: -s a.(u - v) + t <= 0 per
-    # strict row, a.(u - v) <= 0 and -a.(u - v) <= 0 per '0' row, then
-    # every structural variable <= 1; the objective row maximizes t.
-    ints = [_int_row(row) for row in A.rows]
-    m = len(A.columns)
+    # per row, then the right-hand side.  Rows: -a.(u - v) + t <= 0 per
+    # row a, then every structural variable <= 1; the objective row
+    # maximizes t.
+    m = width
     nv = 2 * m + 1
     lp = []
-    for row, s in zip(ints, signs):
-        for f in {"+": (-1,), "-": (1,), "0": (1, -1)}[s]:
-            g = [0] * nv
-            for j, v in row.items():
-                g[j] = f * v
-                g[m + j] = -f * v
-            if s != "0":
-                g[nv - 1] = 1
-            lp.append((g, 0))
-    cons = len(lp)
+    for row in rows:
+        g = [0] * nv
+        for j, v in row.items():
+            g[j] = -v
+            g[m + j] = v
+        g[nv - 1] = 1
+        lp.append((g, 0))
     lp += [([int(i == j) for i in range(nv)], 1) for j in range(nv)]
-    rows = len(lp)
-    tab = [g + [int(i == k) for k in range(rows)] + [b]
+    height = len(lp)
+    tab = [g + [int(i == k) for k in range(height)] + [b]
            for i, (g, b) in enumerate(lp)]
-    obj = [0] * (nv + rows + 1)
+    obj = [0] * (nv + height + 1)
     obj[nv - 1] = -1
     tab.append(obj)
-    basis = list(range(nv, nv + rows))
+    basis = list(range(nv, nv + height))
 
     det = 1
     while True:
-        objrow = tab[rows]
-        enter = next((j for j in range(nv + rows) if objrow[j] < 0), -1)
+        objrow = tab[height]
+        enter = next((j for j in range(nv + height) if objrow[j] < 0), -1)
         if enter < 0:
             break
         leave = -1
-        for i in range(rows):
+        for i in range(height):
             a = tab[i][enter]
             if a > 0:
                 b = tab[i][-1]
@@ -283,30 +266,20 @@ def strictly_feasible(A, signs):
         det = kernel.pivot_step(tab, leave, enter, det)
         basis[leave] = enter
 
-    objrow = tab[rows]
+    objrow = tab[height]
     if objrow[-1] <= 0:
         # The slack reduced costs are det times the duals of the LP rows.
-        # A '0' row's multiplier is the dual of its -a row minus the dual
-        # of its a row.
-        duals = iter(objrow[nv : nv + cons])
-        mults = []
-        for s in signs:
-            y = next(duals)
-            mults.append(next(duals) - y if s == "0" else y)
-        if not _farkas_holds(ints, signs, mults):
+        if not _farkas_holds(rows, objrow[nv : nv + len(rows)]):
             raise AssertionError("simplex Farkas certificate failed its check")
         return None
 
     value = [0] * nv
-    for i in range(rows):
+    for i in range(height):
         if basis[i] < nv:
             value[basis[i]] = tab[i][-1]
     x = [value[j] - value[m + j] for j in range(m)]  # det times the point
-    for row, s in zip(ints, signs):
-        val = sum(v * x[j] for j, v in row.items())
-        if (s == "+" and not val > 0) or (s == "-" and not val < 0) or (
-            s == "0" and val != 0
-        ):
+    for row in rows:
+        if not sum(v * x[j] for j, v in row.items()) > 0:
             raise AssertionError("simplex witness failed re-verification")
-    top = max(abs(q) for q in x) if x else 0
-    return {A.columns[j]: Rational(q, top) for j, q in enumerate(x) if q}
+    content = gcd(*x)
+    return [q // content for q in x] if content else x

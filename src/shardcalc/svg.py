@@ -269,6 +269,19 @@ def _key_normals4(ctx):
     return normals
 
 
+def _vertex_rays(normals):
+    """Both primitive directions of every pairwise wall intersection,
+    sorted."""
+    rays = set()
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            c = _cross(normals[i], normals[j])
+            if any(c):
+                p = _primitive(c)
+                rays.update((p, tuple(-t for t in p)))
+    return sorted(rays)
+
+
 def _pole_frame(ctx, normals):
     """Chamber of the probe, its barycentric ray sum d0, and a rational
     orthogonal frame (a0, b0) of the plane perpendicular to d0.
@@ -279,17 +292,8 @@ def _pole_frame(ctx, normals):
     y = _iso3(_PROBE4)
     eps = tuple(1 if _dot(n, y) >= 0 else -1 for n in normals)
 
-    rays = set()
-    for i in range(len(normals)):
-        for j in range(i + 1, len(normals)):
-            c = _cross(normals[i], normals[j])
-            if not any(c):
-                continue
-            for s in (1, -1):
-                d = tuple(rat(s) * x for x in c)
-                if all(e * _dot(n, d) >= 0
-                       for e, n in zip(eps, normals)):
-                    rays.add(_primitive(d))
+    rays = [d for d in _vertex_rays(normals)
+            if all(e * _dot(n, d) >= 0 for e, n in zip(eps, normals))]
     d0 = tuple(sum(r[i] for r in rays) for i in range(3))
     if not all(e * _dot(n, tuple(map(rat, d0))) > 0
                for e, n in zip(eps, normals)):
@@ -314,16 +318,8 @@ def _vertex_extent(normals, d0, D, a0, A, b0, B, S):
     image coordinate splits into a difference of two single-radical
     terms, so two exact digit roundings bound it to within two units.
     """
-    rays = set()
-    for i in range(len(normals)):
-        for j in range(i + 1, len(normals)):
-            c = _cross(normals[i], normals[j])
-            if any(c):
-                p = _primitive(c)
-                rays.add(p)
-                rays.add(tuple(-t for t in p))
     ext = 0
-    for w in sorted(rays):
+    for w in _vertex_rays(normals):
         wr = tuple(map(rat, w))
         W = _dot(wr, wr)
         c1 = _dot(wr, d0)

@@ -175,17 +175,16 @@ def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
     # pattern goes to the LP twice
     monkeypatch.setattr(arrangement, "_context_cache", {})
     lp_calls, infeasible = [], set()
-    solve = arrangement.strictly_feasible
+    solve = arrangement._lp_witness
 
-    def recording(A, signs):
-        pattern = int(signs.replace("+", "0").replace("-", "1"), 2)
-        lp_calls.append(pattern)
-        w = solve(A, signs)
+    def recording(ctx, bits):
+        lp_calls.append(bits)
+        w = solve(ctx, bits)
         if w is None:
-            infeasible.add(pattern)
+            infeasible.add(bits)
         return w
 
-    monkeypatch.setattr(arrangement, "strictly_feasible", recording)
+    monkeypatch.setattr(arrangement, "_lp_witness", recording)
     P = part(g(6), "(123|456)")
     shards = enumerate_shards(P)
     memo = context_for(P)._memo

@@ -340,8 +340,9 @@ def test_oracle_beyond_chamber_table(capsys):
     obj = json.loads(out)
     assert obj["chamber_count"] is None
     assert obj["zie_dimension"] > 0
-    code, _, _ = run_main(capsys, ["oracle", "--n", "13"])
-    assert code == 2
+    for n in ("0", "13"):
+        code, _, _ = run_main(capsys, ["oracle", "--n", n])
+        assert code == 2
 
 
 # --------------------------------------------------------------- render

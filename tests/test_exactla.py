@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -145,43 +146,41 @@ def test_integer_coefficients_clears_denominators_by_their_lcm():
 
 
 def test_strictly_feasible_trivial():
-    a = M(["x"], [{"x": 1}])
-    w = strictly_feasible(a, ["+"])
-    assert w is not None and w.get("x", 0) == 1
-    assert strictly_feasible(M(["x"], [{"x": 1}, {"x": -1}]), ["+", "+"]) is None
-
-
-def test_strictly_feasible_zero_rows():
-    a = M(["x", "y"], [{"x": 1, "y": 1}, {"x": 1, "y": -1}])
-    w = strictly_feasible(a, ["0", "+"])
-    assert w is not None
-    assert w.get("x", 0) + w.get("y", 0) == 0
-    assert w.get("x", 0) - w.get("y", 0) > 0
+    assert strictly_feasible([{0: 1}], 1) == [1]
+    assert strictly_feasible([{0: 1}, {0: -1}], 1) is None
 
 
 def test_strictly_feasible_witness_is_normalized():
-    a = M(["x", "y"], [{"x": 2, "y": 1}, {"y": 1}])
-    w = strictly_feasible(a, ["+", "-"])
-    assert w is not None
-    assert max(abs(w.get(k, 0)) for k in ("x", "y")) == 1
+    # x > 0, 3y - x > 0 and y - 2x < 0: the point is content-1 ints
+    w = strictly_feasible([{0: 1}, {0: -1, 1: 3}, {0: 2, 1: -1}], 2)
+    assert all(type(q) is int for q in w) and math.gcd(*w) == 1
+    assert w[0] > 0 and 3 * w[1] - w[0] > 0 and w[1] - 2 * w[0] < 0
+    # no rows: the zero point of the right width, and no division by gcd() = 0
+    assert strictly_feasible([], 3) == [0, 0, 0]
+    assert strictly_feasible([], 0) == []
 
 
 def test_adjoint_sign_patterns_n4_count_32():
     # raw LP scan over all 128 sign patterns on the 7 subset-sum classes
-    # of a 4-element set inside the sum-zero hyperplane
+    # of a 4-element set, in the sum-zero hyperplane's coordinates x1..x3
+    # (x4 = -x1 - x2 - x3)
     full = 0b1111
     reps = []
     for e in range(1, full):
         if e < full ^ e:
             reps.append(e)
     assert len(reps) == 7
-    cols = [0, 1, 2, 3]
-    rows = [{i: 1 for i in range(4) if e >> i & 1} for e in reps]
-    rows.append({i: 1 for i in range(4)})
+    rows = []
+    for e in reps:
+        row = {i: 1 for i in range(3) if e >> i & 1}
+        if e >> 3 & 1:
+            row = {i: row.get(i, 0) - 1 for i in range(3)}
+        rows.append({i: v for i, v in row.items() if v})
     feasible = 0
     for bits in range(1 << 7):
-        signs = ["-" if bits >> k & 1 else "+" for k in range(7)] + ["0"]
-        if strictly_feasible(M(cols, rows), signs) is not None:
+        oriented = [{i: -v for i, v in row.items()} if bits >> k & 1 else row
+                    for k, row in enumerate(rows)]
+        if strictly_feasible(oriented, 3) is not None:
             feasible += 1
     assert feasible == 32
 
@@ -228,24 +227,30 @@ def test_rank_nullity(m):
             assert s == 0
 
 
+def _oriented(m, signs):
+    # each row times its sign, denominators cleared by a positive scale
+    return [integer_coefficients({j: s * v for j, v in row.items()})[0]
+            for row, s in zip(m.rows, signs)]
+
+
 @given(small_matrices(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_feasibility_of_realized_sign_patterns(m, data):
-    # ask for the sign pattern of a concrete point; must come back feasible
+    # orient the rows by the signs of a concrete point, dropping the rows
+    # that vanish there; must come back feasible
     x = [data.draw(small_rats) for _ in range(len(m.columns))]
-    signs = []
-    for row in m.rows:
-        val = sum((v * x[j] for j, v in row.items()), rat(0))
-        signs.append("+" if val > 0 else ("-" if val < 0 else "0"))
-    w = strictly_feasible(m, signs)
+    vals = [sum((v * x[j] for j, v in row.items()), rat(0)) for row in m.rows]
+    rows = _oriented(m, [1 if val > 0 else -1 for val in vals])
+    rows = [row for row, val in zip(rows, vals) if val]
+    w = strictly_feasible(rows, len(m.columns))
     assert w is not None  # witness re-verification runs inside
 
 
 @given(small_matrices(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_every_verdict_on_arbitrary_sign_patterns_is_checked(m, data):
-    # arbitrary patterns, mostly unrealizable, so the Farkas path runs
-    signs = [data.draw(st.sampled_from("+-0")) for _ in m.rows]
+    # arbitrary orientations, mostly unrealizable, so the Farkas path runs
+    rows = _oriented(m, [data.draw(st.sampled_from((1, -1))) for _ in m.rows])
     verdicts = []
     holds = exactla._farkas_holds
 
@@ -254,46 +259,45 @@ def test_every_verdict_on_arbitrary_sign_patterns_is_checked(m, data):
         return verdicts[-1]
 
     with mock.patch.object(exactla, "_farkas_holds", recording):
-        w = strictly_feasible(m, signs)
+        w = strictly_feasible(rows, len(m.columns))
     if w is None:
         assert verdicts == [True]
     else:
         assert verdicts == []
-        assert all(type(c) is Fraction and c for c in w.values())
-        for row, s in zip(m.rows, signs):
-            val = sum((v * w.get(j, 0) for j, v in row.items()), rat(0))
-            assert (val > 0, val < 0, val == 0)["+-0".index(s)]
+        assert len(w) == len(m.columns) and all(type(q) is int for q in w)
+        assert math.gcd(*w) in (0, 1)
+        for row in rows:
+            assert sum(v * w[j] for j, v in row.items()) > 0
 
 
-# x > 0, y > 0 and -x - y > 0; then x > 0, y > 0 and x + y = 0
+# x > 0, y > 0 and -x - y > 0; then x > 0, y > 0 and -x - 2y > 0
 INFEASIBLE = [
-    ([{0: 1}, {1: 1}, {0: -1, 1: -1}], "+++", [1, 1, 1]),
-    ([{0: 1}, {1: 1}, {0: 1, 1: 1}], "++0", [1, 1, -1]),
+    ([{0: 1}, {1: 1}, {0: -1, 1: -1}], [1, 1, 1]),
+    ([{0: 1}, {1: 1}, {0: -1, 1: -2}], [1, 2, 1]),
 ]
 
 
-@pytest.mark.parametrize("rows, signs, mults", INFEASIBLE)
-def test_farkas_predicate_accepts_real_multipliers(rows, signs, mults):
-    assert exactla._farkas_holds(rows, signs, mults)
-    assert exactla._farkas_holds(rows, signs, [3 * y for y in mults])
-    assert strictly_feasible(M([0, 1], rows), list(signs)) is None
+@pytest.mark.parametrize("rows, mults", INFEASIBLE)
+def test_farkas_predicate_accepts_real_multipliers(rows, mults):
+    assert exactla._farkas_holds(rows, mults)
+    assert exactla._farkas_holds(rows, [3 * y for y in mults])
+    assert strictly_feasible(rows, 2) is None
 
 
-@pytest.mark.parametrize("rows, signs, mults", INFEASIBLE)
-def test_farkas_predicate_rejects_perturbed_multipliers(rows, signs, mults):
+@pytest.mark.parametrize("rows, mults", INFEASIBLE)
+def test_farkas_predicate_rejects_perturbed_multipliers(rows, mults):
     for k in range(len(mults)):
         for delta in (-1, 1):
             bad = list(mults)
             bad[k] += delta
-            assert not exactla._farkas_holds(rows, signs, bad), bad
-    assert not exactla._farkas_holds(rows, signs, [-y for y in mults])
-    assert not exactla._farkas_holds(rows, signs, [0] * len(mults))
-    assert not exactla._farkas_holds(rows, signs, mults[:-1])
+            assert not exactla._farkas_holds(rows, bad), bad
+    assert not exactla._farkas_holds(rows, [-y for y in mults])
+    assert not exactla._farkas_holds(rows, [0] * len(mults))
+    assert not exactla._farkas_holds(rows, mults[:-1])
 
 
 def test_failed_certificate_check_raises(monkeypatch):
-    a = M(["x"], [{"x": 1}, {"x": -1}])
     monkeypatch.setattr(exactla, "_farkas_holds", lambda *args: False)
     with pytest.raises(AssertionError):
-        strictly_feasible(a, ["+", "+"])
-    assert strictly_feasible(a, ["+", "-"]) is not None
+        strictly_feasible([{0: 1}, {0: -1}], 1)
+    assert strictly_feasible([{0: 1}, {0: 1}], 1) == [1]

@@ -7,6 +7,7 @@ the backend module; a rename would make every traced benchmark call exit
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
@@ -37,3 +38,24 @@ def test_traced_kernel_functions_exist():
 
     for fname in ("pivot_step", "sign_eval", "quick_check"):
         assert callable(getattr(kernel, fname, None)), fname
+
+
+def test_observed_names_are_wrapped_functions():
+    # an observer whose name traced.py never wraps reads zero: the LP's
+    # infeasible count and the probe-hit ratio derived from its calls
+    from shardcalc._backend import kernel
+
+    traced = _traced()
+    missing = []
+    for name in traced.Tracer()._observe:
+        layer, fname = name.split(".")
+        if layer == "kernel":
+            found = callable(getattr(kernel, fname, None))
+        else:
+            path = traced.LAYERS[layer]
+            fn = getattr(importlib.import_module(path), fname, None)
+            found = (not fname.startswith("_") and inspect.isfunction(fn)
+                     and fn.__module__ == path)
+        if not found:
+            missing.append(name)
+    assert missing == []
