@@ -422,7 +422,7 @@ def _blockwise_kernel_vectors(Q):
 
 def _coset_witness(index, T, v):
     """No annihilating functional may be nonzero on v's dual derivative."""
-    if _totals(index[1], dual_rows(T, [v])[0])[0]:
+    if _totals(index[1], dual_rows(T, [v])[0]):
         return _counterexample(
             "module.coset_kernel", T.ground,
             forests=[format_forest(T)], vector=_vector_ref(T.target, v))
@@ -643,16 +643,15 @@ def _annihilator_index(g):
 
 
 def _totals(by_shard, row):
-    """The indexed functionals on a dual_rows row, as (totals, scale),
-    where scale takes the row's coefficients to integers: totals[i] is
-    functional i's value on the row times scale and times the
-    functional's own scale, left out when zero."""
-    coefficients, scale = integer_coefficients(row)
+    """The indexed functionals on a dual_rows row: totals[i] is functional
+    i's value on the row times the functional's own scale, left out when
+    zero.  The row's coefficients are exact as they come (ints or
+    Fractions), so totals of two rows compare directly."""
     totals = {}
-    for X, m in coefficients.items():
+    for X, m in row.items():
         for i, a in by_shard.get(X, ()):
             totals[i] = totals.get(i, 0) + m * a
-    return {i: t for i, t in totals.items() if t}, scale
+    return {i: t for i, t in totals.items() if t}
 
 
 def _first_failure(pairs):
@@ -660,16 +659,13 @@ def _first_failure(pairs):
     apart the two sides of that pair of _totals, or None.
 
     This is the first failure of the functional-major loop "for each
-    functional, for each pair: value on one side != value on the other".
-    The sides may carry different scales, so each total is compared
-    against the other after multiplying by the other side's scale."""
+    functional, for each pair: value on one side != value on the other"."""
     best = None
-    for pos, ((t0, s0), (t1, s1)) in enumerate(pairs):
-        if s0 == s1 and t0 == t1:
+    for pos, (t0, t1) in enumerate(pairs):
+        if t0 == t1:
             continue
-        i = min((i for i in t0.keys() | t1.keys()
-                 if t0.get(i, 0) * s1 != t1.get(i, 0) * s0), default=None)
-        if i is not None and (best is None or i < best[0]):
+        i = min(i for i in t0.keys() | t1.keys() if t0.get(i) != t1.get(i))
+        if best is None or i < best[0]:
             best = (i, pos)
     return best
 

@@ -357,8 +357,7 @@ def forest_derivative(F, f):
     All shards of target(F) are derived in one dual_rows call, and a
     shard's row has integer coefficients.  f's values are scaled to
     integers once, so each derived shard's value is an integer sum over
-    its row divided by f's scale, in one Rational.  Rows still pass
-    through integer_coefficients, so a rational row is scaled exactly too.
+    its row divided by f's scale, in one Rational.
     """
     if f.support is not F.source:
         raise BoundaryMismatchError(
@@ -370,11 +369,10 @@ def forest_derivative(F, f):
     get = weights.get
     values = {}
     for X, row in zip(shards, dual_rows(F, [{X: 1} for X in shards])):
-        entries, scale = integer_coefficients(row)
         total = 0
-        for Y, m in entries.items():
+        for Y, m in row.items():
             a = get(Y)
             if a is not None:
                 total += m * a
-        values[X] = Rational(total, f_scale * scale)
+        values[X] = Rational(total, f_scale)
     return Functional._trusted(context_for(F.target), values)

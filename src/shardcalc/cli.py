@@ -473,9 +473,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except AssertionError as exc:  # InvariantViolation and internal checks
-        path = _write_replay_bundle(exc, argv)
         print("invariant violation: %s" % exc, file=sys.stderr)
-        print("replay bundle: %s" % path, file=sys.stderr)
+        try:
+            path = _write_replay_bundle(exc, argv)
+        except OSError as err:
+            print("no replay bundle written: %s" % err, file=sys.stderr)
+        else:
+            print("replay bundle: %s" % path, file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -4,9 +4,10 @@ All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
 exported as Rational.  Matrices are sparse rows over a shared ordered
 column basis of arbitrary hashable keys; rows keep int entries as ints.
 Kernel vectors are {column: nonzero Rational} dicts.  rank and
-kernel_basis use fraction-free integer elimination with content
-reduction; the columns at play downstream are shards, so rows are mostly
-small incidence data.
+kernel_basis share one fraction-free integer echelon with content
+reduction; kernel_basis reduces it back to front and reads each vector
+off the reduced rows.  The columns at play downstream are shards, so
+rows are mostly small incidence data.
 
 integer_coefficients is the package's one rule for clearing denominators:
 it multiplies a rational map by the lcm of its denominators.  The scale
@@ -26,7 +27,6 @@ coordinates.
 """
 
 from fractions import Fraction as Rational
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from ._backend import kernel
@@ -139,7 +139,7 @@ def _echelon(int_rows):
     """Incremental integer echelon; returns {pivot col: row} by col order.
 
     Each stored row's minimum column is its pivot column; entries of a row
-    at other pivot columns are tolerated (resolved at back-substitution).
+    at other pivot columns are tolerated (kernel_basis clears them).
     """
     pivots = {}
     for row in int_rows:
@@ -158,42 +158,22 @@ def kernel_basis(M):
     """Basis of the right kernel, one {column: Rational} dict per free column.
 
     Each basis vector has entry 1 at its free column and 0 at the other
-    free columns; pivot coordinates are solved bottom-up.  Only the pivot
-    rows that hold a coordinate already solved can give a nonzero one, so
-    those are queued as coordinates appear and solved largest pivot
-    column first: a row holds only columns above its pivot column.
+    free columns.  The pivot rows are reduced back to front, largest pivot
+    column first, so each holds only its pivot and free columns; a free
+    column's vector then reads -row[f] / row[col] off every reduced row
+    holding it, in decreasing pivot-column order.
     """
     pivots = M.pivots()
-    n = len(M.columns)
-    free = [j for j in range(n) if j not in pivots]
-    # column -> negated pivot columns of the other rows holding it, so a
-    # min-heap of them pops the largest pivot column first
-    holders = {}
-    for col, prow in pivots.items():
-        for c in prow:
-            if c != col:
-                holders.setdefault(c, []).append(-col)
-    basis = []
-    for f in free:
-        x = {f: ONE}
-        queue = list(holders.get(f, ()))
-        queued = set(queue)
-        heapify(queue)
-        while queue:
-            col = -heappop(queue)
-            prow = pivots[col]
-            s = ZERO
-            for c, v in prow.items():
-                if c != col and c in x:
-                    s += v * x[c]
-            if s:
-                x[col] = -s / prow[col]
-                for q in holders.get(col, ()):
-                    if q not in queued:
-                        queued.add(q)
-                        heappush(queue, q)
-        basis.append({M.columns[j]: v for j, v in x.items() if v})
-    return basis
+    reduced = {}
+    for col in sorted(pivots, reverse=True):
+        reduced[col] = _eliminate(pivots[col], reduced)
+    basis = {f: {f: ONE} for f in range(len(M.columns)) if f not in pivots}
+    for col, row in reduced.items():
+        p = row[col]
+        for f, v in row.items():
+            if f != col:
+                basis[f][col] = Rational(-v, p)
+    return [{M.columns[j]: v for j, v in x.items()} for x in basis.values()]
 
 
 def _farkas_holds(rows, mults):

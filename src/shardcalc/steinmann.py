@@ -396,8 +396,12 @@ def factorize(P, f):
     Raises NotSemisimpleError unless f is constant on Steinmann classes
     and every single-cut derivative is as well; the expansion then
     exists and is unique because the blockwise product map is injective
-    onto the semisimple span.  The result reports the coefficient
-    tensor, the bases, and the recovered factors for pure products.
+    onto the semisimple span.  Each block's basis is 1 at one free shard
+    and 0 at the others, so the coefficient at an index tuple is f's
+    value at a shard whose components are those free shards; a tuple read
+    at no shard raises InvariantViolation.  The result reports the
+    coefficient tensor, the bases, and the recovered factors for pure
+    products.
     """
     if f.support is not P:
         raise SupportMismatchError("functional is not over %s" % P.format())
@@ -412,33 +416,22 @@ def factorize(P, f):
             )
     bases = [flat_annihilator_basis(P, T) for T in P.blocks]
     dims = [len(b) for b in bases]
-    alphas = list(iter_product(*[range(d) for d in dims]))
-    M = RationalMatrix(alphas + ["rhs"])
+    at = {}  # index tuple -> f at a shard where its basis product is 1
     for X in enumerate_shards(P):
-        comps = project(P, X)
-        row = {}
-        for alpha in alphas:
-            v = ONE
-            for j, i in enumerate(alpha):
-                v = v * bases[j][i](comps[j])
-            if v:
-                row[alpha] = v
-        fx = f(X)
-        if fx:
-            row["rhs"] = fx
-        M.add_row(row)
-    kernel = kernel_basis(M)
-    if len(kernel) != 1 or not kernel[0].get("rhs"):
+        alpha = []
+        for basis, c in zip(bases, project(P, X)):
+            hits = [(i, v) for i, g in enumerate(basis) if (v := g(c))]
+            if len(hits) != 1 or hits[0][1] != 1:
+                break
+            alpha.append(hits[0][0])
+        else:
+            at[tuple(alpha)] = f(X)
+    alphas = list(iter_product(*[range(d) for d in dims]))
+    if not all(alpha in at for alpha in alphas):
         raise InvariantViolation(
-            "tensor expansion failed for a semisimply differentiable functional"
+            "some blockwise basis index is 1 at no shard of %s" % P.format()
         )
-    sol = kernel[0]
-    t = sol.get("rhs")
-    coefficients = {}
-    for alpha in alphas:
-        c = sol.get(alpha)
-        if c:
-            coefficients[alpha] = -c / t
+    coefficients = {alpha: at[alpha] for alpha in alphas if at[alpha]}
     out = Factorization(P, bases, coefficients, _rank_one_factors(bases, coefficients, dims))
     if out.expand() != f:
         raise InvariantViolation("expansion does not reproduce the functional")

@@ -702,7 +702,7 @@ _FIRST_FAILS = {
     "module.action": (3, [(audit, "dual_rows", _doubled(audit.dual_rows))]),
     # every derived row reads as outside the relation span
     "module.coset_kernel": (
-        4, [(audit, "_totals", lambda by_shard, row: ({0: 1}, 1))]),
+        4, [(audit, "_totals", lambda by_shard, row: {0: 1})]),
     "module.layering": (
         4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "kernel.span": (3, [(audit, "rank", lambda M: -1)]),

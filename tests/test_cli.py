@@ -470,6 +470,23 @@ def test_internal_assertion_writes_replay_bundle(
     assert obj["kind"] == "replay"
 
 
+def test_internal_assertion_exits_3_when_no_bundle_can_be_written(
+        tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("SHARDCALC_OUTDIR", str(missing))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("simplex witness failed re-verification")
+
+    monkeypatch.setattr(cli, "enumerate_shards", boom)
+    code, _, err = run_main(capsys, ["enumerate", "--n", "3"])
+    assert code == 3
+    assert "Traceback" not in err
+    assert err.startswith("invariant violation: simplex witness failed")
+    assert "no replay bundle written: " in err and str(missing) in err
+    assert not missing.exists() and not list(tmp_path.rglob("replay-*.json"))
+
+
 def test_deeply_nested_forest_is_usage_error(capsys):
     code, out, err = run_main(
         capsys, ["render", "--n", "3", "--forest", "[" * 3000])

@@ -133,6 +133,18 @@ def test_kernel_basis_solves_only_reachable_rows_in_order():
         assert len(basis) == n - rank(m)
 
 
+def test_kernel_basis_of_relation_matrices_matches_dense_solve():
+    # the annihilator bases the quotient reads, entry order included
+    from shardcalc.steinmann import steinmann_relations
+
+    for n in range(2, 6):
+        m = steinmann_relations(GroundSet.of_size(n)).matrix()
+        basis = kernel_basis(m)
+        assert [list(v.items()) for v in basis] == \
+            [list(v.items()) for v in _dense_back_substitution(m)]
+        assert len(basis) == len(m.columns) - rank(m)
+
+
 def test_integer_coefficients_clears_denominators_by_their_lcm():
     assert integer_coefficients({}) == ({}, 1)
     values = {"a": Rational(1, 4), "b": Rational(-5, 6), "c": ZERO, "d": 3}

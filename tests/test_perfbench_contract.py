@@ -2,15 +2,17 @@
 
 traced.py wraps methods by getattr on their class and kernel functions on
 the backend module; a rename would make every traced benchmark call exit
-1.  The script is loaded by path and only read here.
+1.  The scripts are loaded by path or parsed, and only read here.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED = PERFBENCH / "traced.py"
 
 
 def _traced():
@@ -59,3 +61,48 @@ def test_observed_names_are_wrapped_functions():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+# TIMED names that no longer name a traced callable, so their metrics read
+# zero; the set may only shrink
+DEAD_TIMED = {
+    "exactla.rowspace_reducer",
+    "audit.verify_lie_axioms",
+    "audit.verify_module_axioms",
+    "audit.verify_kernel_theorem",
+    "audit.verify_factorization",
+}
+
+
+def _timed_names():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TIMED"]]
+    return [name for name, _ in ast.literal_eval(value)]
+
+
+def test_timed_names_resolve_to_traced_callables():
+    # a TIMED name traced.py never wraps reads zero in every benchmark run
+    from shardcalc._backend import kernel
+
+    traced = _traced()
+    missing = []
+    for name in _timed_names():
+        layer, *rest = name.split(".")
+        if layer == "kernel":
+            found = callable(getattr(kernel, rest[0], None))
+        elif len(rest) == 2:
+            cname, mname = rest
+            cls = getattr(importlib.import_module(traced.LAYERS[layer]), cname, None)
+            found = (mname in traced.METHODS.get(layer, {}).get(cname, ())
+                     and callable(getattr(cls, mname, None)))
+        else:
+            path = traced.LAYERS[layer]
+            fn = getattr(importlib.import_module(path), rest[0], None)
+            found = (not rest[0].startswith("_") and inspect.isfunction(fn)
+                     and fn.__module__ == path)
+        if not found:
+            missing.append(name)
+    assert set(missing) <= DEAD_TIMED
+    assert {"exactla.kernel_basis", "exactla.rank",
+            "steinmann.RelationSet.rank"} <= set(_timed_names())

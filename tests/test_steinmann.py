@@ -1,10 +1,12 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardcalc.exactla import ZERO, ONE, RationalMatrix, rank, rat
+from shardcalc.exactla import ZERO, ONE, RationalMatrix, kernel_basis, rank, rat
 from shardcalc.ground import (
     GroundSet,
     NotFinerError,
@@ -559,6 +561,82 @@ def test_factorize_one_block_is_expansion_in_annihilator_basis():
     fac = factorize(P, f)
     assert fac.factors is not None
     assert fac.factors[0] == f
+
+
+def _augmented_solve(P, f):
+    # reference: f as the one kernel vector of an augmented system over
+    # the index tuples and a right-hand side, solved by elimination
+    bases = [flat_annihilator_basis(P, T) for T in P.blocks]
+    alphas = list(itertools.product(*[range(len(b)) for b in bases]))
+    m = RationalMatrix(alphas + ["rhs"])
+    for X in enumerate_shards(P):
+        comps = arrangement.project(P, X)
+        row = {"rhs": f(X)}
+        for alpha in alphas:
+            row[alpha] = math.prod(bases[j][i](comps[j])
+                                   for j, i in enumerate(alpha))
+        m.add_row(row)
+    (sol,) = kernel_basis(m)
+    return {alpha: -sol[alpha] / sol["rhs"] for alpha in alphas if alpha in sol}
+
+
+def _sum_of_products(P, rng):
+    # one to three products of random rational combinations of each
+    # block's basis functionals
+    bases = [flat_annihilator_basis(P, T) for T in P.blocks]
+    total = dict.fromkeys(enumerate_shards(P), ZERO)
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for basis in bases:
+            ws = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis]
+            flat = basis[0].support
+            factors.append(Functional(flat, {
+                X: sum((w * g(X) for w, g in zip(ws, basis)), ZERO)
+                for X in enumerate_shards(flat)}))
+        term = product(P, factors)
+        for X in total:
+            total[X] += term(X)
+    return Functional(P, total)
+
+
+def test_factorize_reads_the_augmented_solve():
+    rng = random.Random(5)
+    supports = list(all_partitions(G4)) + [
+        P for P in all_partitions(G5) if len(P.blocks) in (2, 3)]
+    for P in supports:
+        bases = [flat_annihilator_basis(P, T) for T in P.blocks]
+        dims = [len(b) for b in bases]
+        for _ in range(2):
+            f = _sum_of_products(P, rng)
+            fac = factorize(P, f)
+            ref = _augmented_solve(P, f)
+            assert fac.coefficients == ref
+            assert list(fac.coefficients) == list(ref)
+            assert fac.factors == steinmann._rank_one_factors(bases, ref, dims)
+            assert fac.expand() == f
+
+
+@pytest.mark.parametrize("text", ["(12|34)", "(1234)", "(123|4)"])
+def test_factorize_refuses_a_basis_that_is_not_1_at_its_own_shard(
+        monkeypatch, text):
+    # the sum of the first two functionals is still a basis, but no longer
+    # 1 at one free shard and 0 at the others
+    P = Partition.parse(G4, text)
+    f = _sum_of_products(P, random.Random(1))
+    factorize(P, f)
+    real = steinmann.flat_annihilator_basis
+
+    def broken(P, T):
+        basis = real(P, T)
+        if len(basis) < 2:
+            return basis
+        head = Functional(basis[0].support,
+                          {X: c + basis[1](X) for X, c in basis[0].items()})
+        return [head] + basis[1:]
+
+    monkeypatch.setattr(steinmann, "flat_annihilator_basis", broken)
+    with pytest.raises(InvariantViolation):
+        factorize(P, f)
 
 
 def test_tensor_dimension_matches_class_count():
