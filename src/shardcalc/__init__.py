@@ -24,7 +24,7 @@ from .calculus import (
     random_functional,
 )
 from .cli import main
-from .exactla import Rational, RationalMatrix, rat, rat_str
+from .exactla import Rational, rat, rat_str
 from .forests import (
     LayeredForest,
     antisymmetrize,
@@ -55,7 +55,6 @@ __all__ = [
     "LayeredForest",
     "Partition",
     "Rational",
-    "RationalMatrix",
     "SAMPLE_SEED",
     "Shard",
     "ShardVector",

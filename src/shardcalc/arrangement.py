@@ -300,8 +300,9 @@ def shard_from_signs(P, signs, certify=False):
             raise ValueError("signs must cover every canonical key exactly once")
         bits = ctx.encode(by_key[k] for k in range(ctx.K))
     if certify and _feasible(ctx, bits) is None:
-        raise ValueError("sign pattern %s is not realizable"
-                         % _sign_text(ctx.K, bits))
+        named = zip(map(ctx.ground.mask_labels, ctx.keys), _sign_text(ctx.K, bits))
+        raise ValueError("sign pattern %s is not realizable over %s" % (
+            " ".join("%s:%s" % kv for kv in named), ctx.P.format()))
     return ctx.intern(bits)
 
 

@@ -35,7 +35,7 @@ from .calculus import (
     forest_derivative,
     random_functional,
 )
-from .exactla import ONE, ZERO, RationalMatrix, integer_coefficients, rank, rat, rat_str
+from .exactla import ZERO, integer_coefficients, rank, rat, rat_str
 from .forests import (
     BoundaryMismatchError,
     Cut,
@@ -474,19 +474,10 @@ def _nested_pairs(g):
 def _span_witness(P, R):
     shards = enumerate_shards(P)
     keys = {X: _component_key(R, X) for X in shards}
-    inc = RationalMatrix(sorted(set(keys.values())))
-    for X in shards:
-        inc.add_row({keys[X]: ONE})
-    dim_kernel = len(shards) - rank(inc)
-    diffs = RationalMatrix(shards)
-    contained = True
-    for cls in steinmann_classes(P, R):
-        X0 = cls[0]
-        for X in cls[1:]:
-            if keys[X] != keys[X0]:
-                contained = False
-            diffs.add_row({X: ONE, X0: -ONE})
-    span = rank(diffs)
+    dim_kernel = len(shards) - rank({keys[X]: 1} for X in shards)
+    pairs = [(X0, X) for X0, *rest in steinmann_classes(P, R) for X in rest]
+    contained = all(keys[X] == keys[X0] for X0, X in pairs)
+    span = rank({X.bits: 1, X0.bits: -1} for X0, X in pairs)
     if not contained or span != dim_kernel:
         return _counterexample(
             "kernel.span", P.ground, fine=P.format(), coarse=R.format(),
@@ -568,22 +559,18 @@ _DIMENSION_SAMPLE = ("(1234|5)", "(123|45)", "(12|345)", "(12|34|5)")
 
 def _product_rank(P, bases):
     shards = enumerate_shards(P)
-    M = RationalMatrix(shards)
+    rows = []
     for combo in itertools.product(*bases):
         h = product(P, list(combo))
-        M.add_row({X: h(X) for X in shards if h(X) != ZERO})
-    return rank(M)
+        rows.append({X.bits: v for X in shards if (v := h(X))})
+    return rank(rows)
 
 
 def _solvable_dim(P):
     """Dimension cut out by semisimplicity of the value table and of all
     its single-cut derivatives, by exact elimination."""
-    shards = enumerate_shards(P)
-    M = RationalMatrix(shards)
-    for cls in steinmann_classes(P, P):
-        X0 = cls[0]
-        for X in cls[1:]:
-            M.add_row({X: ONE, X0: -ONE})
+    rows = [{X.bits: 1, X0.bits: -1}
+            for X0, *rest in steinmann_classes(P, P) for X in rest]
     for F in _single_cut_forests(P):
         fine = enumerate_shards(F.target)
         duals = dict(zip(fine, dual_rows(F, _units(fine))))
@@ -592,8 +579,8 @@ def _solvable_dim(P):
             for X in cls[1:]:
                 row = collections.Counter(duals[X])
                 row.subtract(duals[X0])
-                M.add_row(row)
-    return len(shards) - rank(M)
+                rows.append({Y.bits: c for Y, c in row.items() if c})
+    return len(enumerate_shards(P)) - rank(rows)
 
 
 def _dimension_witness(P):

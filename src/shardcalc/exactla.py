@@ -1,11 +1,12 @@
 """Exact rational linear algebra and strict-feasibility LP.
 
 All arithmetic is over arbitrary-precision rationals: fractions.Fraction,
-exported as Rational.  Matrices are sparse rows over a shared ordered
-column basis of arbitrary hashable keys; rows keep int entries as ints.
-Kernel vectors are {column: nonzero Rational} dicts.  rank and
-kernel_basis share one fraction-free integer echelon with content
-reduction; kernel_basis reduces it back to front and reads each vector
+exported as Rational.  A row is a plain {column: int or Rational} map
+whose keys are mutually orderable (shard bits, id strings or tuples);
+zero entries are ignored.  Kernel vectors are {column: nonzero Rational}
+dicts.  rank and kernel_basis share one fraction-free integer echelon
+with content reduction, {pivot column: row}, where a row's pivot is its
+least key; kernel_basis reduces it back to front and reads each vector
 off the reduced rows.  The columns at play downstream are shards, so
 rows are mostly small incidence data.
 
@@ -47,41 +48,6 @@ def rat_str(q):
     return str(q)
 
 
-class RationalMatrix:
-    """Ordered sparse rows over a shared ordered column basis.
-
-    The echelon form that rank and kernel_basis share is computed once
-    per row set: add_row discards it.
-    """
-
-    def __init__(self, columns, rows=()):
-        self.columns = tuple(columns)
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("column keys must be distinct")
-        self.col_index = {c: i for i, c in enumerate(self.columns)}
-        self.rows = []
-        self._pivots = None
-        for r in rows:
-            self.add_row(r)
-
-    def add_row(self, row):
-        out = {}
-        for k, v in row.items():
-            if k not in self.col_index:
-                raise KeyError("row key %r outside the column basis" % (k,))
-            v = v if type(v) in (int, Rational) else rat(v)
-            if v:
-                out[self.col_index[k]] = v
-        self.rows.append(out)
-        self._pivots = None
-
-    def pivots(self):
-        """The integer echelon of the rows, {pivot column: row}; cached."""
-        if self._pivots is None:
-            self._pivots = _echelon(_int_row(row) for row in self.rows if row)
-        return self._pivots
-
-
 def _content_reduce(row):
     g = 0
     for x in row.values():
@@ -104,7 +70,12 @@ def integer_coefficients(coefficients):
 
 def _int_row(row):
     """Clear denominators and content of one row: a positive rescaling."""
-    return _content_reduce(integer_coefficients(row)[0])
+    try:
+        ints = integer_coefficients(row)[0]
+    except AttributeError:  # a float has no denominator
+        raise TypeError("row entries must be int or Rational; floats are "
+                        "not allowed in exact arithmetic") from None
+    return _content_reduce(ints)
 
 
 def _eliminate(row, pivots):
@@ -135,45 +106,50 @@ def _eliminate(row, pivots):
     return row
 
 
-def _echelon(int_rows):
+def _echelon(rows):
     """Incremental integer echelon; returns {pivot col: row} by col order.
 
     Each stored row's minimum column is its pivot column; entries of a row
     at other pivot columns are tolerated (kernel_basis clears them).
     """
     pivots = {}
-    for row in int_rows:
-        row = _eliminate(row, pivots)
+    for row in rows:
+        row = _eliminate(_int_row(row), pivots)
         if row:
             pivots[min(row)] = row
     return dict(sorted(pivots.items()))
 
 
-def rank(M):
-    """Row rank by fraction-free elimination; exact."""
-    return len(M.pivots())
+def rank(rows):
+    """Row rank of {column: int or Rational} maps by fraction-free
+    elimination; exact."""
+    return len(_echelon(rows))
 
 
-def kernel_basis(M):
-    """Basis of the right kernel, one {column: Rational} dict per free column.
+def kernel_basis(pivots, columns):
+    """Basis of the right kernel of an echelon, one {column: Rational}
+    dict per free column, in columns order.
 
     Each basis vector has entry 1 at its free column and 0 at the other
     free columns.  The pivot rows are reduced back to front, largest pivot
     column first, so each holds only its pivot and free columns; a free
     column's vector then reads -row[f] / row[col] off every reduced row
-    holding it, in decreasing pivot-column order.
+    holding it, in decreasing pivot-column order.  A column of the echelon
+    missing from columns raises ValueError.
     """
-    pivots = M.pivots()
+    known = set(columns)
+    if not all(row.keys() <= known for row in pivots.values()):
+        raise ValueError("the echelon holds a column outside columns")
     reduced = {}
     for col in sorted(pivots, reverse=True):
         reduced[col] = _eliminate(pivots[col], reduced)
-    basis = {f: {f: ONE} for f in range(len(M.columns)) if f not in pivots}
+    basis = {f: {f: ONE} for f in columns if f not in pivots}
     for col, row in reduced.items():
         p = row[col]
         for f, v in row.items():
             if f != col:
                 basis[f][col] = Rational(-v, p)
-    return [{M.columns[j]: v for j, v in x.items()} for x in basis.values()]
+    return list(basis.values())
 
 
 def _farkas_holds(rows, mults):

@@ -27,7 +27,7 @@ from .arrangement import (
     steinmann_classes,
 )
 from .calculus import Functional, InvariantViolation, ShardVector, forest_derivative
-from .exactla import ONE, ZERO, RationalMatrix, kernel_basis, rank
+from .exactla import ONE, ZERO, _echelon, kernel_basis
 from .forests import Cut, cut_forest
 from .ground import (
     GroundMismatchError,
@@ -58,13 +58,13 @@ class RelationSet:
     deduplicated up to overall sign, in cut-then-pair order.
     """
 
-    __slots__ = ("ground", "relations", "provenance", "_matrix", "_basis")
+    __slots__ = ("ground", "relations", "provenance", "_pivots", "_basis")
 
     def __init__(self, ground, relations, provenance):
         self.ground = ground
         self.relations = tuple(relations)
         self.provenance = tuple(provenance)
-        self._matrix = None
+        self._pivots = None
         self._basis = None
 
     def __len__(self):
@@ -77,24 +77,28 @@ class RelationSet:
         """One-block shards sorted by id, the ambient column order."""
         return enumerate_shards(Partition.one_block(self.ground))
 
-    def matrix(self):
-        """Relation rows over the id-sorted shard columns."""
-        if self._matrix is None:
-            M = RationalMatrix(self.shard_basis())
-            for v in self.relations:
-                M.add_row(v.entries)
-            self._matrix = M
-        return self._matrix
+    def pivots(self):
+        """Integer echelon of the relation rows keyed by shard bits, cached.
+
+        Ascending bits is id order, so a row's pivot is its id-least shard;
+        the rows are read off relations as they are eliminated.
+        """
+        if self._pivots is None:
+            self._pivots = _echelon({Y.bits: c for Y, c in v.entries.items()}
+                                    for v in self.relations)
+        return self._pivots
 
     def rank(self):
-        return rank(self.matrix())
+        return len(self.pivots())
 
     def annihilator_basis(self):
         """Functionals over the one-block support killing every relation."""
         if self._basis is None:
             ctx = context_for(Partition.one_block(self.ground))
-            self._basis = tuple(Functional._trusted(ctx, vec)
-                                for vec in kernel_basis(self.matrix()))
+            columns = [X.bits for X in self.shard_basis()]
+            self._basis = tuple(
+                Functional._trusted(ctx, {ctx.intern(b): c for b, c in vec.items()})
+                for vec in kernel_basis(self.pivots(), columns))
         return list(self._basis)
 
 
@@ -156,7 +160,7 @@ def steinmann_relations(ground):
 class QuotientSpace:
     """One-block shard span modulo the relation span, a view over its dual.
 
-    free holds the shards at the free columns of the relation matrix.  The
+    free holds the shards at the free columns of the relation echelon.  The
     j-th annihilator functional f_j is 1 at the j-th free shard Y_j and 0
     at the others, so sum_j f_j(v) Y_j is the unique member of v's coset
     supported on free, its canonical representative.
@@ -167,10 +171,9 @@ class QuotientSpace:
     def __init__(self, ground):
         self.ground = ground
         self.relation_set = steinmann_relations(ground)
-        M = self.relation_set.matrix()
-        self.shards = M.columns
-        pivots = M.pivots()
-        self.free = tuple(X for i, X in enumerate(self.shards) if i not in pivots)
+        self.shards = tuple(self.relation_set.shard_basis())
+        pivots = self.relation_set.pivots()
+        self.free = tuple(X for X in self.shards if X.bits not in pivots)
         self.dim = len(self.free)
 
     def reduce(self, v):
@@ -196,7 +199,7 @@ def quotient_space(ground):
 def quotient_dim(ground):
     """Number of one-block shards minus the relation rank."""
     R = steinmann_relations(ground)
-    return len(R.matrix().columns) - R.rank()
+    return len(R.shard_basis()) - R.rank()
 
 
 def is_semisimple(f, R=None):

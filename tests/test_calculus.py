@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc import calculus, forests
-from shardcalc.exactla import ZERO, ONE, RationalMatrix, kernel_basis, rat, rat_str
+from shardcalc.exactla import ZERO, ONE, _echelon, kernel_basis, rat, rat_str
 from shardcalc.ground import GroundSet, Partition, GroundMismatchError, all_partitions
 from shardcalc.forests import (
     BoundaryMismatchError,
@@ -206,17 +206,18 @@ def test_dual_derivative_is_linear_over_fractions():
 
 
 def test_annihilator_basis_equals_construction_from_sign_strings():
-    # the relation matrix has the id-sorted shards as columns; the reference
-    # keys the same rows by sign string and maps kernel vectors back
+    # the relation echelon is keyed by shard bits, whose ascending order is
+    # id order; the reference keys the same rows by sign string and maps
+    # kernel vectors back
     for g in (G2, G3, G4, GroundSet.of_size(5)):
         R = steinmann_relations(g)
         P = Partition.one_block(g)
-        assert R.matrix().columns == tuple(R.shard_basis())
-        M = RationalMatrix([X.id() for X in R.shard_basis()])
-        for v in R:
-            M.add_row({X.id(): c for X, c in v.items()})
+        ids = [X.id() for X in R.shard_basis()]
+        assert ids == sorted(ids)
+        assert set(R.pivots()) <= {X.bits for X in R.shard_basis()}
+        rows = [{X.id(): c for X, c in v.items()} for v in R]
         expected = []
-        for vec in kernel_basis(M):
+        for vec in kernel_basis(_echelon(rows), ids):
             values = {X.id(): ZERO for X in enumerate_shards(P)}
             values.update(vec)
             expected.append(Functional(P, values))

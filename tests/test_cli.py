@@ -392,6 +392,19 @@ def test_render_rejects_wrong_vector_support(tmp_path, capsys):
     assert "one-block" in err
 
 
+def test_render_names_an_unrealizable_pattern_by_its_labels(tmp_path, capsys):
+    # lambda_3 = -lambda_12, so 1, 2 and 3 all positive is the pattern ++-
+    # over the canonical keys 1, 2 and 12, which no point realizes
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(
+        {"support": "(123)", "signs": {"1": "+", "2": "+", "3": "+"}}))
+    code, out, err = run_main(
+        capsys, ["render", "--n", "3", "--vector", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: sign pattern 1:+ 2:+ 12:- is not realizable over (123)\n"
+    assert "Traceback" not in err and "++-" not in err
+
+
 # ------------------------------------------------------------ plumbing
 
 def test_outdir_env_for_bare_names(tmp_path, capsys, monkeypatch):

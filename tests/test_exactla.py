@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shardcalc import exactla
-from shardcalc.arrangement import enumerate_shards
+from shardcalc.arrangement import context_for, enumerate_shards
 from shardcalc.calculus import Functional, ShardVector
 from shardcalc.exactla import (
     ONE,
     Rational,
-    RationalMatrix,
     ZERO,
     integer_coefficients,
     kernel_basis,
@@ -21,17 +20,18 @@ from shardcalc.exactla import (
     strictly_feasible,
 )
 from shardcalc.ground import GroundSet, Partition
+from shardcalc.steinmann import RelationSet, QuotientSpace, steinmann_relations
 
 
-def M(cols, rows):
-    return RationalMatrix(cols, rows)
+def basis_of(rows, columns):
+    return kernel_basis(exactla._echelon(rows), columns)
 
 
 def test_rank_trivial_cases():
-    assert rank(M([0, 1, 2], [])) == 0
-    assert rank(M([0, 1, 2], [{}, {}])) == 0
-    assert rank(M([0, 1, 2], [{0: 1}, {1: 1}, {2: 1}])) == 3
-    assert rank(M([0, 1], [{0: 1, 1: 1}, {0: 2, 1: 2}])) == 1
+    assert rank([]) == 0
+    assert rank([{}, {}]) == 0
+    assert rank([{0: 1}, {1: 1}, {2: 1}]) == 3
+    assert rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
 
 
 def test_sparse_vector_arithmetic():
@@ -52,18 +52,20 @@ def test_sparse_vector_arithmetic():
 
 
 def test_rank_with_rational_entries():
-    m = M(["a", "b"], [{"a": rat("1/3"), "b": rat("1/6")}, {"a": 4, "b": 2}])
-    assert rank(m) == 1
+    assert rank([{"a": rat("1/3"), "b": rat("1/6")}, {"a": 4, "b": 2}]) == 1
 
 
 def test_kernel_trivial_cases():
-    assert kernel_basis(M([0, 1], [{0: 1}, {1: 1}])) == []
-    basis = kernel_basis(M(["x", "y"], [{"x": 1, "y": -1}]))
+    assert basis_of([{0: 1}, {1: 1}], [0, 1]) == []
+    basis = basis_of([{"x": 1, "y": -1}], ["x", "y"])
     assert basis == [{"x": 1, "y": 1}]
     assert all(type(c) is Fraction for vec in basis for c in vec.values())
 
 
 def test_one_echelon_per_row_set(monkeypatch):
+    # rank, the annihilator basis and the quotient share one elimination
+    from shardcalc import steinmann
+
     calls = []
     real = exactla._echelon
 
@@ -71,78 +73,110 @@ def test_one_echelon_per_row_set(monkeypatch):
         calls.append(1)
         return real(rows)
 
-    monkeypatch.setattr(exactla, "_echelon", counted)
-    m = M(["x", "y", "z"], [{"x": 1, "y": -1}])
-    assert rank(m) == 1
-    assert kernel_basis(m) == [{"x": 1, "y": 1}, {"z": 1}]
+    monkeypatch.setattr(steinmann, "_echelon", counted)
+    g = GroundSet.of_size(4)
+    cached = steinmann_relations(g)
+    R = RelationSet(g, cached.relations, cached.provenance)
+    monkeypatch.setattr(context_for(Partition.one_block(g)), "relations", R)
+    assert R.rank() == 6
+    assert len(R.annihilator_basis()) == 26
+    Q = QuotientSpace(g)
+    assert Q.relation_set is R and Q.dim == 26
     assert len(calls) == 1
-    m.add_row({"y": 1, "z": 1})
-    assert rank(m) == 2
-    assert len(calls) == 2
 
 
 def test_int_rows_equal_fraction_rows():
     rows = [{0: 2, 1: -4, 3: 6}, {1: 3, 2: -1}, {0: 2, 1: 2, 2: -2, 3: 6}]
-    ints = M([0, 1, 2, 3], rows)
-    fracs = M([0, 1, 2, 3], [{c: Fraction(v) for c, v in r.items()} for r in rows])
-    assert all(type(v) is int for r in ints.rows for v in r.values())
-    assert all(type(v) is Fraction for r in fracs.rows for v in r.values())
-    assert ints.pivots() == fracs.pivots()
-    assert rank(ints) == rank(fracs) == 2
-    assert kernel_basis(ints) == kernel_basis(fracs)
+    fracs = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    pivots = exactla._echelon(fracs)
+    assert all(type(v) is int for r in pivots.values() for v in r.values())
+    assert exactla._echelon(rows) == pivots
+    assert rank(rows) == rank(fracs) == 2
+    assert basis_of(rows, range(4)) == basis_of(fracs, range(4))
+
+
+def test_row_api_guards():
+    # a float entry is inexact, on either path into the echelon
     with pytest.raises(TypeError):
-        M([0, 1], [{0: 1, 1: 0.5}])
+        rank([{0: 1, 1: 0.5}])
+    with pytest.raises(TypeError):
+        basis_of([{0: 1.0}], [0])
+    # zero entries are ignored: they neither pivot nor fill a row
+    assert rank([{0: 0, 1: ZERO}]) == 0
+    assert exactla._echelon([{0: 0, 1: 2, 2: -4}]) == {1: {1: 1, 2: -2}}
+    assert basis_of([{0: 0, 1: 1}], [0, 1]) == basis_of([{1: 1}], [0, 1])
+    # every column of the echelon must be one of columns
+    with pytest.raises(ValueError):
+        basis_of([{0: 1, 1: 1}], [1])
+    with pytest.raises(ValueError):
+        basis_of([{0: 1, 1: 1}], [0])
+
+
+def test_rows_keyed_by_ids_bits_or_positions_agree():
+    # id order is bits order, so the three keyings re-key one echelon
+    R = steinmann_relations(GroundSet.of_size(4))
+    shards = R.shard_basis()
+    keyings = [lambda X: X.id(), lambda X: X.bits, shards.index]
+    results = []
+    for key in keyings:
+        rows = [{key(X): c for X, c in v.entries.items()} for v in R]
+        basis = basis_of(rows, [key(X) for X in shards])
+        back = {key(X): X for X in shards}
+        results.append((rank(rows),
+                        [[(back[k], c) for k, c in vec.items()] for vec in basis]))
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] == R.rank() == 6
+    assert [[(X, c) for X, c in f.values.items()] for f in R.annihilator_basis()] \
+        == results[0][1]
 
 
 def test_kernel_vectors_annihilate_rows():
     rows = [{0: 1, 1: 2, 2: 3, 3: 4}, {0: 1, 2: 1}, {1: 2, 2: 4, 3: 8}]
-    m = M([0, 1, 2, 3], rows)
-    basis = kernel_basis(m)
-    assert len(basis) == 4 - rank(m)
+    basis = basis_of(rows, range(4))
+    assert len(basis) == 4 - rank(rows)
     for vec in basis:
         for row in rows:
             assert sum(v * vec.get(k, 0) for k, v in row.items()) == 0
 
 
-def _dense_back_substitution(m):
+def _dense_back_substitution(pivots, columns):
     # every pivot row, largest pivot column first, for every free column
-    pivots = m.pivots()
     out = []
-    for f in (j for j in range(len(m.columns)) if j not in pivots):
+    for f in (j for j in columns if j not in pivots):
         x = {f: Fraction(1)}
         for col, prow in sorted(pivots.items(), reverse=True):
             s = sum((v * x[c] for c, v in prow.items() if c != col and c in x),
                     Fraction(0))
             if s:
                 x[col] = -s / prow[col]
-        out.append({m.columns[j]: v for j, v in x.items() if v})
+        out.append({j: v for j, v in x.items() if v})
     return out
 
 
-def test_kernel_basis_solves_only_reachable_rows_in_order():
-    # the queued solve gives the dense one's vectors, entry order included
+def test_kernel_basis_of_random_rows_matches_dense_solve():
+    # reading the back-reduced echelon gives the dense solve's vectors,
+    # entry order included
     rng = random.Random(3)
     for _ in range(60):
         n = rng.randint(1, 10)
         rows = [{j: rng.randint(-3, 3) for j in range(n) if rng.random() < 0.35}
                 for _ in range(rng.randint(1, 8))]
-        m = M(range(n), rows)
-        basis = kernel_basis(m)
+        pivots = exactla._echelon(rows)
+        basis = kernel_basis(pivots, range(n))
         assert [list(v.items()) for v in basis] == \
-            [list(v.items()) for v in _dense_back_substitution(m)]
-        assert len(basis) == n - rank(m)
+            [list(v.items()) for v in _dense_back_substitution(pivots, range(n))]
+        assert len(basis) == n - rank(rows)
 
 
 def test_kernel_basis_of_relation_matrices_matches_dense_solve():
     # the annihilator bases the quotient reads, entry order included
-    from shardcalc.steinmann import steinmann_relations
-
     for n in range(2, 6):
-        m = steinmann_relations(GroundSet.of_size(n)).matrix()
-        basis = kernel_basis(m)
+        R = steinmann_relations(GroundSet.of_size(n))
+        columns = [X.bits for X in R.shard_basis()]
+        basis = kernel_basis(R.pivots(), columns)
         assert [list(v.items()) for v in basis] == \
-            [list(v.items()) for v in _dense_back_substitution(m)]
-        assert len(basis) == len(m.columns) - rank(m)
+            [list(v.items()) for v in _dense_back_substitution(R.pivots(), columns)]
+        assert len(basis) == len(columns) - R.rank()
 
 
 def test_integer_coefficients_clears_denominators_by_their_lcm():
@@ -204,6 +238,7 @@ small_rats = st.integers(-6, 6).map(lambda a: rat(a)) | st.fractions(
 
 @st.composite
 def small_matrices(draw):
+    # (number of columns, rows over columns 0..ncols-1), zeros included
     ncols = draw(st.integers(1, 5))
     nrows = draw(st.integers(0, 5))
     rows = [
@@ -214,35 +249,34 @@ def small_matrices(draw):
         }
         for _ in range(nrows)
     ]
-    return RationalMatrix(range(ncols), rows)
+    return ncols, rows
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_equals_transpose_rank(m):
-    t = RationalMatrix(range(len(m.rows)))
-    t.rows = [
-        {i: row[j] for i, row in enumerate(m.rows) if j in row}
-        for j in range(len(m.columns))
-    ]
-    assert rank(m) == rank(t)
+    ncols, rows = m
+    t = [{i: row[j] for i, row in enumerate(rows) if j in row}
+         for j in range(ncols)]
+    assert rank(rows) == rank(t)
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
-    basis = kernel_basis(m)
-    assert len(m.columns) == rank(m) + len(basis)
+    ncols, rows = m
+    basis = basis_of(rows, range(ncols))
+    assert ncols == rank(rows) + len(basis)
     for vec in basis:
-        for row in m.rows:
-            s = sum((v * vec.get(m.columns[j], 0) for j, v in row.items()), rat(0))
+        for row in rows:
+            s = sum((v * vec.get(j, 0) for j, v in row.items()), rat(0))
             assert s == 0
 
 
-def _oriented(m, signs):
-    # each row times its sign, denominators cleared by a positive scale
+def _oriented(rows, signs):
+    # each row times its sign, denominators cleared per row by a positive scale
     return [integer_coefficients({j: s * v for j, v in row.items()})[0]
-            for row, s in zip(m.rows, signs)]
+            for row, s in zip(rows, signs)]
 
 
 @given(small_matrices(), st.data())
@@ -250,11 +284,12 @@ def _oriented(m, signs):
 def test_feasibility_of_realized_sign_patterns(m, data):
     # orient the rows by the signs of a concrete point, dropping the rows
     # that vanish there; must come back feasible
-    x = [data.draw(small_rats) for _ in range(len(m.columns))]
-    vals = [sum((v * x[j] for j, v in row.items()), rat(0)) for row in m.rows]
-    rows = _oriented(m, [1 if val > 0 else -1 for val in vals])
+    ncols, rows = m
+    x = [data.draw(small_rats) for _ in range(ncols)]
+    vals = [sum((v * x[j] for j, v in row.items()), rat(0)) for row in rows]
+    rows = _oriented(rows, [1 if val > 0 else -1 for val in vals])
     rows = [row for row, val in zip(rows, vals) if val]
-    w = strictly_feasible(rows, len(m.columns))
+    w = strictly_feasible(rows, ncols)
     assert w is not None  # witness re-verification runs inside
 
 
@@ -262,7 +297,8 @@ def test_feasibility_of_realized_sign_patterns(m, data):
 @settings(max_examples=150, deadline=None)
 def test_every_verdict_on_arbitrary_sign_patterns_is_checked(m, data):
     # arbitrary orientations, mostly unrealizable, so the Farkas path runs
-    rows = _oriented(m, [data.draw(st.sampled_from((1, -1))) for _ in m.rows])
+    ncols, rows = m
+    rows = _oriented(rows, [data.draw(st.sampled_from((1, -1))) for _ in rows])
     verdicts = []
     holds = exactla._farkas_holds
 
@@ -271,12 +307,12 @@ def test_every_verdict_on_arbitrary_sign_patterns_is_checked(m, data):
         return verdicts[-1]
 
     with mock.patch.object(exactla, "_farkas_holds", recording):
-        w = strictly_feasible(rows, len(m.columns))
+        w = strictly_feasible(rows, ncols)
     if w is None:
         assert verdicts == [True]
     else:
         assert verdicts == []
-        assert len(w) == len(m.columns) and all(type(q) is int for q in w)
+        assert len(w) == ncols and all(type(q) is int for q in w)
         assert math.gcd(*w) in (0, 1)
         for row in rows:
             assert sum(v * w[j] for j, v in row.items()) > 0

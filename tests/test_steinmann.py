@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shardcalc.exactla import ZERO, ONE, RationalMatrix, kernel_basis, rank, rat
+from shardcalc.exactla import ZERO, ONE, _echelon, kernel_basis, rank, rat
 from shardcalc.ground import (
     GroundSet,
     NotFinerError,
@@ -238,19 +238,16 @@ def test_annihilator_basis_n4():
     for f in basis:
         for vec in R:
             assert f.evaluate_vector(vec) == ZERO
-    M = RationalMatrix([X.id() for X in R.shard_basis()])
-    for f in basis:
-        M.add_row({X.id(): c for X, c in f.values.items() if c})
-    assert rank(M) == 26
+    assert rank({X.id(): c for X, c in f.values.items()} for f in basis) == 26
 
 
 def test_annihilator_basis_solves_the_kernel_once(monkeypatch):
     calls = []
     solve = steinmann.kernel_basis
 
-    def counting(M):
-        calls.append(M)
-        return solve(M)
+    def counting(pivots, columns):
+        calls.append(pivots)
+        return solve(pivots, columns)
 
     monkeypatch.setattr(steinmann, "kernel_basis", counting)
     R = steinmann_relations(G4)
@@ -268,8 +265,8 @@ def test_annihilator_functionals_are_reducer_coefficients(n):
     # functionals give a member of X's coset supported on the free shards
     g = GroundSet.of_size(n)
     Q = quotient_space(g)
-    pivots = Q.relation_set.matrix().pivots()
-    free = [X for i, X in enumerate(Q.shards) if i not in pivots]
+    pivots = Q.relation_set.pivots()
+    free = [X for X in Q.shards if X.bits not in pivots]
     basis = Q.relation_set.annihilator_basis()
     assert list(Q.free) == free
     assert len(free) == len(basis) == Q.dim
@@ -412,16 +409,16 @@ def test_quotient_reduce_equals_construction_from_sign_strings():
     # the coset member supported on the free shards is unique: a difference
     # of two such members in the relation span would be a relation row
     # combination with no pivot column, hence zero.  The reference keys
-    # the relation matrix by sign string, so reduce's representative is
-    # pinned by a matrix it never sees.
+    # the relation rows by sign string, so reduce's representative is
+    # pinned by an echelon it never sees.
     for g in (G2, G3, G4, G5):
         qs = quotient_space(g)
         P = Partition.one_block(g)
         ids = [X.id() for X in qs.shards]
         rows = [{X.id(): c for X, c in v.items()} for v in qs.relation_set]
-        M = RationalMatrix(ids, rows)
-        base = rank(M)
-        free = {k for i, k in enumerate(ids) if i not in M.pivots()}
+        pivots = _echelon(rows)
+        base = len(pivots)
+        free = {k for k in ids if k not in pivots}
         assert len(free) == qs.dim
         vectors = [ShardVector.basis(X) for X in qs.shards]
         for seed in range(3):
@@ -432,7 +429,7 @@ def test_quotient_reduce_equals_construction_from_sign_strings():
             assert all(X.id() in free for X, _ in got.items())
             assert all(type(c) is Fraction and c != 0 for _, c in got.items())
             gap = {X.id(): c for X, c in (v - got).items()}
-            assert rank(RationalMatrix(ids, rows + [gap])) == base
+            assert rank(rows + [gap]) == base
 
 
 def test_delayering_difference_lies_in_relation_span():
@@ -568,16 +565,17 @@ def _augmented_solve(P, f):
     # the index tuples and a right-hand side, solved by elimination
     bases = [flat_annihilator_basis(P, T) for T in P.blocks]
     alphas = list(itertools.product(*[range(len(b)) for b in bases]))
-    m = RationalMatrix(alphas + ["rhs"])
+    rhs = len(alphas)  # columns: the positions of alphas, then rhs
+    rows = []
     for X in enumerate_shards(P):
         comps = arrangement.project(P, X)
-        row = {"rhs": f(X)}
-        for alpha in alphas:
-            row[alpha] = math.prod(bases[j][i](comps[j])
-                                   for j, i in enumerate(alpha))
-        m.add_row(row)
-    (sol,) = kernel_basis(m)
-    return {alpha: -sol[alpha] / sol["rhs"] for alpha in alphas if alpha in sol}
+        row = {rhs: f(X)}
+        for k, alpha in enumerate(alphas):
+            row[k] = math.prod(bases[j][i](comps[j])
+                               for j, i in enumerate(alpha))
+        rows.append(row)
+    (sol,) = kernel_basis(_echelon(rows), range(rhs + 1))
+    return {alpha: -sol[k] / sol[rhs] for k, alpha in enumerate(alphas) if k in sol}
 
 
 def _sum_of_products(P, rng):
