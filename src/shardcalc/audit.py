@@ -10,8 +10,8 @@ counterexample found.
 Every claim has one witness function: given an instance it returns None
 if the claim holds there, else the serialized counterexample.  The
 exhaustive sweep, the seeded sampler and replay_counterexample all call
-that same function; replay parses the counterexample back into the
-witness's arguments.
+that same function; replay reads the counterexample back into the
+witness's arguments with the readers the CLI uses for its input.
 
 Exhaustive checks cover ground sizes up to four; size five is covered by
 fixed-seed sampling (SAMPLE_SEED) plus the exhaustive-in-one-parameter
@@ -31,11 +31,12 @@ from .arrangement import (
 )
 from .calculus import (
     Functional,
+    ShardVector,
     dual_rows,
     forest_derivative,
     random_functional,
 )
-from .exactla import ZERO, integer_coefficients, rank, rat, rat_str
+from .exactla import ZERO, integer_coefficients, rank, rat_str
 from .forests import (
     BoundaryMismatchError,
     Cut,
@@ -193,26 +194,9 @@ def _shard_ref(X):
     return {"support": X.support.format(), "id": X.id()}
 
 
-def _load_shard(ground, ref):
-    return shard_from_signs(Partition.parse(ground, ref["support"]), ref["id"])
-
-
 def _vector_ref(P, v):
     return {"support": P.format(),
             "values": dict(sorted((X.id(), rat_str(c)) for X, c in v.items()))}
-
-
-def _load_vector(ground, ref):
-    P = Partition.parse(ground, ref["support"])
-    return {shard_from_signs(P, k): rat(c) for k, c in ref["values"].items()}
-
-
-def _load_functional(ground, ref):
-    if ref is None:
-        return None
-    return Functional(
-        Partition.parse(ground, ref["support"]),
-        {k: rat(c) for k, c in ref["values"].items()})
 
 
 def _union(masks):
@@ -861,32 +845,41 @@ def _check_functoriality(g, seed):
 
 # ------------------------------------------------------------- claim table
 
-def _forests(g, ce):
-    return [parse_forest(g, t) for t in ce["forests"]]
+def _decoded(g, ce):
+    """The fields a counterexample records, each read by the strict reader
+    of its kind (partitions, forests, certified shards, functionals, vector
+    entries, seeds); fields it does not record are absent."""
+    def partition(text):
+        return Partition.parse(g, text)
 
+    def shard(ref):
+        return shard_from_signs(partition(ref["support"]), ref["id"],
+                                certify=True)
 
-def _shards(g, ce):
-    return [_load_shard(g, ce["shard"])]
+    def functional(obj):
+        return (None if obj is None
+                else Functional.from_json_obj(partition(obj["support"]), obj))
 
+    def seed(value):
+        if type(value) is not int:
+            raise ValueError("a seed is an integer, got %r" % (value,))
+        return value
 
-def _shard_class(g, ce):
-    """The recorded shard pair, as the shards to derive and their class."""
-    pair = [_load_shard(g, ref) for ref in ce["shards"]]
-    return pair, [pair]
-
-
-def _fine_coarse(g, ce):
-    return Partition.parse(g, ce["fine"]), Partition.parse(g, ce["coarse"])
-
-
-def _indexed_functional(g, ce):
-    """The recorded functional, indexed over the first forest's source."""
-    return _functional_index(
-        [_load_functional(g, ce["functional"])], _forests(g, ce)[0].source)
+    readers = {
+        "fine": partition, "coarse": partition, "support": partition,
+        "forests": lambda texts: [parse_forest(g, t) for t in texts],
+        "shard": shard, "shards": lambda refs: [shard(r) for r in refs],
+        "functional": functional,
+        "functionals": lambda objs: [functional(o) for o in objs],
+        "vector": lambda obj: ShardVector.from_json_obj(
+            partition(obj["support"]), obj).entries,
+        "seed": seed,
+    }
+    return {key: read(ce[key]) for key, read in readers.items() if key in ce}
 
 
 # A row: its suite (None: only the full audit), its smallest and largest
-# ground size, {claim: (statement, replay(ground, counterexample))} and
+# ground size, {claim: (statement, replay(ground, _decoded fields))} and
 # run(ground, seed), which returns one (instances, counterexample[, notes])
 # per claim.  Rows run in table order.
 _Row = collections.namedtuple("_Row", "suite smallest largest claims run")
@@ -894,93 +887,92 @@ _Row = collections.namedtuple("_Row", "suite smallest largest claims run")
 _CLAIMS = (
     _Row(None, 2, 5, {"counts.maximal_shards": (
         "one-block shard enumeration matches the recorded chamber counts",
-        lambda g, ce: _counts_witness(g))},
+        lambda g, d: _counts_witness(g))},
         lambda g, seed: [_sweep(_counts_witness, _sizes(g.n))]),
     _Row(None, 2, 5, {"dims.series": (
         "quotient dimensions match the series -log(2 - e^x)",
-        lambda g, ce: _dims_witness(g))},
+        lambda g, d: _dims_witness(g))},
         lambda g, seed: [_sweep(_dims_witness, _sizes(g.n))]),
     _Row(None, 2, 5, {"duality.relations": (
         "killing the wall relations is the same as having semisimple cut derivatives",
-        lambda g, ce: _duality_witness(_load_functional(g, ce["functional"])))},
+        lambda g, d: _duality_witness(d["functional"]))},
         lambda g, seed: [_sweep(_duality_witness, _duality_sample(g, seed))]),
     _Row(None, 2, 5, {"calculus.functoriality": (
         "dual derivatives compose contravariantly along forest composition",
-        lambda g, ce: _composite_witness(
-            "calculus.functoriality", *_forests(g, ce), _shards(g, ce)))},
+        lambda g, d: _composite_witness(
+            "calculus.functoriality", *d["forests"], [d["shard"]]))},
         _check_functoriality),
     _Row(None, 2, 5, {"maintheorem.annihilator": (
         "forest derivatives of relation-killing functionals stay semisimple",
-        lambda g, ce: _annihilator_witness(
-            *_forests(g, ce), _indexed_functional(g, ce),
-            *_shard_class(g, ce)))},
+        lambda g, d: _annihilator_witness(
+            *d["forests"],
+            _functional_index([d["functional"]], d["forests"][0].source),
+            d["shards"], [d["shards"]]))},
         lambda g, seed: [_check_maintheorem_annihilator(g, min(g.n - 1, 3))]),
     _Row(None, 4, 5, {"maintheorem.converse": (
         "a functional pairing with a relation has a non-semisimple cut derivative",
-        lambda g, ce: _converse_witness(
-            g, _load_functional(g, ce["functional"])))},
+        lambda g, d: _converse_witness(g, d["functional"]))},
         lambda g, seed: [_check_maintheorem_converse(g, seed)]),
     _Row(None, 4, 4, {"delayering.annihilator": (
         "relation-killing functionals do not see the layering order",
-        lambda g, ce: _delayering_witness(
-            "delayering.annihilator", _indexed_functional(g, ce),
-            _shards(g, ce), *_forests(g, ce)))},
+        lambda g, d: _delayering_witness(
+            "delayering.annihilator",
+            _functional_index([d["functional"]], d["forests"][0].source),
+            [d["shard"]], *d["forests"]))},
         lambda g, seed: [_check_delayering_annihilator(g, g.n - 1)]),
     _Row(None, 4, 4, {"delayering.separation": (
         "a fixed reference functional distinguishes two layerings of one forest",
-        lambda g, ce: _separation_witness(g, ce["seed"])[1])},
+        lambda g, d: _separation_witness(g, d["seed"])[1])},
         lambda g, seed: [_check_delayering_separation(g, seed)]),
     _Row("lie", 2, 5, {
         "lie.antisymmetry": (
             "swapping the favored side of the root cut negates the dual derivative",
-            lambda g, ce: _cancellation_witness(
-                "lie.antisymmetry", _forests(g, ce), _shards(g, ce))),
+            lambda g, d: _cancellation_witness(
+                "lie.antisymmetry", d["forests"], [d["shard"]])),
         "lie.jacobi": (
             "the cyclic sum of double-cut dual derivatives vanishes",
-            lambda g, ce: _cancellation_witness(
-                "lie.jacobi", _forests(g, ce), _shards(g, ce)))},
+            lambda g, d: _cancellation_witness(
+                "lie.jacobi", d["forests"], [d["shard"]]))},
         _check_lie),
     _Row("module", 2, 4, {"module.unit": (
         "the identity forest acts as the identity on shard vectors",
-        lambda g, ce: _unit_witness(*_forests(g, ce), *_shards(g, ce)))},
+        lambda g, d: _unit_witness(*d["forests"], d["shard"]))},
         lambda g, seed: [_sweep(_unit_witness, _unit_instances(g))]),
     _Row("module", 2, 4, {"module.action": (
         "the dual derivative of a composite is the composite of dual derivatives",
-        lambda g, ce: _composite_witness(
-            "module.action", *_forests(g, ce), _shards(g, ce)))},
+        lambda g, d: _composite_witness(
+            "module.action", *d["forests"], [d["shard"]]))},
         lambda g, seed: [_sweep(_composite_witness, _action_instances(g))]),
     _Row("module", 2, 4, {"module.coset_kernel": (
         "dual tree derivatives map the blockwise relation kernel into the relation span",
-        lambda g, ce: _coset_witness(_annihilator_index(g), *_forests(g, ce),
-                                     _load_vector(g, ce["vector"])))},
+        lambda g, d: _coset_witness(
+            _annihilator_index(g), *d["forests"], d["vector"]))},
         lambda g, seed: [_sweep(_coset_witness, _coset_instances(g, g.n - 1))]),
     _Row("module", 2, 4, {"module.layering": (
         "layerings of one delayered forest agree modulo the relation span",
-        lambda g, ce: _delayering_witness(
-            "module.layering", _annihilator_index(g), _shards(g, ce),
-            *_forests(g, ce)))},
+        lambda g, d: _delayering_witness(
+            "module.layering", _annihilator_index(g), [d["shard"]],
+            *d["forests"]))},
         lambda g, seed: [_sweep(
             _delayering_witness, _layering_instances(g, g.n - 1))]),
     _Row("kernel", 2, 5, {"kernel.span": (
         "within-class differences span the kernel of componentwise projection",
-        lambda g, ce: _span_witness(*_fine_coarse(g, ce)))},
+        lambda g, d: _span_witness(d["fine"], d["coarse"]))},
         lambda g, seed: [_sweep(_span_witness, _nested_pairs(g))]),
     _Row("kernel", 2, 4, {"kernel.surjective": (
         "componentwise projection reaches every tuple of component shards",
-        lambda g, ce: _surjective_witness(*_fine_coarse(g, ce)))},
+        lambda g, d: _surjective_witness(d["fine"], d["coarse"]))},
         lambda g, seed: [_sweep(_surjective_witness, _nested_pairs(g))]),
     _Row("factorization", 2, 4, {"factorization.diagram": (
         "dual forest derivatives commute with componentwise splitting",
-        lambda g, ce: _diagram_witness(
-            Partition.parse(g, ce["support"]), *_forests(g, ce),
-            _shards(g, ce) if "shard" in ce else (),
-            [_load_functional(g, obj) for obj in ce.get("functionals", ())]
-            or None))},
+        lambda g, d: _diagram_witness(
+            d["support"], *d["forests"], [d["shard"]] if "shard" in d else (),
+            d.get("functionals") or None))},
         lambda g, seed: [_sweep(
             _diagram_witness, _diagram_instances(g, seed=seed))]),
     _Row("factorization", 2, 5, {"factorization.dimension": (
         "the product-expressible span has the product of the block quotient dimensions",
-        lambda g, ce: _dimension_witness(Partition.parse(g, ce["support"])))},
+        lambda g, d: _dimension_witness(d["support"]))},
         lambda g, seed: _check_dimension(g)),
 )
 
@@ -1021,7 +1013,8 @@ def full_audit(n, seed=SAMPLE_SEED):
 def replay_counterexample(ce):
     """Re-run one serialized counterexample through its claim's witness;
     True means the claim holds on that instance after all.  Malformed
-    input raises ValueError; a witness's AssertionError propagates."""
+    input (an inexact number, a shard that is no face, a ground above the
+    claim's sizes) raises ValueError; a witness's AssertionError propagates."""
     if not (isinstance(ce, dict) and "claim" in ce
             and isinstance(ce.get("ground"), list)):
         raise ValueError("a counterexample is a map with a claim and a "
@@ -1029,8 +1022,12 @@ def replay_counterexample(ce):
     for row in _CLAIMS:
         for claim, (_, replay) in row.claims.items():
             if claim == ce["claim"]:
+                if len(ce["ground"]) > row.largest:
+                    raise ValueError("%s is checked at sizes up to %d"
+                                     % (claim, row.largest))
                 try:
-                    return replay(GroundSet(ce["ground"]), ce) is None
+                    g = GroundSet(ce["ground"])
+                    return replay(g, _decoded(g, ce)) is None
                 except (KeyError, TypeError, AttributeError) as exc:
                     raise ValueError("malformed %s counterexample: %r"
                                      % (claim, exc)) from None

@@ -72,6 +72,24 @@ def _arrow(X, V):
     return ctx.intern(ctx.encode(out))
 
 
+def _json_values(obj):
+    """{shard id: Rational} from a "values" map or a bare map of shard id
+    to rational, as to_json_obj writes it and the CLI reads it."""
+    values = obj.get("values") if isinstance(obj, dict) else None
+    if isinstance(obj, dict) and "values" not in obj and "signs" not in obj:
+        values = {k: v for k, v in obj.items()
+                  if k not in ("kind", "support", "schema")}
+    if not isinstance(values, dict):
+        raise ValueError("expected a JSON map of shard id to rational")
+    out = {}
+    for key, val in values.items():
+        try:
+            out[key] = rat(val)
+        except ValueError as exc:
+            raise ValueError("value of shard %r: %s" % (key, exc)) from None
+    return out
+
+
 class ShardVector:
     """Formal rational combination of shards sharing one support partition.
 
@@ -104,6 +122,20 @@ class ShardVector:
             if c
         }
         return out
+
+    @classmethod
+    def from_json_obj(cls, P, obj):
+        """The inverse of to_json_obj: a "values" map or a bare map of shard
+        id to rational, or a "signs" string or map naming one shard.  Every
+        sign pattern must be a face of P."""
+        if isinstance(obj, dict) and "signs" in obj:
+            signs = obj["signs"]
+            if not isinstance(signs, (str, dict)):
+                raise ValueError("signs must be a sign string or a map of "
+                                 "key subset to sign, got %r" % (signs,))
+            return cls.basis(shard_from_signs(P, signs, certify=True))
+        return cls(P, {shard_from_signs(P, k, certify=True): c
+                       for k, c in _json_values(obj).items()})
 
     @classmethod
     def zero(cls, support):
@@ -212,6 +244,12 @@ class Functional:
         out.ctx = ctx
         out.values = {X: c for X, c in values.items() if c}
         return out
+
+    @classmethod
+    def from_json_obj(cls, P, obj):
+        """The inverse of to_json_obj: a "values" map or a bare map of shard
+        id to rational, naming every shard of P."""
+        return cls(P, _json_values(obj))
 
     @classmethod
     def zero(cls, support):

@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from .arrangement import enumerate_shards, shard_from_signs
+from .arrangement import enumerate_shards
 from .audit import (
     CHAMBER_COUNTS,
     SAMPLE_SEED,
@@ -42,7 +42,7 @@ from .calculus import (
     dual_forest_derivative,
     forest_derivative,
 )
-from .exactla import rat, rat_str
+from .exactla import rat_str
 from .forests import parse_forest
 from .ground import GroundSet, Partition
 from .steinmann import steinmann_relations
@@ -108,15 +108,17 @@ def _parse_labels_csv(text):
     return GroundSet(labels)
 
 
-def _ground_guard(ground, allow_large):
-    if ground.n > MAX_GROUND:
+def _ground_guard(n, allow_large):
+    """n, if a ground of n labels may be built; call it before building."""
+    if n > MAX_GROUND:
         raise ValueError(
             "ground sets above %d labels are refused, even with --allow-large"
             % MAX_GROUND)
-    if ground.n > LARGE_GROUND and not allow_large:
+    if n > LARGE_GROUND and not allow_large:
         raise ValueError(
             "ground sets above %d labels are slow; pass --allow-large"
             % LARGE_GROUND)
+    return n
 
 
 def _seed_arg(text):
@@ -127,10 +129,13 @@ def _seed_arg(text):
 
 
 def _load_json_file(path):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply: %s" % path) from None
 
 
 def _stated_support(obj):
@@ -157,60 +162,17 @@ def _input_support(obj, args):
     return stated if stated is not None else args.support
 
 
-def _values_of(obj):
-    if isinstance(obj, dict) and "values" in obj:
-        values = obj["values"]
-    elif isinstance(obj, dict) and "signs" not in obj:
-        values = {k: v for k, v in obj.items()
-                  if k not in ("kind", "support", "schema")}
-    else:
-        values = None
-    if not isinstance(values, dict):
-        raise ValueError("expected a JSON map of shard id to rational")
-    out = {}
-    for key, val in values.items():
-        # JSON true/false are ints to Python, and floats are inexact
-        if isinstance(val, bool) or not isinstance(val, (int, str)):
-            raise ValueError(
-                "value of shard %r must be an integer or a rational "
-                "string, got %s" % (key, json.dumps(val)))
-        try:
-            out[key] = rat(val)
-        except ZeroDivisionError:
-            raise ValueError("value of shard %r has a zero denominator: %s"
-                             % (key, json.dumps(val))) from None
-    return out
-
-
-def _load_vector(P, obj):
-    """A shard vector; every sign pattern it names must be a face of P."""
-    if isinstance(obj, dict) and "signs" in obj:
-        signs = obj["signs"]
-        if not isinstance(signs, (str, dict)):
-            raise ValueError("signs must be a sign string or a map of "
-                             "key subset to sign, got %s" % json.dumps(signs))
-        return ShardVector.basis(shard_from_signs(P, signs, certify=True))
-    entries = {}
-    for key, val in _values_of(obj).items():
-        entries[shard_from_signs(P, key, certify=True)] = val
-    return ShardVector(P, entries)
-
-
-def _load_functional(P, obj):
-    return Functional(P, _values_of(obj))
-
-
 # --------------------------------------------------------- subcommands
 
 def _cmd_enumerate(args):
     if args.n is not None:
-        ground = GroundSet.of_size(args.n)
+        ground = GroundSet.of_size(_ground_guard(args.n, args.allow_large))
         P = Partition.one_block(ground)
     else:
         ground = (_parse_labels_csv(args.labels) if args.labels is not None
                   else _ground_from_partition_text(args.partition))
         P = Partition.parse(ground, args.partition)
-    _ground_guard(ground, args.allow_large)
+    _ground_guard(ground.n, args.allow_large)
     shards = enumerate_shards(P)
     if args.format == "json":
         lines = [json.dumps(X.to_json_obj()) for X in shards]
@@ -224,7 +186,7 @@ def _cmd_derive(args):
     obj = _load_json_file(args.input)
     support_text = _input_support(obj, args)
     ground = _ground_from_partition_text(support_text)
-    _ground_guard(ground, args.allow_large)
+    _ground_guard(ground.n, args.allow_large)
     P = Partition.parse(ground, support_text)
     F = parse_forest(ground, args.forest)
     if args.dual:
@@ -232,13 +194,13 @@ def _cmd_derive(args):
             raise ValueError(
                 "a shard vector input must live over the forest target %s"
                 % F.target.format())
-        result = dual_forest_derivative(F, _load_vector(P, obj))
+        result = dual_forest_derivative(F, ShardVector.from_json_obj(P, obj))
     else:
         if P != F.source:
             raise ValueError(
                 "a functional input must live over the forest source %s"
                 % F.source.format())
-        result = forest_derivative(F, _load_functional(P, obj))
+        result = forest_derivative(F, Functional.from_json_obj(P, obj))
     if args.format == "json":
         payload = {"schema": 1}
         payload.update(result.to_json_obj())
@@ -270,9 +232,9 @@ def _stein_rank_payload(ground):
 
 
 def _cmd_stein_rank(args):
-    ground = (GroundSet.of_size(args.n) if args.n is not None
-              else _parse_labels_csv(args.labels))
-    _ground_guard(ground, args.allow_large)
+    ground = (GroundSet.of_size(_ground_guard(args.n, args.allow_large))
+              if args.n is not None else _parse_labels_csv(args.labels))
+    _ground_guard(ground.n, args.allow_large)
     payload = _stein_rank_payload(ground)
     if args.format == "json":
         _emit(_dump(payload), args)
@@ -336,7 +298,7 @@ def _cmd_render(args):
                 _ground_from_partition_text(stated), stated) != one:
             raise ValueError("highlight support must be the one-block "
                              "partition %s" % one.format())
-        highlight = _load_vector(one, obj)
+        highlight = ShardVector.from_json_obj(one, obj)
     _emit(render(args.n, highlight), args)
     return 0
 
@@ -481,7 +443,7 @@ def main(argv=None):
         else:
             print("replay bundle: %s" % path, file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

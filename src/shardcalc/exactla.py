@@ -37,10 +37,16 @@ ONE = Rational(1)
 
 
 def rat(x):
-    """Coerce int / string / rational to Rational."""
-    if isinstance(x, float):
-        raise TypeError("floats are not allowed in exact arithmetic")
-    return Rational(x)
+    """The one reader of an exact number: an int, a Rational or a rational
+    string such as "-2/5" becomes a Rational.  Bools, floats (inexact),
+    other types and zero denominators raise ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Rational, str)):
+        raise ValueError("expected an integer, a Rational or a rational "
+                         "string, got %r" % (x,))
+    try:
+        return Rational(x)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (x,)) from None
 
 
 def rat_str(q):

@@ -182,34 +182,22 @@ class _Node:
 
 
 def _parse_leaf(ground, text, i):
-    n = len(text)
-    if i < n and text[i] == "{":
-        j = text.find("}", i)
-        if j < 0:
+    """A braced block, or the run of text up to the next bracket, comma,
+    bar or "@", read as partition text reads a block."""
+    if text.startswith("{", i):
+        j = text.find("}", i) + 1
+        if not j:
             raise ForestSyntaxError("unclosed '{'", i)
-        mask = 0
-        for lab in text[i + 1 : j].split(","):
-            lab = lab.strip()
-            if lab not in ground.index:
-                raise ForestSyntaxError("unknown label %r" % lab, i)
-            mask |= 1 << ground.index[lab]
-        return _Node(mask), j + 1
-    j = i
-    while j < n and text[j] not in "[],|{}@":
-        j += 1
-    run = text[i:j]
-    if not run:
-        raise ForestSyntaxError("expected a leaf", i)
-    mask = 0
-    if ground.single_char:
-        for ch in run:
-            if ch not in ground.index:
-                raise ForestSyntaxError("unknown label %r" % ch, i)
-            mask |= 1 << ground.index[ch]
     else:
-        if run not in ground.index:
-            raise ForestSyntaxError("unknown label %r" % run, i)
-        mask = 1 << ground.index[run]
+        j = i
+        while j < len(text) and text[j] not in "[],|{}@":
+            j += 1
+    try:
+        mask = ground.parse_block(text[i:j])
+    except ValueError as exc:
+        raise ForestSyntaxError(str(exc), i) from None
+    if not mask:
+        raise ForestSyntaxError("expected a leaf", i)
     return _Node(mask), j
 
 

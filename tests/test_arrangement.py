@@ -193,6 +193,30 @@ def test_memo_keeps_only_lp_verdicts_and_probe_hits(monkeypatch):
     assert {X.bits for X in shards} == {s for s, w in memo.items() if w is not None}
 
 
+def test_certify_on_a_cold_memo_goes_to_the_lp(monkeypatch):
+    # with no walk behind it, certify has no hint to probe from: a feasible
+    # pattern is memoized with its LP witness, and an empty one that the
+    # superadditivity screen passes is refused by the LP
+    feasible = enumerate_shards(one_block(4))[0].id()
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    lp_calls = []
+    solve = arrangement._lp_witness
+    monkeypatch.setattr(arrangement, "_lp_witness", lambda ctx, bits: (
+        lp_calls.append(bits) or solve(ctx, bits)))
+    X = shard_from_signs(one_block(4), feasible, certify=True)
+    ctx = context_for(one_block(4))
+    assert list(ctx._memo) == [X.bits]
+    assert kernel.sign_eval(ctx.keys, ctx._memo[X.bits]) == X.bits
+    P = part(g(6), "(123|456)")
+    empty = "+++++++-++++++-++++++-++"
+    bits = shard_from_signs(P, empty).bits
+    assert kernel.quick_check(bits, context_for(P).quads())
+    with pytest.raises(ValueError):
+        shard_from_signs(P, empty, certify=True)
+    assert context_for(P)._memo == {bits: None}
+    assert lp_calls == [X.bits, bits]
+
+
 def test_memoized_walk_points_have_content_one(monkeypatch):
     # probe hits are memoized divided by their content; kept as found, the
     # walk's points grow along chains of probes (to 223 bits on this one)

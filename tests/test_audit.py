@@ -416,6 +416,34 @@ def test_replay_maintheorem_and_global_claims():
             replay_counterexample(malformed)
 
 
+@pytest.mark.parametrize("case", ["zero-denominator", "bool", "float",
+                                  "non-face", "oversized"])
+def test_replay_refuses_what_the_cli_refuses(case, monkeypatch):
+    # exact values only, shards that are faces of their support, and no
+    # ground above its claim's sizes: seven labels are refused before the
+    # one-block walk over 1,066,044 chambers could start
+    def never(P):
+        raise AssertionError("enumerated the shards of %s" % P.format())
+
+    if case == "oversized":
+        monkeypatch.setattr(audit, "enumerate_shards", never)
+        ce = {"claim": "counts.maximal_shards", "ground": list("1234567")}
+    elif case == "non-face":
+        # over (123) the pattern ++- asks lambda_1, lambda_2 > 0 > lambda_12
+        ce = {"claim": "module.unit", "ground": ["1", "2", "3"],
+              "forests": ["123"], "shard": {"support": "(123)", "id": "++-"}}
+    else:
+        f = random_functional(Partition.one_block(G4), SAMPLE_SEED)
+        obj = f.to_json_obj()
+        key = next(iter(obj["values"]))
+        obj["values"][key] = {"zero-denominator": "1/0", "bool": True,
+                              "float": 0.5}[case]
+        ce = {"claim": "maintheorem.converse", "ground": list(G4.labels),
+              "functional": obj}
+    with pytest.raises(ValueError):
+        replay_counterexample(ce)
+
+
 def test_replay_lets_a_witness_failure_through(monkeypatch):
     # malformed input turns into ValueError; a broken check must not
     def broken(g):

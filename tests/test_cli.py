@@ -168,6 +168,23 @@ def test_derive_dual_vector(tmp_path, capsys):
     assert set(obj["values"].values()) == {"2", "-2"}
 
 
+@pytest.mark.parametrize("argv, payload, want", [
+    (["derive", "--forest", "[1,23]"],
+     {"kind": "functional", "support": "(123)",
+      "values": {"+++": "1/2", "+-+": "-1", "+--": "0", "-++": "1",
+                 "-+-": "2", "---": "3"}},
+     "functional (1|23)\n+ -1/2\n- -3\n"),
+    (["derive", "--dual", "--forest", "[[1,2],3]"],
+     {"kind": "shard_vector", "support": "(1|2|3)", "values": {"": "2"}},
+     "shard_vector (123)\n+-+ 2\n+-- -2\n-++ -2\n-+- 2\n"),
+], ids=["functional", "dual"])
+def test_derive_text_format(tmp_path, capsys, argv, payload, want):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert run_main(capsys, argv + ["--format", "text", str(path)]) == (
+        0, want, "")
+
+
 def test_derive_accepts_bare_map_with_support_flag(tmp_path, capsys):
     path, f = _functional_file(tmp_path, "(123)", G3)
     bare = tmp_path / "bare.json"
@@ -563,6 +580,39 @@ def test_malformed_payload_is_usage_error(tmp_path, capsys, argv, payload):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--forest", "[1,2]"], ["render", "--n", "3", "--vector"]],
+    ids=["derive", "render"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, argv):
+    # the JSON decoder recurses once per level of nesting
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_main(capsys, argv + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["stein-rank", "--n", "3000000"],
+    ["enumerate", "--n", "3000000", "--allow-large"]],
+    ids=["stein-rank", "enumerate"])
+def test_size_is_refused_before_the_ground_is_built(monkeypatch, capsys, argv):
+    # a ground of three million labels takes seconds and half a gigabyte
+    # to build, and larger ones exhaust memory
+    real = GroundSet.of_size.__func__
+
+    def small_only(cls, n):
+        if n > cli.MAX_GROUND:
+            raise RuntimeError("built a ground of %d labels" % n)
+        return real(cls, n)
+
+    monkeypatch.setattr(GroundSet, "of_size", classmethod(small_only))
+    code, out, err = run_main(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ground sets above %d labels" % cli.MAX_GROUND)
 
 
 def test_help_exits_zero(capsys):

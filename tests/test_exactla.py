@@ -95,6 +95,16 @@ def test_int_rows_equal_fraction_rows():
     assert basis_of(rows, range(4)) == basis_of(fracs, range(4))
 
 
+@pytest.mark.parametrize("x", [True, 0.5, "1/0", None, [1]],
+                         ids=["bool", "float", "zero-denominator", "none",
+                              "list"])
+def test_rat_reads_only_exact_numbers(x):
+    # JSON true is an int to Python, and a float is inexact
+    assert rat(3) == 3 and rat(Fraction(1, 2)) == rat("1/2") == Fraction(1, 2)
+    with pytest.raises(ValueError):
+        rat(x)
+
+
 def test_row_api_guards():
     # a float entry is inexact, on either path into the echelon
     with pytest.raises(TypeError):

@@ -108,6 +108,12 @@ def test_parse_leaves_and_braces():
     assert format_forest(F) == "[{a1,c},b]"
     # single multi-char label needs no braces
     assert format_forest(parse_forest(g, "[a1,{b,c}]")) == "[a1,{b,c}]"
+    # a leaf reads as a partition block does, so {12} over single-character
+    # labels is the leaf {1,2}, and a bad label is reported at its leaf
+    assert parse_forest(G3, "[{12},3]") == parse_forest(G3, "[12,3]")
+    with pytest.raises(ForestSyntaxError) as e:
+        parse_forest(G3, "[1,{24}]")
+    assert e.value.pos == 3
 
 
 def test_identity_and_leaf_only_forests():
