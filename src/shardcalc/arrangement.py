@@ -13,11 +13,12 @@ flat equals the orientation times the key's functional.
 A sign pattern is one int: key k, of the context's K keys, is negative
 where bit K-1-k is set.  Numeric order is then the order of sign strings
 ('+' before '-'), and flipping key k is an xor with SupportContext.bit(k).
-Patterns are built only by bit, SupportContext.encode and, at a point,
-kernel.sign_eval.  The witness points of feasible patterns live in the
-context's memo, keyed by pattern, and nowhere else.  A pattern does not
-change when its point is multiplied by a positive number, so witness
-points are integer vectors, exact up to a positive scale.
+Patterns are built only by bit, SupportContext.encode and .read (off
+another support's pattern) and, at a point, kernel.sign_eval.  Witness
+points of feasible patterns live in the context's memo, keyed by pattern,
+and nowhere else.  A pattern does not change when its point is multiplied
+by a positive number, so witness points are integer vectors, exact up to
+a positive scale.
 
 Enumeration walks the chamber graph: flip one key sign at a time, screen
 candidates by the superadditivity test, try cheap exactly-verified probe
@@ -80,6 +81,7 @@ class SupportContext:
         self._enumerated = None
         self._classes = {}  # R -> steinmann_classes(P, R)
         self._components = {}  # R -> project's (context, key table) per block
+        self._arrow_tables = {}  # cut -> calculus.arrow's (context, key table)
         self.relations = None  # steinmann.RelationSet, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
         self.block_lcm = lcm(*map(popcount, P.blocks))
@@ -104,6 +106,26 @@ class SupportContext:
         for s in signs:
             bits = bits << 1 | (s < 0)
         return bits
+
+    def table_from(self, source, masks=None, fixed=()):
+        """Per key, its (bit, orientation) in source, or that of masks[k];
+        a key that vanishes on source takes the entry (0, fixed[key]), or
+        raises AssertionError if fixed has no sign for it."""
+        table = []
+        for r, m in zip(self.keys, masks or self.keys):
+            k, o = source.lookup(m)
+            if k < 0 and r not in fixed:
+                raise AssertionError("key %s vanishes on %s" % (
+                    self.ground.mask_labels(r), source.P.format()))
+            table.append((source.bit(k), o) if k >= 0 else (0, fixed[r]))
+        return table
+
+    def read(self, bits, table):
+        """This context's pattern of a source pattern, via table_from."""
+        out = 0
+        for b, o in table:
+            out = out << 1 | (o > 0 if bits & b else o < 0)
+        return out
 
     def intern(self, bits):
         shard = self._interned.get(bits)
@@ -428,9 +450,7 @@ def project(R, X):
     components = ctx._components.get(R)
     if components is None:
         components = ctx._components[R] = _components(ctx, R)
-    bits = X.bits
-    return [ctx_j.intern(ctx_j.encode([-o if bits & b else o for b, o in table]))
-            for ctx_j, table in components]
+    return [ctx_j.intern(ctx_j.read(X.bits, table)) for ctx_j, table in components]
 
 
 def _components(ctx, R):
@@ -442,13 +462,7 @@ def _components(ctx, R):
         blocks = [b for b in P.blocks if b & T]
         blocks += [1 << i for i in iter_bits(R.ground.full_mask ^ T)]
         ctx_j = context_for(Partition(R.ground, blocks))
-        table = []
-        for r in ctx_j.keys:
-            k, o = ctx.lookup(r)
-            if k < 0:
-                raise AssertionError("component key %s vanished upstream" % r)
-            table.append((ctx.bit(k), o))
-        out.append((ctx_j, table))
+        out.append((ctx_j, ctx_j.table_from(ctx)))
     return out
 
 

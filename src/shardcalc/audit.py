@@ -57,6 +57,7 @@ from .ground import (
     iter_bits,
 )
 from .steinmann import (
+    _flat_move,
     _single_cut_forests,
     flat_annihilator_basis,
     is_semisimple,
@@ -363,19 +364,15 @@ def _action_instances(g, max_outer=2, max_inner=2):
             yield "module.action", T, F, enumerate_shards(F.target)
 
 
-def _sub_ground(g, mask):
-    return GroundSet(g.labels[i] for i in iter_bits(mask))
-
-
 def _blockwise_kernel_vectors(Q):
     """Spanning vectors of the kernel of the blockwise coset map.
 
     A shard vector dies in the tensor product of the per-block quotients
     exactly when it lies in the span of the within-fiber differences of
-    componentwise projection together with per-block wall relations
-    lifted through every choice of the other components.
+    componentwise projection together with per-block wall relations, moved
+    to the block's simple flat, lifted through every choice of the other
+    components.
     """
-    g = Q.ground
     fibers = {}
     for X in enumerate_shards(Q):
         fibers.setdefault(_component_key(Q, X), []).append(X)
@@ -388,16 +385,18 @@ def _blockwise_kernel_vectors(Q):
     per_block_ids = [sorted({key[j] for key in fibers})
                      for j in range(len(blocks))]
     for j, T in enumerate(blocks):
-        rels = steinmann_relations(_sub_ground(g, T))
+        sub, moved = _flat_move(Q, T)
+        rels = steinmann_relations(sub)
         if not rels.relations:
             continue
+        flat_of = {Y: X for X, Y in moved.items()}
         others = [per_block_ids[i] for i in range(len(blocks)) if i != j]
         for rho in rels.relations:
             for choice in itertools.product(*others):
                 entries = {}
                 for Y, c in rho.items():
                     key = list(choice)
-                    key.insert(j, Y.bits)
+                    key.insert(j, flat_of[Y].bits)
                     X = reps[tuple(key)]
                     entries[X] = entries.get(X, 0) + int(c)
                 vectors.append({X: c for X, c in entries.items() if c})
@@ -571,7 +570,7 @@ def _dimension_witness(P):
     g = P.ground
     expected = 1
     for T in P.blocks:
-        expected *= quotient_dim(_sub_ground(g, T))
+        expected *= quotient_dim(_flat_move(P, T)[0])
     got_rank = _product_rank(
         P, [flat_annihilator_basis(P, T) for T in P.blocks])
     got_dim = _solvable_dim(P)
@@ -1013,12 +1012,14 @@ def full_audit(n, seed=SAMPLE_SEED):
 def replay_counterexample(ce):
     """Re-run one serialized counterexample through its claim's witness;
     True means the claim holds on that instance after all.  Malformed
-    input (an inexact number, a shard that is no face, a ground above the
-    claim's sizes) raises ValueError; a witness's AssertionError propagates."""
+    input (an inexact number, a shard that is no face, a ground label that
+    is not a string, a ground above the claim's sizes) raises ValueError; a
+    witness's AssertionError propagates."""
     if not (isinstance(ce, dict) and "claim" in ce
-            and isinstance(ce.get("ground"), list)):
+            and isinstance(ce.get("ground"), list)
+            and all(isinstance(label, str) for label in ce["ground"])):
         raise ValueError("a counterexample is a map with a claim and a "
-                         "ground list")
+                         "ground list of label strings")
     for row in _CLAIMS:
         for claim, (_, replay) in row.claims.items():
             if claim == ce["claim"]:

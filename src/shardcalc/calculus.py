@@ -53,23 +53,18 @@ def arrow(X, V):
 
 
 def _arrow(X, V):
-    Q = X.support
-    P = _merged_source(Q, V)
-    ctx = context_for(P)
-    out = []
-    for rep in ctx.keys:
-        if rep == V.left:
-            out.append(1)
-        elif rep == V.right:
-            out.append(-1)
-        else:
-            s = X.sign_of(rep)
-            if s == 0:
-                raise InvariantViolation(
-                    "key %s vanished on the fine support" % Q.ground.mask_labels(rep)
-                )
-            out.append(s)
-    return ctx.intern(ctx.encode(out))
+    # one key table per (fine context, cut), the new wall's sides fixed
+    fine = X.ctx
+    found = fine._arrow_tables.get(V)
+    if found is None:
+        ctx = context_for(_merged_source(fine.P, V))
+        try:
+            table = ctx.table_from(fine, fixed={V.left: 1, V.right: -1})
+        except AssertionError as exc:
+            raise InvariantViolation(str(exc)) from None
+        found = fine._arrow_tables[V] = ctx, table
+    ctx, table = found
+    return ctx.intern(ctx.read(X.bits, table))
 
 
 def _json_values(obj):

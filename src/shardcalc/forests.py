@@ -356,54 +356,11 @@ def format_forest(F):
     return body + "@" + ("" if len(perm) <= 10 else ",").join(perm)
 
 
-def _splits(atoms):
-    """Unions of the nonempty proper subsets of the disjoint masks `atoms`,
-    in the order of their pick masks (bit t picks atoms[t])."""
-    for pick in range(1, (1 << len(atoms)) - 1):
-        yield sum(a for t, a in enumerate(atoms) if pick >> t & 1)
-
-
-def all_trees(P, block, leaves):
-    """All layered binary trees over `block` with the given leaf blocks.
-
-    block must be a block of P and leaves bitmasks partitioning it.  Each
-    result is a forest P <- (P with block replaced by leaves); sticks
-    elsewhere.  Deterministic order: lexicographic on serialized cut lists.
-    """
-    if block not in P.blocks:
-        raise ValueError("block is not a block of the partition")
-    atom_masks = list(leaves)
-    union = 0
-    for a in atom_masks:
-        if a == 0 or a & ~block or union & a:
-            raise ValueError("leaves must partition the block")
-        union |= a
-    if union != block:
-        raise ValueError("leaves must partition the block")
-
-    results = []
-
-    def rec(blocks, cuts):
-        splittable = [m for m in blocks if m not in atom_masks]
-        if not splittable:
-            results.append(tuple(cuts))
-            return
-        for m in splittable:
-            for left in _splits([a for a in atom_masks if a & m]):
-                cuts.append(Cut(P.ground, m, left))
-                rec([b for b in blocks if b != m] + [m & ~left, left], cuts)
-                cuts.pop()
-
-    rec([block], [])
-    seqs = sorted(set(results), key=lambda cs: tuple(c.serial() for c in cs))
-    return [LayeredForest(P, cs) for cs in seqs]
-
-
-def iter_forests(P, max_cuts):
-    """Every layered forest with source P and at most max_cuts cuts.
-
-    Deterministic: depth-first over ordered splits in serialized order.
-    """
+def _cut_tuples(ground, blocks, atoms, max_cuts):
+    """Cut tuples of at most max_cuts cuts from `blocks`, each splitting a
+    present block into two unions of the disjoint masks `atoms`, depth
+    first with blocks and then left parts ascending: serial order."""
+    atoms = sorted(atoms)  # bit t of pick picks inside[t]: ascending unions
     out = []
 
     def rec(blocks, cuts):
@@ -411,12 +368,42 @@ def iter_forests(P, max_cuts):
         if len(cuts) == max_cuts:
             return
         for m in sorted(blocks):
-            if popcount(m) < 2:
-                continue
-            for left in _splits([1 << i for i in iter_bits(m)]):
-                cuts.append(Cut(P.ground, m, left))
+            inside = [a for a in atoms if a & m]
+            for pick in range(1, (1 << len(inside)) - 1):
+                left = sum(a for t, a in enumerate(inside) if pick >> t & 1)
+                cuts.append(Cut(ground, m, left))
                 rec([b for b in blocks if b != m] + [m ^ left, left], cuts)
                 cuts.pop()
 
-    rec(list(P.blocks), [])
-    return [LayeredForest(P, cs) for cs in out]
+    rec(list(blocks), [])
+    return out
+
+
+def all_trees(P, block, leaves):
+    """All layered binary trees over `block` with the given leaf blocks.
+
+    block must be a block of P and leaves bitmasks partitioning it.  Each
+    result is a forest P <- (P with block replaced by leaves); sticks
+    elsewhere.  A tree on k leaves has k - 1 cuts.  Deterministic order:
+    lexicographic on serialized cut lists.
+    """
+    if block not in P.blocks:
+        raise ValueError("block is not a block of the partition")
+    leaves = list(leaves)
+    # a carry-free sum equal to the block: disjoint leaves covering it
+    if (0 in leaves or sum(leaves) != block
+            or sum(map(popcount, leaves)) != popcount(block)):
+        raise ValueError("leaves must partition the block")
+    k = len(leaves) - 1
+    return [LayeredForest(P, cs) for cs in _cut_tuples(P.ground, [block], leaves, k)
+            if len(cs) == k]
+
+
+def iter_forests(P, max_cuts):
+    """Every layered forest with source P and at most max_cuts cuts.
+
+    Deterministic: depth-first over ordered splits in serialized order.
+    """
+    singletons = [1 << i for i in range(P.ground.n)]
+    return [LayeredForest(P, cs)
+            for cs in _cut_tuples(P.ground, P.blocks, singletons, max_cuts)]

@@ -127,12 +127,11 @@ def steinmann_relations(ground):
         kS, oS = ctx.lookup(S)
         flip = ctx.bit(kS)
         above = 0 if oS > 0 else flip  # Y's bit at kS where lambda_S > 0
-        table = [(ctx.bit(k), o) for k, o in map(ctx.lookup, ctxQ.keys)]
+        table = ctxQ.table_from(ctx)
         lifts = {}  # Q pattern -> (X^V, X^W)
         for bits, Y in chambers.items():
             if bits & flip == above and bits ^ flip in chambers:
-                q = ctxQ.encode(-o if bits & b else o for b, o in table)
-                lifts[q] = (Y, chambers[bits ^ flip])
+                lifts[ctxQ.read(bits, table)] = (Y, chambers[bits ^ flip])
         movable = [ctxQ.bit(k) for k, r in enumerate(ctxQ.keys)
                    if not is_r_semisimple(Q, Q, r)]
         pairs = sorted((q, q | b) for q in lifts for b in movable
@@ -281,13 +280,6 @@ def product(P, factors):
     return Functional.from_callable(Q, value)
 
 
-def _spread(positions, mask):
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << positions[i]
-    return out
-
-
 def simple_flat(P, T):
     """The partition with block T and singletons elsewhere."""
     blocks = [T]
@@ -295,32 +287,32 @@ def simple_flat(P, T):
     return Partition(P.ground, blocks)
 
 
-def flat_annihilator_basis(P, T):
-    """Annihilator basis over the sub-ground of T, moved to its simple flat.
-
-    Spreading sub-ground masks into T is monotone, so the canonical keys
-    of the two supports agree position by position and a sign pattern over
-    one is a sign pattern over the other; the move is certified here.
-    """
-    ground = P.ground
+def _flat_move(P, T):
+    """T's sub-ground, and {shard of T's simple flat: one-block shard of
+    the sub-ground} read key by key off the key's spread into T; raises
+    InvariantViolation unless that map is a bijection of the shards."""
     positions = list(iter_bits(T))
-    sub = GroundSet(ground.labels[i] for i in positions)
+    sub = GroundSet(P.ground.labels[i] for i in positions)
     sub_ctx = context_for(Partition.one_block(sub))
-    flat = simple_flat(P, T)
-    flat_ctx = context_for(flat)
-    spread_keys = [_spread(positions, r) for r in sub_ctx.keys]
-    if spread_keys != list(flat_ctx.keys):
+    spreads = [sum(1 << positions[i] for i in iter_bits(r)) for r in sub_ctx.keys]
+    flat = context_for(simple_flat(P, T))
+    table = sub_ctx.table_from(flat, spreads)
+    moved = {X: sub_ctx.read(X.bits, table) for X in enumerate_shards(flat.P)}
+    shards = {Y.bits: Y for Y in enumerate_shards(sub_ctx.P)}
+    if sorted(moved.values()) != list(shards):  # both ascending, no repeats
         raise InvariantViolation(
-            "canonical keys of %s do not spread onto the simple flat of %s"
-            % (sub, ground.mask_labels(T))
-        )
-    out = []
-    for g in steinmann_relations(sub).annihilator_basis():
-        values = {}
-        for X in enumerate_shards(flat):
-            values[X] = g(sub_ctx.intern(X.bits))
-        out.append(Functional(flat, values))
-    return out
+            "the shards of the simple flat of %s do not move one to one onto "
+            "those of %s" % (P.ground.mask_labels(T), sub))
+    return sub, {X: shards[bits] for X, bits in moved.items()}
+
+
+def flat_annihilator_basis(P, T):
+    """Annihilator basis over the sub-ground of T, moved to its simple flat
+    along _flat_move."""
+    sub, moved = _flat_move(P, T)
+    flat = simple_flat(P, T)
+    return [Functional(flat, {X: g(Y) for X, Y in moved.items()})
+            for g in steinmann_relations(sub).annihilator_basis()]
 
 
 class Factorization:

@@ -570,3 +570,34 @@ def test_projection_of_enumerated_shard_components_feasible(P):
         for X in enumerate_shards(P):
             for comp in project(R, X):
                 assert comp in enumerate_shards(comp.support)
+
+
+def test_project_equals_key_by_key_reads():
+    # each component's sign at each of its keys is X's sign there
+    checked = 0
+    for n in range(1, 5):
+        G = g(n)
+        for P in all_partitions(G):
+            for R in coarser_partitions(G, P):
+                for X in enumerate_shards(P):
+                    for Y in project(R, X):
+                        assert Y.bits == Y.ctx.encode(
+                            X.sign_of(r) for r in Y.ctx.keys)
+                        checked += 1
+    assert checked > 0
+
+
+def test_table_from_fixes_or_refuses_vanishing_keys():
+    G = g(3)
+    fine = context_for(part(G, "(1|23)"))
+    coarse = context_for(Partition.one_block(G))
+    with pytest.raises(AssertionError, match="vanishes on"):
+        coarse.table_from(fine)
+    # keys 1, 2 and 12 of (123): lambda_1 vanishes on (1|23) and takes its
+    # fixed sign; lambda_2 and lambda_12 both read lambda_2 there
+    table = coarse.table_from(fine, fixed={0b001: -1})
+    assert table == [(0, -1), (fine.bit(0), 1), (fine.bit(0), 1)]
+    for X in enumerate_shards(fine.P):
+        Y = coarse.intern(coarse.read(X.bits, table))
+        assert Y.sign_of(0b001) == -1
+        assert all(Y.sign_of(r) == X.sign_of(r) for r in coarse.keys[1:])

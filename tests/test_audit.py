@@ -775,3 +775,39 @@ def test_first_swept_instance_replays(claim, monkeypatch):
     ce = results[list(row.claims).index(claim)][1]
     assert ce is not None and ce["claim"] == claim
     assert replay_counterexample(json.loads(json.dumps(ce))) is True
+
+
+@pytest.mark.parametrize("ground", [[1, 2, True], [1.5, None]],
+                         ids=["int-and-bool", "float-and-null"])
+def test_replay_refuses_non_string_labels(ground):
+    # str() would read these as the labels "1", "2", "True", ...
+    with pytest.raises(ValueError, match="label strings"):
+        replay_counterexample({"claim": "dims.series", "ground": ground})
+
+
+def test_report_text_prints_the_counterexample():
+    ce = {"claim": "x.y", "ground": ["1", "2"], "shard": {"id": "+"}}
+    report = AuditReport("full", 2, [AuditEntry("x.y", "s", 2, 1, False, ce)])
+    assert report.format_text().splitlines()[2] == (
+        '       counterexample: {"claim": "x.y", "ground": ["1", "2"], '
+        '"shard": {"id": "+"}}')
+
+
+def test_diagram_functional_square_counterexample_replays(monkeypatch):
+    # derivatives come out doubled: one doubling on the product's side, one
+    # per factor on the other, so the square of functionals fails while
+    # every shard-level square still holds
+    real = audit.forest_derivative
+
+    def doubled(F, f):
+        d = real(F, f)
+        return Functional._trusted(d.ctx, {X: 2 * c for X, c in d.values.items()})
+
+    row = next(row for row in audit._CLAIMS
+               if "factorization.diagram" in row.claims)
+    with monkeypatch.context() as m:
+        m.setattr(audit, "forest_derivative", doubled)
+        [(_, ce)] = row.run(G3, SAMPLE_SEED)
+        assert ce is not None and "functionals" in ce and "shard" not in ce
+        assert replay_counterexample(json.loads(json.dumps(ce))) is False
+    assert replay_counterexample(json.loads(json.dumps(ce))) is True

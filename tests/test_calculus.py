@@ -508,3 +508,44 @@ def test_dual_derivative_is_linear(pairs):
         v = v + ShardVector.basis(X).scale(c)
         expected = expected + dual_forest_derivative(F, X).scale(c)
     assert dual_forest_derivative(F, v) == expected
+
+
+def _reference_arrow(X, V):
+    # the rule read key by key: + on V's left part, - on its right part,
+    # and the fine shard's own sign everywhere else
+    coarse = Partition(X.ground, [b for b in X.support.blocks
+                                  if b not in (V.left, V.right)] + [V.parent])
+    signs = {}
+    for r in context_for(coarse).keys:
+        s = 1 if r == V.left else -1 if r == V.right else X.sign_of(r)
+        assert s != 0
+        signs[r] = s
+    return shard_from_signs(coarse, signs)
+
+
+def test_arrow_equals_the_key_by_key_rule():
+    checked = 0
+    for g in (G2, G3, G4):
+        for Q in all_partitions(g):
+            cuts = [Cut(g, a | b, left)
+                    for i, a in enumerate(Q.blocks) for b in Q.blocks[i + 1:]
+                    for left in (a, b)]
+            for X in enumerate_shards(Q):
+                for V in cuts:
+                    assert arrow(X, V) is _reference_arrow(X, V)
+                    checked += 1
+    assert checked == 200
+
+
+def test_arrow_refuses_a_key_that_vanishes_on_the_fine_support(monkeypatch):
+    # a key table built without the new wall's fixed signs cannot read the
+    # wall off the fine support
+    X = enumerate_shards(Partition(G3, [0b001, 0b110]))[0]
+    V = Cut(G3, 0b111, 0b001)
+    ctx = context_for(Partition.one_block(G3))
+    real = ctx.table_from
+    monkeypatch.setattr(ctx, "table_from",
+                        lambda source, masks=None, fixed=(): real(source, masks))
+    monkeypatch.setattr(X.ctx, "_arrow_tables", {})
+    with pytest.raises(InvariantViolation, match="vanishes"):
+        calculus._arrow(X, V)

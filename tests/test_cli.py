@@ -793,3 +793,26 @@ def test_any_argv_and_payload_keeps_the_exit_code_contract(
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("12|34", "must be parenthesized"), ("()", "empty partition text")])
+def test_partition_text_must_be_parenthesized_and_nonempty(capsys, text, message):
+    code, out, err = run_main(capsys, ["enumerate", "--partition", text])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_derive_dual_refuses_a_vector_off_the_forest_target(tmp_path, capsys):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"kind": "shard_vector", "support": "(123)",
+                                "values": {"+++": "1"}}))
+    code, out, err = run_main(
+        capsys, ["derive", "--dual", "--forest", "[[1,2],3]", str(path)])
+    assert (code, out) == (2, "")
+    assert "forest target (1|2|3)" in err
+
+
+def test_oracle_text_beyond_chamber_table(capsys):
+    assert run_main(capsys, ["oracle", "--n", "7", "--format", "text"]) == (
+        0, "n: 7\nzie dimension: 9366\nchamber count: unknown\n", "")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -371,3 +373,61 @@ def test_antisymmetrize_shape(F):
         assert f.source == F.source
         assert f.target == F.target
         assert s in (1, -1)
+
+
+def _serial_digest(forests):
+    h = hashlib.sha256()
+    count = 0
+    for F in forests:
+        h.update(repr(F.serial()).encode())
+        count += 1
+    return count, h.hexdigest()
+
+
+def _leaf_choices(P):
+    # (block, leaves) for every block of P and every partition of it into
+    # at least two leaves, read off the partitions of a ground of its size
+    for block in P.blocks:
+        positions = [i for i in range(P.ground.n) if block >> i & 1]
+        for S in all_partitions(GroundSet.of_size(len(positions))):
+            if len(S.blocks) >= 2:
+                yield block, [sum(1 << positions[i] for i in range(len(positions))
+                                  if b >> i & 1) for b in S.blocks]
+
+
+def test_forest_orders_are_pinned_by_digest():
+    # both enumerations come from one depth-first walk in serial order;
+    # the digests were taken from the separate walks it replaced
+    partitions = [P for n in range(1, 6)
+                  for P in all_partitions(GroundSet.of_size(n))]
+    assert _serial_digest(F for P in partitions for F in iter_forests(P, 3)) == (
+        4911, "f2f9bf061856bd7d0de1de946a9bf77d5116eb6c1efeeb2f66c6ae64d5393863")
+    trees = (F for P in partitions for block, leaves in _leaf_choices(P)
+             for F in all_trees(P, block, leaves))
+    assert _serial_digest(trees) == (
+        6612, "dbd71223414a06c19841dc762cea689e00592122d91c822f4f72079f207c7a6b")
+
+
+def test_all_trees_ignores_leaf_order_and_refuses_bad_leaves():
+    P = Partition.one_block(G4)
+    leaves = [0b0001, 0b0110, 0b1000]
+    assert all_trees(P, 0b1111, leaves) == all_trees(P, 0b1111, leaves[::-1])
+    # an empty leaf, a repeated leaf, and overlapping leaves whose masks
+    # still add up to the block
+    for bad in ([0, 0b1111], [0b0011, 0b0011, 0b1100],
+                [0b0001, 0b0001, 0b0001, 0b1100]):
+        with pytest.raises(ValueError):
+            all_trees(P, 0b1111, bad)
+
+
+@pytest.mark.parametrize("text, message, pos", [
+    ("{12", "unclosed '{'", 0),
+    ("[,3]", "expected a leaf", 1),
+    ("[1|2]", "expected ','", 2),
+    ("[1,2]3", "expected '|' between trees", 5),
+    ("[[1,2],[3,4]]@0,1,x", "bad layering annotation", 13),
+])
+def test_parse_errors_name_their_position(text, message, pos):
+    with pytest.raises(ForestSyntaxError, match=message) as e:
+        parse_forest(G4, text)
+    assert e.value.pos == pos

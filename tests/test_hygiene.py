@@ -141,3 +141,18 @@ def test_interned_objects_have_one_constructor():
                 sites[name].add("%s:%s" % (path.name, scope))
     assert sites == {"SupportContext": {"arrangement.py:context_for"},
                      "Shard": {"arrangement.py:SupportContext.intern"}}
+
+
+def test_only_the_support_context_encodes_sign_patterns():
+    # other modules read a pattern off another support through
+    # SupportContext.table_from and .read; str.encode of a literal codec
+    # name is no sign pattern
+    sites = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "encode"
+                    and not all(isinstance(a, ast.Constant) for a in node.args)):
+                sites.add(path.name)
+    assert sites == {"arrangement.py"}

@@ -678,3 +678,62 @@ def test_duality_property_random(seed):
     R = steinmann_relations(G4)
     kills = all(f.evaluate_vector(vec) == ZERO for vec in R)
     assert kills == is_semisimply_differentiable(f)
+
+
+def test_flat_move_is_a_sign_preserving_bijection():
+    # every block of every support up to n=5: a simple-flat shard's sign at
+    # the spread of a sub-ground key is the moved shard's sign at the key
+    for P in all_partitions(G5):
+        for T in P.blocks:
+            sub, moved = steinmann._flat_move(P, T)
+            positions = [i for i in range(5) if T >> i & 1]
+            assert sub.labels == tuple(G5.labels[i] for i in positions)
+            assert sorted(moved.values(), key=lambda Y: Y.bits) == \
+                enumerate_shards(Partition.one_block(sub))
+            for X, Y in moved.items():
+                assert X.support == simple_flat(P, T)
+                for r in Y.ctx.keys:
+                    spread = sum(1 << positions[i] for i in range(len(positions))
+                                 if r >> i & 1)
+                    assert X.sign_of(spread) == Y.sign_of(r)
+
+
+def _swap_flat_tables(monkeypatch):
+    # the flat move is the one reader that names its own masks; swap the
+    # first and last entries of its table
+    real = arrangement.SupportContext.table_from
+
+    def swapped(self, source, masks=None, fixed=()):
+        table = real(self, source, masks, fixed)
+        if masks:
+            table[0], table[-1] = table[-1], table[0]
+        return table
+
+    monkeypatch.setattr(arrangement.SupportContext, "table_from", swapped)
+
+
+def test_flat_move_refuses_a_swapped_key_table(monkeypatch):
+    from shardcalc import audit
+
+    Q = Partition.parse(G5, "(1234|5)")
+    _swap_flat_tables(monkeypatch)
+    with pytest.raises(InvariantViolation, match="one to one"):
+        flat_annihilator_basis(Q, Q.blocks[0])
+    with pytest.raises(InvariantViolation, match="one to one"):
+        audit._blockwise_kernel_vectors(Q)
+
+
+def test_factorize_refuses_another_support():
+    Q = Partition.parse(G4, "(12|34)")
+    with pytest.raises(SupportMismatchError):
+        factorize(Q, Functional.zero(Partition.parse(G4, "(13|24)")))
+
+
+def test_factorize_refuses_a_non_semisimple_cut_derivative():
+    # over one block every Steinmann class is one shard, so only a
+    # single-cut derivative can fail
+    P = Partition.one_block(G4)
+    f = random_functional(P, 1)
+    assert is_semisimple(f)
+    with pytest.raises(NotSemisimpleError, match="derivative along"):
+        factorize(P, f)
