@@ -32,13 +32,14 @@ from .arrangement import (
 from .calculus import (
     Functional,
     ShardVector,
+    _functional_index,
+    _totals,
     dual_rows,
     forest_derivative,
     random_functional,
 )
-from .exactla import ZERO, integer_coefficients, rank, rat_str
+from .exactla import ZERO, rank, rat_str
 from .forests import (
-    BoundaryMismatchError,
     Cut,
     LayeredForest,
     all_trees,
@@ -58,9 +59,9 @@ from .ground import (
 )
 from .steinmann import (
     _flat_move,
+    _rough_cut,
     _single_cut_forests,
     flat_annihilator_basis,
-    is_semisimple,
     is_semisimply_differentiable,
     product,
     quotient_dim,
@@ -592,36 +593,11 @@ def _check_dimension(g):
 
 # --------------------------------------------------- main theorem, delayering
 
-def _functional_index(functionals, P):
-    """The functionals on support P with, per shard, the (position, value)
-    pairs of the functionals that are nonzero on it, each functional's
-    values scaled to integers; built once per sweep."""
-    by_shard = {}
-    for i, f in enumerate(functionals):
-        if f.support is not P:
-            raise BoundaryMismatchError("functional over a different support")
-        for X, a in integer_coefficients(f.values)[0].items():
-            by_shard.setdefault(X, []).append((i, a))
-    return functionals, by_shard
-
-
 def _annihilator_index(g):
     """The indexed annihilator basis: a one-block row lies in the relation
     span exactly when _totals finds no nonzero value on it."""
     return _functional_index(steinmann_relations(g).annihilator_basis(),
                              Partition.one_block(g))
-
-
-def _totals(by_shard, row):
-    """The indexed functionals on a dual_rows row: totals[i] is functional
-    i's value on the row times the functional's own scale, left out when
-    zero.  The row's coefficients are exact as they come (ints or
-    Fractions), so totals of two rows compare directly."""
-    totals = {}
-    for X, m in row.items():
-        for i, a in by_shard.get(X, ()):
-            totals[i] = totals.get(i, 0) + m * a
-    return {i: t for i, t in totals.items() if t}
 
 
 def _first_failure(pairs):
@@ -645,7 +621,7 @@ def _annihilator_witness(F, index, shards, classes):
     along F of every shard in each class.  Every shard in `shards` is
     derived, so the sweep (all shards of F.target) also runs the
     derivative's own cross-check on shards in singleton classes."""
-    functionals, by_shard = index
+    functionals, by_shard, _ = index
     duals = dict(zip(shards, dual_rows(F, _units(shards))))
     pairs = [(cls[0], X) for cls in classes for X in cls[1:]]
     totals = {X: _totals(by_shard, duals[X])
@@ -679,8 +655,7 @@ def _check_maintheorem_annihilator(g, max_cuts):
 def _converse_witness(g, f):
     """f, a functional pairing with a relation (None if the search found
     none), must have a non-semisimple single-cut derivative."""
-    if f is not None and any(not is_semisimple(forest_derivative(F, f))
-                             for F in _single_cut_forests(f.support)):
+    if f is not None and _rough_cut(f) is not None:
         return None
     return _counterexample(
         "maintheorem.converse", g,
@@ -701,7 +676,7 @@ def _delayering_witness(claim, index, shards, F0, *others):
     """Each indexed functional must agree on the dual derivatives along
     the first layering F0 and each other layering of each shard.  F0 is
     derived once for the whole group; `claim` names the counterexample."""
-    functionals, by_shard = index
+    functionals, by_shard, _ = index
     totals0 = [_totals(by_shard, row) for row in dual_rows(F0, _units(shards))]
     for Fi in others:
         totalsi = [_totals(by_shard, row)

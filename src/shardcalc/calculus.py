@@ -8,7 +8,8 @@ Every coefficient of a shard's dual derivative is an integer: dual_rows
 derives any number of coefficient maps along one forest over plain ints,
 checking each against the antisymmetrized sum of arrow chains, and
 dual_forest_derivative is its one-row form on ShardVectors.  Functionals
-on the coarse side pull back along the dual derivative.
+on the coarse side pull back along the dual derivative, read through
+_functional_index and _totals, the one evaluator of functionals on rows.
 """
 
 from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
@@ -321,6 +322,30 @@ def random_functional(support, seed, span=9):
     )
 
 
+def _functional_index(functionals, P):
+    """(functionals, {shard: [(position, value)]}, scales): functionals
+    over support P, each scaled to integers once and listed where nonzero."""
+    by_shard, scales = {}, []
+    for i, f in enumerate(functionals):
+        if f.support is not P:
+            raise BoundaryMismatchError("functional over a different support")
+        weights, scale = integer_coefficients(f.values)
+        scales.append(scale)
+        for X, a in weights.items():
+            by_shard.setdefault(X, []).append((i, a))
+    return functionals, by_shard, scales
+
+
+def _totals(by_shard, row):
+    """{position: the functional's value on a {shard: int or Rational} row
+    times its scale}, zeros left out; totals of two rows compare directly."""
+    totals = {}
+    for X, m in row.items():
+        for i, a in by_shard.get(X, ()):
+            totals[i] = totals.get(i, 0) + m * a
+    return {i: t for i, t in totals.items() if t}
+
+
 def _dual_cut(entries, V, W):
     # X -> X^V - X^W for the cut V and its reversal W
     out = {}
@@ -387,25 +412,15 @@ def dual_forest_derivative(F, v):
 def forest_derivative(F, f):
     """The functional on target(F) given by X -> f(dual derivative of X).
 
-    All shards of target(F) are derived in one dual_rows call, and a
-    shard's row has integer coefficients.  f's values are scaled to
-    integers once, so each derived shard's value is an integer sum over
-    its row divided by f's scale, in one Rational.
-    """
+    All shards of target(F) are derived in one dual_rows call, and each
+    row's total under f's index is divided by f's scale."""
     if f.support is not F.source:
         raise BoundaryMismatchError(
             "functional support %s is not the forest source %s"
             % (f.support.format(), F.source.format())
         )
     shards = enumerate_shards(F.target)
-    weights, f_scale = integer_coefficients(f.values)
-    get = weights.get
-    values = {}
-    for X, row in zip(shards, dual_rows(F, [{X: 1} for X in shards])):
-        total = 0
-        for Y, m in row.items():
-            a = get(Y)
-            if a is not None:
-                total += m * a
-        values[X] = Rational(total, f_scale)
-    return Functional._trusted(context_for(F.target), values)
+    _, by_shard, (scale,) = _functional_index([f], F.source)
+    return Functional._trusted(context_for(F.target), {
+        X: Rational(_totals(by_shard, row).get(0, 0), scale)
+        for X, row in zip(shards, dual_rows(F, [{X: 1} for X in shards]))})

@@ -26,8 +26,9 @@ from .arrangement import (
     project,
     steinmann_classes,
 )
-from .calculus import Functional, InvariantViolation, ShardVector, forest_derivative
-from .exactla import ONE, ZERO, _echelon, kernel_basis
+from .calculus import (Functional, InvariantViolation, ShardVector,
+                       _functional_index, _totals, forest_derivative)
+from .exactla import ONE, ZERO, Rational, _echelon, kernel_basis
 from .forests import Cut, cut_forest
 from .ground import (
     GroundMismatchError,
@@ -162,10 +163,11 @@ class QuotientSpace:
     free holds the shards at the free columns of the relation echelon.  The
     j-th annihilator functional f_j is 1 at the j-th free shard Y_j and 0
     at the others, so sum_j f_j(v) Y_j is the unique member of v's coset
-    supported on free, its canonical representative.
+    supported on free, its canonical representative; the f_j are indexed
+    once, on first use.
     """
 
-    __slots__ = ("ground", "relation_set", "shards", "free", "dim")
+    __slots__ = ("ground", "relation_set", "shards", "free", "dim", "_index")
 
     def __init__(self, ground):
         self.ground = ground
@@ -174,6 +176,7 @@ class QuotientSpace:
         pivots = self.relation_set.pivots()
         self.free = tuple(X for X in self.shards if X.bits not in pivots)
         self.dim = len(self.free)
+        self._index = None
 
     def reduce(self, v):
         """Canonical coset representative of a one-block ShardVector."""
@@ -181,9 +184,13 @@ class QuotientSpace:
             v = ShardVector.basis(v)
         if v.support != Partition.one_block(self.ground):
             raise SupportMismatchError("vector is not over the one-block support")
-        basis = self.relation_set.annihilator_basis()
-        return ShardVector._trusted(
-            v.ctx, {Y: f.evaluate_vector(v) for f, Y in zip(basis, self.free)})
+        if self._index is None:
+            self._index = _functional_index(
+                self.relation_set.annihilator_basis(), v.support)
+        _, by_shard, scales = self._index
+        totals = _totals(by_shard, v.entries)
+        return ShardVector._trusted(v.ctx, {
+            self.free[j]: Rational(totals[j], scales[j]) for j in sorted(totals)})
 
     def contains(self, v):
         """True iff v lies in the relation span."""
@@ -228,11 +235,15 @@ def _single_cut_forests(P):
     return out
 
 
+def _rough_cut(f):
+    """First single-cut forest with a non-semisimple derivative of f, or None."""
+    return next((F for F in _single_cut_forests(f.support)
+                 if not is_semisimple(forest_derivative(F, f))), None)
+
+
 def is_semisimply_differentiable(f):
     """True iff f and all its single-cut derivatives are semisimple."""
-    return is_semisimple(f) and all(
-        is_semisimple(forest_derivative(F, f)) for F in _single_cut_forests(f.support)
-    )
+    return is_semisimple(f) and _rough_cut(f) is None
 
 
 def product(P, factors):
@@ -404,11 +415,10 @@ def factorize(P, f):
         raise NotSemisimpleError(
             "functional is not constant on a Steinmann class of %s" % P.format()
         )
-    for F in _single_cut_forests(P):
-        if not is_semisimple(forest_derivative(F, f)):
-            raise NotSemisimpleError(
-                "derivative along %r is not semisimple" % (F.cuts[0],)
-            )
+    F = _rough_cut(f)
+    if F is not None:
+        raise NotSemisimpleError(
+            "derivative along %r is not semisimple" % (F.cuts[0],))
     bases = [flat_annihilator_basis(P, T) for T in P.blocks]
     dims = [len(b) for b in bases]
     at = {}  # index tuple -> f at a shard where its basis product is 1

@@ -743,7 +743,7 @@ _FIRST_FAILS = {
     "maintheorem.annihilator": (
         4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     "maintheorem.converse": (
-        4, [(audit, "is_semisimple", lambda f: True)]),
+        4, [(audit, "_rough_cut", lambda f: None)]),
     "delayering.annihilator": (
         4, [(audit, "dual_rows", _distinct_scales(audit.dual_rows))]),
     # every one of the 32 seeds the row tries misses, so the last one fails
@@ -811,3 +811,20 @@ def test_diagram_functional_square_counterexample_replays(monkeypatch):
         assert ce is not None and "functionals" in ce and "shard" not in ce
         assert replay_counterexample(json.loads(json.dumps(ce))) is False
     assert replay_counterexample(json.loads(json.dumps(ce))) is True
+
+
+def test_annihilator_replay_refuses_a_functional_over_another_support(
+        monkeypatch):
+    size, patches = _FIRST_FAILS["maintheorem.annihilator"]
+    row = next(row for row in audit._CLAIMS
+               if "maintheorem.annihilator" in row.claims)
+    with monkeypatch.context() as m:
+        for target, name, value in patches:
+            m.setattr(target, name, value)
+        [(_, ce)] = row.run(GroundSet.of_size(size), SAMPLE_SEED)
+    ce = json.loads(json.dumps(ce))
+    assert replay_counterexample(ce) is True
+    ce["functional"] = Functional.zero(
+        Partition.parse(G4, "(12|34)")).to_json_obj()
+    with pytest.raises(forests.BoundaryMismatchError, match="different support"):
+        replay_counterexample(ce)

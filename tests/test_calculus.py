@@ -549,3 +549,45 @@ def test_arrow_refuses_a_key_that_vanishes_on_the_fine_support(monkeypatch):
     monkeypatch.setattr(X.ctx, "_arrow_tables", {})
     with pytest.raises(InvariantViolation, match="vanishes"):
         calculus._arrow(X, V)
+
+
+def _seeded_rows(P, count, seed):
+    # rows of eight shards of P, int coefficients and Fraction ones in turn
+    rng = random.Random(seed)
+    shards = enumerate_shards(P)
+    rows = []
+    for k in range(count):
+        rows.append({X: (rng.randint(-9, 9) if k % 2
+                         else Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                     for X in rng.sample(shards, min(8, len(shards)))})
+    return rows
+
+
+def _mixed_denominators(g):
+    # f_j / 2 + f_(j+1) / 3 over the annihilator basis, whose values are 0
+    # and +-1, as in the audit's fractional sweep tests, then f_0 / 2 and
+    # f_1 / 3: scales 6, 2 and 3
+    real = steinmann_relations(g).annihilator_basis()
+    return ([Functional(f.support, {X: c / 2 + h(X) / 3 for X, c in f.items()})
+             for f, h in zip(real, real[1:] + real[:1])]
+            + [Functional(f.support, {X: c / k for X, c in f.items()})
+               for f, k in zip(real, (2, 3))])
+
+
+@pytest.mark.parametrize("n, mixed", [(3, False), (4, False), (5, False),
+                                      (4, True)],
+                         ids=["n3", "n4", "n5", "n4-mixed"])
+def test_totals_over_scale_equal_evaluate_vector(n, mixed):
+    g = GroundSet.of_size(n)
+    P = Partition.one_block(g)
+    functionals = (_mixed_denominators(g) if mixed
+                   else steinmann_relations(g).annihilator_basis())
+    got, by_shard, scales = calculus._functional_index(functionals, P)
+    assert got is functionals
+    assert set(scales) == ({2, 3, 6} if mixed else {1})
+    for row in _seeded_rows(P, 200, n):
+        totals = calculus._totals(by_shard, row)
+        assert all(totals.values())
+        v = ShardVector(P, row)
+        assert ([Fraction(totals.get(i, 0), s) for i, s in enumerate(scales)]
+                == [f.evaluate_vector(v) for f in functionals])

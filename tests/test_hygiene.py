@@ -156,3 +156,15 @@ def test_only_the_support_context_encodes_sign_patterns():
                     and not all(isinstance(a, ast.Constant) for a in node.args)):
                 sites.add(path.name)
     assert sites == {"arrangement.py"}
+
+
+def test_only_calculus_scales_functionals_to_integers():
+    # functionals are scaled once, by calculus._functional_index; audit and
+    # steinmann evaluate them through it
+    for name in ("audit.py", "steinmann.py"):
+        tree = _tree(PACKAGE / name)
+        names = _names_used(tree) | {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+        assert "integer_coefficients" not in names, name

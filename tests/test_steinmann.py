@@ -737,3 +737,51 @@ def test_factorize_refuses_a_non_semisimple_cut_derivative():
     assert is_semisimple(f)
     with pytest.raises(NotSemisimpleError, match="derivative along"):
         factorize(P, f)
+
+
+def _first_rough_cut_by_loop(f):
+    # the loop is_semisimply_differentiable, factorize and the converse
+    # witness each ran before they shared steinmann._rough_cut
+    for F in steinmann._single_cut_forests(f.support):
+        if not is_semisimple(forest_derivative(F, f)):
+            return F
+    return None
+
+
+def test_rough_cut_is_the_first_single_cut_forest_that_fails():
+    from shardcalc.audit import _duality_sample
+    sample = [f for n in (3, 4, 5)
+              for (f,) in _duality_sample(GroundSet.of_size(n))]
+    parts = all_partitions(G4)
+    sample += [random_functional(parts[s % len(parts)], s) for s in range(20)]
+    found = set()
+    for f in sample:
+        got = steinmann._rough_cut(f)
+        want = _first_rough_cut_by_loop(f)
+        assert (got is None) == (want is None)
+        assert got is None or got.cuts == want.cuts
+        assert is_semisimply_differentiable(f) == (
+            is_semisimple(f) and want is None)
+        found.add(got is None)
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_quotient_reduce_equals_one_evaluation_per_functional(n):
+    # the reference is reduce as it was: {Y_j: f_j.evaluate_vector(v)}
+    g = GroundSet.of_size(n)
+    qs = quotient_space(g)
+    basis = qs.relation_set.annihilator_basis()
+    P = Partition.one_block(g)
+    rng = random.Random(n)
+    vectors = [ShardVector.basis(X) for X in qs.shards]
+    vectors += list(qs.relation_set.relations[:20])
+    vectors += [ShardVector(P, {X: (rng.randint(-9, 9) if k % 2 else
+                                    Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                                for X in rng.sample(qs.shards, 8)})
+                for k in range(200)]
+    for v in vectors:
+        want = ShardVector._trusted(v.ctx, {
+            Y: f.evaluate_vector(v) for f, Y in zip(basis, qs.free)})
+        got = qs.reduce(v)
+        assert got == want and list(got.entries) == list(want.entries)
