@@ -51,10 +51,7 @@ class SupportContext:
     """Cached per-support data: keys, lookup tables, LP scaffold, memos.
 
     context_for keeps one context per support, which makes this the root
-    of every per-support cache, the steinmann.py relations included.  A
-    two-block context may intern shards its support never walked: by
-    restriction to a hyperplane, steinmann_relations reads them off the
-    one-block chambers, with no witness.
+    of every per-support cache, the steinmann.py relations included.
     """
 
     def __init__(self, P):
@@ -81,7 +78,7 @@ class SupportContext:
         self._enumerated = None
         self._classes = {}  # R -> steinmann_classes(P, R)
         self._components = {}  # R -> project's (context, key table) per block
-        self._arrow_tables = {}  # cut -> calculus.arrow's (context, key table)
+        self._arrow_tables = {}  # cut -> arrow's (context, key table, memo)
         self.relations = None  # steinmann.RelationSet, one-block only
         self._block_of = [P.block_of(i) for i in range(self.n)]
         self.block_lcm = lcm(*map(popcount, P.blocks))
@@ -242,18 +239,16 @@ class Shard:
 
     SupportContext.intern builds each shard once per sign pattern, and
     context_for keeps one context per support, so equality and hashing are
-    by identity.  bits is the sign pattern (see the module docstring); a
-    shard also caches the arrows memo (see calculus.arrow).
+    by identity.  bits is the sign pattern (see the module docstring).
     """
 
-    __slots__ = ("ctx", "bits", "arrows")
+    __slots__ = ("ctx", "bits")
 
     def __init__(self, ctx, bits):
         if not 0 <= bits < 1 << ctx.K:
             raise ValueError("need one sign bit per canonical key")
         self.ctx = ctx
         self.bits = bits
-        self.arrows = None
 
     @property
     def support(self):

@@ -12,7 +12,7 @@ on the coarse side pull back along the dual derivative, read through
 _functional_index and _totals, the one evaluator of functionals on rows.
 """
 
-from .arrangement import Shard, SupportContext, context_for, enumerate_shards, shard_from_signs
+from .arrangement import Shard, context_for, enumerate_shards, shard_from_signs
 from .exactla import ONE, ZERO, Rational, integer_coefficients, rat, rat_str
 from .forests import BoundaryMismatchError, antisymmetrize
 from .ground import GroundMismatchError, Partition
@@ -42,20 +42,14 @@ def arrow(X, V):
     Per canonical key of the coarse support: the key representing the new
     wall is + when it reduces to C (and - when to D); every other key class
     misses {C, D, empty} mod the fine support, so its sign is inherited.
-    The result is memoized on the interned shard X, one entry per cut.
+    The fine context keeps, per cut, the coarse context, its key table
+    (the new wall's sides fixed) and the memo {fine bits: X^V}.
     """
-    memo = X.arrows
-    if memo is None:
-        memo = X.arrows = {}
-    Y = memo.get(V)
-    if Y is None:
-        Y = memo[V] = _arrow(X, V)
-    return Y
-
-
-def _arrow(X, V):
-    # one key table per (fine context, cut), the new wall's sides fixed
     fine = X.ctx
+    try:
+        return fine._arrow_tables[V][2][X.bits]
+    except KeyError:
+        pass
     found = fine._arrow_tables.get(V)
     if found is None:
         ctx = context_for(_merged_source(fine.P, V))
@@ -63,9 +57,10 @@ def _arrow(X, V):
             table = ctx.table_from(fine, fixed={V.left: 1, V.right: -1})
         except AssertionError as exc:
             raise InvariantViolation(str(exc)) from None
-        found = fine._arrow_tables[V] = ctx, table
-    ctx, table = found
-    return ctx.intern(ctx.read(X.bits, table))
+        found = fine._arrow_tables[V] = ctx, table, {}
+    ctx, table, memo = found
+    Y = memo[X.bits] = ctx.intern(ctx.read(X.bits, table))
+    return Y
 
 
 def _json_values(obj):
@@ -96,7 +91,7 @@ class ShardVector:
     __slots__ = ("ctx", "entries")
 
     def __init__(self, support, entries=None):
-        ctx = support if isinstance(support, SupportContext) else context_for(support)
+        ctx = context_for(support)
         clean = {}
         for X, c in (entries or {}).items():
             if X.ctx is not ctx:
@@ -139,7 +134,7 @@ class ShardVector:
 
     @classmethod
     def basis(cls, X, coeff=ONE):
-        return cls(X.ctx, {X: coeff})
+        return cls(X.support, {X: coeff})
 
     @property
     def support(self):
@@ -218,7 +213,7 @@ class Functional:
     __slots__ = ("ctx", "values")
 
     def __init__(self, support, values):
-        ctx = support if isinstance(support, SupportContext) else context_for(support)
+        ctx = context_for(support)
         basis = enumerate_shards(ctx.P)
         table = {}
         for k, c in values.items():
@@ -249,8 +244,7 @@ class Functional:
 
     @classmethod
     def zero(cls, support):
-        ctx = support if isinstance(support, SupportContext) else context_for(support)
-        return cls._trusted(ctx, {})
+        return cls._trusted(context_for(support), {})
 
     @classmethod
     def indicator(cls, X):
@@ -258,8 +252,7 @@ class Functional:
 
     @classmethod
     def from_callable(cls, support, fn):
-        ctx = support if isinstance(support, SupportContext) else context_for(support)
-        return cls(ctx, {X: fn(X) for X in enumerate_shards(ctx.P)})
+        return cls(support, {X: fn(X) for X in enumerate_shards(support)})
 
     @property
     def support(self):
@@ -315,10 +308,9 @@ def random_functional(support, seed, span=9):
     """Deterministic pseudorandom functional; integer values in [-span, span]."""
     import random
 
-    ctx = support if isinstance(support, SupportContext) else context_for(support)
     rng = random.Random(seed)
     return Functional(
-        ctx, {X: rat(rng.randint(-span, span)) for X in enumerate_shards(ctx.P)}
+        support, {X: rat(rng.randint(-span, span)) for X in enumerate_shards(support)}
     )
 
 

@@ -29,7 +29,7 @@ from .arrangement import (
 from .calculus import (Functional, InvariantViolation, ShardVector,
                        _functional_index, _totals, forest_derivative)
 from .exactla import ONE, ZERO, Rational, _echelon, kernel_basis
-from .forests import Cut, cut_forest
+from .forests import cut_forest
 from .ground import (
     GroundMismatchError,
     GroundSet,
@@ -54,17 +54,16 @@ def _halves(ground):
 class RelationSet:
     """Four-term wall relations over the one-block support.
 
-    relations[i] equals X1^V - X1^W + X2^W - X2^V where W reverses the
-    cut V and provenance[i] records (V, (X1, X2)); the list is
-    deduplicated up to overall sign, in cut-then-pair order.
+    Each relation equals X1^V - X1^W + X2^W - X2^V for a cut V of the
+    ground into C and D, its reverse W and two shards X1, X2 over (C|D);
+    the list is deduplicated up to overall sign, in cut-then-pair order.
     """
 
-    __slots__ = ("ground", "relations", "provenance", "_pivots", "_basis")
+    __slots__ = ("ground", "relations", "_pivots", "_basis")
 
-    def __init__(self, ground, relations, provenance):
+    def __init__(self, ground, relations):
         self.ground = ground
         self.relations = tuple(relations)
-        self.provenance = tuple(provenance)
         self._pivots = None
         self._basis = None
 
@@ -118,7 +117,7 @@ def steinmann_relations(ground):
     ctx = context_for(Partition.one_block(ground))
     if ctx.relations is not None:
         return ctx.relations
-    relations, provenance, seen = [], [], set()
+    relations, seen = [], set()
     neg = -ONE  # rows share ONE and neg rather than a Fraction per entry
     halves = _halves(ground)
     chambers = {Y.bits: Y for Y in enumerate_shards(ctx.P)} if halves else {}
@@ -137,7 +136,6 @@ def steinmann_relations(ground):
                    if not is_r_semisimple(Q, Q, r)]
         pairs = sorted((q, q | b) for q in lifts for b in movable
                        if not q & b and q | b in lifts)
-        V = Cut(ground, ground.full_mask, S)
         for q1, q2 in pairs:
             (Y1V, Y1W), (Y2V, Y2W) = lifts[q1], lifts[q2]
             plus = min(Y1V.bits, Y2W.bits), max(Y1V.bits, Y2W.bits)
@@ -152,8 +150,7 @@ def steinmann_relations(ground):
             seen.add(sig)
             relations.append(ShardVector._trusted(
                 ctx, {Y1V: s, Y1W: t, Y2W: s, Y2V: t}))
-            provenance.append((V, (ctxQ.intern(q1), ctxQ.intern(q2))))
-    ctx.relations = RelationSet(ground, relations, provenance)
+    ctx.relations = RelationSet(ground, relations)
     return ctx.relations
 
 
@@ -344,20 +341,13 @@ class Factorization:
         self.factors = factors
 
     def expand(self):
-        """Rebuild the functional from the coefficients."""
+        """Rebuild the functional: the sum over index tuples alpha of the
+        coefficient times product(P, [bases[j][alpha_j]])."""
         P = self.partition
-
-        def value(X):
-            comps = project(P, X)
-            total = ZERO
-            for alpha, c in self.coefficients.items():
-                v = c
-                for j, i in enumerate(alpha):
-                    v = v * self.bases[j][i](comps[j])
-                total += v
-            return total
-
-        return Functional.from_callable(P, value)
+        terms = [(c, product(P, [self.bases[j][i] for j, i in enumerate(alpha)]))
+                 for alpha, c in self.coefficients.items()]
+        return Functional.from_callable(
+            P, lambda X: sum((c * term(X) for c, term in terms), ZERO))
 
 
 def _rank_one_factors(bases, coefficients, dims):

@@ -76,7 +76,7 @@ def test_one_echelon_per_row_set(monkeypatch):
     monkeypatch.setattr(steinmann, "_echelon", counted)
     g = GroundSet.of_size(4)
     cached = steinmann_relations(g)
-    R = RelationSet(g, cached.relations, cached.provenance)
+    R = RelationSet(g, cached.relations)
     monkeypatch.setattr(context_for(Partition.one_block(g)), "relations", R)
     assert R.rank() == 6
     assert len(R.annihilator_basis()) == 26

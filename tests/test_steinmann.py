@@ -108,7 +108,8 @@ def test_relation_shape_n4():
     R = steinmann_relations(G4)
     assert len(R) == 6
     full = G4.full_mask
-    for vec, (V, (X1, X2)) in zip(R.relations, R.provenance):
+    _, provenance = _pair_walk_relations(G4)
+    for vec, (V, (X1, X2)) in zip(R.relations, provenance):
         items = vec.items()
         assert len(items) == 4
         assert sorted(str(c) for _, c in items) == ["-1", "-1", "1", "1"]
@@ -126,11 +127,14 @@ def test_relation_shape_n4():
 
 
 def test_relations_equal_the_validated_four_term_vectors_n5():
-    # each relation is its provenance's four-term vector, built through the
-    # validating constructors and made positive at its id-least shard
-    R = steinmann_relations(GroundSet.of_size(5))
+    # each relation is the four-term vector of its pair in the two-block
+    # walk, built through the validating constructors and made positive at
+    # its id-least shard
+    R = steinmann_relations(G5)
     assert len(R) == 300
-    for vec, (V, (X1, X2)) in zip(R.relations, R.provenance):
+    _, provenance = _pair_walk_relations(G5)
+    assert len(provenance) == 300
+    for vec, (V, (X1, X2)) in zip(R.relations, provenance):
         W = V.reversed()
         expected = (
             ShardVector.basis(arrow(X1, V))
@@ -178,13 +182,12 @@ def _pair_walk_relations(ground):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_relations_equal_the_two_block_pair_walk(n):
-    # relations read off one-block chambers equal, row for row and with
-    # the same provenance, those built from walked two-block shards
+    # relations read off one-block chambers equal, row for row, those
+    # built from walked two-block shards
     ground = GroundSet.of_size(n)
-    rows, provenance = _pair_walk_relations(ground)
+    rows, _ = _pair_walk_relations(ground)
     R = steinmann_relations(ground)
     assert list(R.relations) == rows
-    assert list(R.provenance) == provenance
 
 
 def test_relations_walk_no_multi_block_support():
@@ -194,14 +197,17 @@ def test_relations_walk_no_multi_block_support():
     two_block = [P for P in all_partitions(ground) if len(P.blocks) == 2]
     assert len(two_block) == 15
     assert all(context_for(P)._enumerated is None for P in two_block)
+    # nor does it intern a shard of any of them
+    assert all(context_for(P)._interned == {} for P in two_block)
     small = GroundSet(["v", "w", "x"])
     assert len(steinmann_relations(small)) == 0
     assert context_for(Partition.one_block(small))._enumerated is None
 
 
 def test_relations_pair_differs_on_one_movable_key():
-    R = steinmann_relations(G4)
-    for V, (X1, X2) in R.provenance:
+    _, provenance = _pair_walk_relations(G4)
+    assert len(provenance) == len(steinmann_relations(G4))
+    for V, (X1, X2) in provenance:
         assert bin(X1.bits ^ X2.bits).count("1") == 1
         assert X1.id() < X2.id()
 
@@ -251,7 +257,7 @@ def test_annihilator_basis_solves_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(steinmann, "kernel_basis", counting)
     R = steinmann_relations(G4)
-    fresh = RelationSet(R.ground, R.relations, R.provenance)
+    fresh = RelationSet(R.ground, R.relations)
     first = fresh.annihilator_basis()
     first.clear()  # the caller's list is its own
     assert fresh.annihilator_basis() == fresh.annihilator_basis() != []
@@ -368,7 +374,8 @@ def test_main_theorem_converse_n4():
     f = random_functional(P, 2026)
     vec = next(v for v in R if f.evaluate_vector(v) != ZERO)
     assert not is_semisimply_differentiable(f)
-    V, (X1, X2) = R.provenance[R.relations.index(vec)]
+    _, provenance = _pair_walk_relations(G4)
+    V, (X1, X2) = provenance[R.relations.index(vec)]
     F = cut_forest(P, V.parent, V.left)
     assert not is_semisimple(forest_derivative(F, f))
 
@@ -550,6 +557,40 @@ def test_factorize_zero():
     assert fac.coefficients == {}
     assert fac.factors is None
     assert fac.expand() == Functional.zero(Q)
+
+
+def _expand_by_loop(fac):
+    # reference: per shard, each coefficient times the indexed basis
+    # values on the shard's components
+    P = fac.partition
+    values = {}
+    for X in enumerate_shards(P):
+        comps = arrangement.project(P, X)
+        total = ZERO
+        for alpha, c in fac.coefficients.items():
+            v = c
+            for j, i in enumerate(alpha):
+                v = v * fac.bases[j][i](comps[j])
+            total += v
+        values[X] = total
+    return Functional(P, values)
+
+
+@pytest.mark.parametrize("ground, text", [(G4, "(12|34)"), (G5, "(12|345)")])
+def test_expand_equals_the_per_shard_loop(ground, text):
+    P = Partition.parse(ground, text)
+    bases = [flat_annihilator_basis(P, T) for T in P.blocks]
+    alphas = list(itertools.product(*[range(len(b)) for b in bases]))
+    assert len(alphas) == (4 if ground is G4 else 12)
+    rng = random.Random(3)
+    for _ in range(5):
+        coefficients = {}
+        for alpha in alphas:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if c:
+                coefficients[alpha] = c
+        fac = Factorization(P, bases, coefficients, None)
+        assert fac.expand() == _expand_by_loop(fac)
 
 
 def test_factorize_one_block_is_expansion_in_annihilator_basis():
