@@ -73,6 +73,7 @@ class SupportContext:
         self._key_quads = None
         self._normals = None
         self._flat_rows = None
+        self._labels = None
         self._memo = {}  # pattern -> witness coords, or None when the LP says no
         self._interned = {}
         self._enumerated = None
@@ -113,7 +114,7 @@ class SupportContext:
             k, o = source.lookup(m)
             if k < 0 and r not in fixed:
                 raise AssertionError("key %s vanishes on %s" % (
-                    self.ground.mask_labels(r), source.P.format()))
+                    self.labels()[1][self.key_index[r]], source.labels()[0]))
             table.append((source.bit(k), o) if k >= 0 else (0, fixed[r]))
         return table
 
@@ -130,6 +131,14 @@ class SupportContext:
             shard = Shard(self, bits)
             self._interned[bits] = shard
         return shard
+
+    def labels(self):
+        """(support text, key labels in key order), rendered once for
+        output and error messages."""
+        if self._labels is None:
+            self._labels = (self.P.format(),
+                            tuple(map(self.ground.mask_labels, self.keys)))
+        return self._labels
 
     # ---- geometry helpers ----
 
@@ -270,12 +279,9 @@ class Shard:
         return _sign_text(self.ctx.K, self.bits)
 
     def to_json_obj(self):
-        g = self.ctx.ground
-        return {
-            "support": self.ctx.P.format(),
-            "signs": dict(zip(map(g.mask_labels, self.ctx.keys),
-                              _sign_text(self.ctx.K, self.bits))),
-        }
+        support, labels = self.ctx.labels()
+        return {"support": support,
+                "signs": dict(zip(labels, _sign_text(self.ctx.K, self.bits)))}
 
     def __repr__(self):
         return "Shard(%s, %s)" % (self.ctx.P.format(), self.id() or "<point>")
@@ -317,9 +323,10 @@ def shard_from_signs(P, signs, certify=False):
             raise ValueError("signs must cover every canonical key exactly once")
         bits = ctx.encode(by_key[k] for k in range(ctx.K))
     if certify and _feasible(ctx, bits) is None:
-        named = zip(map(ctx.ground.mask_labels, ctx.keys), _sign_text(ctx.K, bits))
+        support, labels = ctx.labels()
+        named = zip(labels, _sign_text(ctx.K, bits))
         raise ValueError("sign pattern %s is not realizable over %s" % (
-            " ".join("%s:%s" % kv for kv in named), ctx.P.format()))
+            " ".join("%s:%s" % kv for kv in named), support))
     return ctx.intern(bits)
 
 

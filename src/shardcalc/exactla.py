@@ -21,7 +21,9 @@ sign they want, so every row asks for "> 0".  An exact simplex with
 Bland's rule maximizes a slack t with every row relaxed by t and every
 variable boxed; the rows are feasible iff the optimum is positive.  The
 tableau is one integer matrix over a running determinant (fraction-free
-pivoting, as in Avis's lrs).  A point is re-verified and divided by its
+pivoting, as in Avis's lrs); each of its rows starts as zeros with only
+its few nonzeros set, so building it costs its size, not its height
+squared.  A point is re-verified and divided by its
 content; a "no" carries the multipliers of the final objective row,
 checked in integers.  arrangement.py poses its LPs in the flat's own
 coordinates.
@@ -189,18 +191,19 @@ def strictly_feasible(rows, width):
     # maximizes t.
     m = width
     nv = 2 * m + 1
-    lp = []
-    for row in rows:
-        g = [0] * nv
+    height = len(rows) + nv
+    tab = []
+    for i, row in enumerate(rows):
+        tr = [0] * (nv + height + 1)
         for j, v in row.items():
-            g[j] = -v
-            g[m + j] = v
-        g[nv - 1] = 1
-        lp.append((g, 0))
-    lp += [([int(i == j) for i in range(nv)], 1) for j in range(nv)]
-    height = len(lp)
-    tab = [g + [int(i == k) for k in range(height)] + [b]
-           for i, (g, b) in enumerate(lp)]
+            tr[j] = -v
+            tr[m + j] = v
+        tr[nv - 1] = tr[nv + i] = 1
+        tab.append(tr)
+    for j in range(nv):
+        tr = [0] * (nv + height + 1)
+        tr[j] = tr[nv + len(rows) + j] = tr[-1] = 1
+        tab.append(tr)
     obj = [0] * (nv + height + 1)
     obj[nv - 1] = -1
     tab.append(obj)
