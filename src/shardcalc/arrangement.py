@@ -51,7 +51,7 @@ class SupportContext:
     """Cached per-support data: keys, lookup tables, LP scaffold, memos.
 
     context_for keeps one context per support, which makes this the root
-    of every per-support cache, the steinmann.py relations included.
+    of every per-support cache, steinmann's relations and rows included.
     """
 
     def __init__(self, P):
@@ -81,6 +81,7 @@ class SupportContext:
         self._components = {}  # R -> project's (context, key table) per block
         self._arrow_tables = {}  # cut -> arrow's (context, key table, memo)
         self.relations = None  # steinmann.RelationSet, one-block only
+        self.smoothness = None  # steinmann._smoothness_rows
         self._block_of = [P.block_of(i) for i in range(self.n)]
         self.block_lcm = lcm(*map(popcount, P.blocks))
 

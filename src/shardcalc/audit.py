@@ -60,7 +60,7 @@ from .ground import (
 from .steinmann import (
     _flat_move,
     _rough_cut,
-    _single_cut_forests,
+    _smoothness_rows,
     flat_annihilator_basis,
     is_semisimply_differentiable,
     product,
@@ -359,10 +359,12 @@ def _composite_witness(claim, outer, inner, shards):
     return None
 
 
-def _action_instances(g, max_outer=2, max_inner=2):
-    for T in iter_forests(Partition.one_block(g), max_outer):
-        for F in iter_forests(T.target, max_inner):
-            yield "module.action", T, F, enumerate_shards(F.target)
+def _composite_instances(claim, supports, budget=2):
+    """Forest pairs of up to `budget` cuts each, from `supports` down."""
+    for P in supports:
+        for F1 in iter_forests(P, budget):
+            for F2 in iter_forests(F1.target, budget):
+                yield claim, F1, F2, enumerate_shards(F2.target)
 
 
 def _blockwise_kernel_vectors(Q):
@@ -552,18 +554,11 @@ def _product_rank(P, bases):
 
 def _solvable_dim(P):
     """Dimension cut out by semisimplicity of the value table and of all
-    its single-cut derivatives, by exact elimination."""
+    its single-cut derivatives (the smoothness rows), by elimination."""
     rows = [{X.bits: 1, X0.bits: -1}
             for X0, *rest in steinmann_classes(P, P) for X in rest]
-    for F in _single_cut_forests(P):
-        fine = enumerate_shards(F.target)
-        duals = dict(zip(fine, dual_rows(F, _units(fine))))
-        for cls in steinmann_classes(F.target, F.target):
-            X0 = cls[0]
-            for X in cls[1:]:
-                row = collections.Counter(duals[X])
-                row.subtract(duals[X0])
-                rows.append({Y.bits: c for Y, c in row.items() if c})
+    rows += [{Y.bits: c for Y, c in row.items()}
+             for _, smooth in _smoothness_rows(P) for row in smooth]
     return len(enumerate_shards(P)) - rank(rows)
 
 
@@ -785,14 +780,6 @@ def _duality_sample(g, seed=SAMPLE_SEED):
     return [(f,) for f in sample]
 
 
-def _functoriality_instances(g, budget=2):
-    for P in all_partitions(g):
-        for F1 in iter_forests(P, budget):
-            for F2 in iter_forests(F1.target, budget):
-                yield ("calculus.functoriality", F1, F2,
-                       enumerate_shards(F2.target))
-
-
 def _functoriality_draws(g, count=200, budget=2, seed=SAMPLE_SEED):
     rng = random.Random(seed)
     parts = all_partitions(g)
@@ -812,7 +799,8 @@ def _functoriality_draws(g, count=200, budget=2, seed=SAMPLE_SEED):
 def _check_functoriality(g, seed):
     """Every forest pair below five, fixed-seed draws at five."""
     if g.n < 5:
-        return [_sweep(_composite_witness, _functoriality_instances(g))]
+        return [_sweep(_composite_witness, _composite_instances(
+            "calculus.functoriality", all_partitions(g)))]
     return [_sweep(_composite_witness, _functoriality_draws(g, seed=seed))
             + ({"seed": seed},)]
 
@@ -916,7 +904,8 @@ _CLAIMS = (
         "the dual derivative of a composite is the composite of dual derivatives",
         lambda g, d: _composite_witness(
             "module.action", *d["forests"], [d["shard"]]))},
-        lambda g, seed: [_sweep(_composite_witness, _action_instances(g))]),
+        lambda g, seed: [_sweep(_composite_witness, _composite_instances(
+            "module.action", [Partition.one_block(g)]))]),
     _Row("module", 2, 4, {"module.coset_kernel": (
         "dual tree derivatives map the blockwise relation kernel into the relation span",
         lambda g, d: _coset_witness(

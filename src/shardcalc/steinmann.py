@@ -27,7 +27,7 @@ from .arrangement import (
     steinmann_classes,
 )
 from .calculus import (Functional, InvariantViolation, ShardVector,
-                       _functional_index, _totals, forest_derivative)
+                       _functional_index, _totals, dual_rows)
 from .exactla import ONE, ZERO, Rational, _echelon, kernel_basis
 from .forests import cut_forest
 from .ground import (
@@ -232,10 +232,30 @@ def _single_cut_forests(P):
     return out
 
 
+def _smoothness_rows(P):
+    """(F, rows) per single-cut forest F of P, in _single_cut_forests order,
+    kept on P's context: the integer rows d_F(X) - d_F(X0), X in a Steinmann
+    class of F.target with head X0.  They come from the walk and dual_rows,
+    never the relations' one-block lifts, which duality.relations checks."""
+    ctx = context_for(P)
+    if ctx.smoothness is None:
+        out = []
+        for F in _single_cut_forests(P):
+            shards = enumerate_shards(F.target)
+            d = dict(zip(shards, dual_rows(F, [{X: 1} for X in shards])))
+            out.append((F, [{Y: c for Y in {**d[X], **d[X0]}
+                             if (c := d[X].get(Y, 0) - d[X0].get(Y, 0))}
+                            for X0, *rest in steinmann_classes(F.target, F.target)
+                            for X in rest]))
+        ctx.smoothness = out
+    return ctx.smoothness
+
+
 def _rough_cut(f):
     """First single-cut forest with a non-semisimple derivative of f, or None."""
-    return next((F for F in _single_cut_forests(f.support)
-                 if not is_semisimple(forest_derivative(F, f))), None)
+    _, by_shard, _ = _functional_index([f], f.support)
+    return next((F for F, rows in _smoothness_rows(f.support)
+                 if any(_totals(by_shard, row) for row in rows)), None)
 
 
 def is_semisimply_differentiable(f):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from shardcalc import audit, calculus, forests
+from shardcalc import audit, calculus, forests, steinmann
 from shardcalc.arrangement import enumerate_shards
 from shardcalc.audit import (
     CHAMBER_COUNTS,
@@ -28,6 +28,7 @@ from shardcalc.calculus import (
     dual_rows,
     random_functional,
 )
+from shardcalc.exactla import rank
 from shardcalc.forests import (
     Cut,
     LayeredForest,
@@ -698,6 +699,32 @@ def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
         assert main == audit._check_maintheorem_annihilator(G4, 3)
         assert delayering == audit._check_delayering_annihilator(G4, 3)
         assert main[1] is None and delayering[1] is None
+
+
+def _solvable_dim_by_elimination(P):
+    # factorization.dimension's elimination before steinmann kept the
+    # smoothness rows: every single-cut forest derived here
+    rows = [{X.bits: 1, X0.bits: -1}
+            for X0, *rest in steinmann_classes(P, P) for X in rest]
+    for F in steinmann._single_cut_forests(P):
+        fine = enumerate_shards(F.target)
+        duals = dict(zip(fine, dual_rows(F, [{X: 1} for X in fine])))
+        for cls in steinmann_classes(F.target, F.target):
+            X0 = cls[0]
+            for X in cls[1:]:
+                row = collections.Counter(duals[X])
+                row.subtract(duals[X0])
+                rows.append({Y.bits: c for Y, c in row.items() if c})
+    return len(enumerate_shards(P)) - rank(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solvable_dim_equals_the_elimination_by_hand(n):
+    g = GroundSet.of_size(n)
+    supports = (all_partitions(g) if n < 5 else
+                [Partition.parse(g, t) for t in audit._DIMENSION_SAMPLE])
+    for P in supports:
+        assert audit._solvable_dim(P) == _solvable_dim_by_elimination(P)
 
 
 def _distinct_scales(real):

@@ -158,13 +158,28 @@ def test_only_the_support_context_encodes_sign_patterns():
     assert sites == {"arrangement.py"}
 
 
+def _names_used_or_imported(tree):
+    return _names_used(tree) | {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names}
+
+
 def test_only_calculus_scales_functionals_to_integers():
     # functionals are scaled once, by calculus._functional_index; audit and
     # steinmann evaluate them through it
     for name in ("audit.py", "steinmann.py"):
-        tree = _tree(PACKAGE / name)
-        names = _names_used(tree) | {
-            alias.asname or alias.name for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names}
+        names = _names_used_or_imported(_tree(PACKAGE / name))
         assert "integer_coefficients" not in names, name
+
+
+def test_only_steinmann_lists_the_single_cut_forests():
+    # semisimple differentiability is one set of integer rows per support,
+    # steinmann._smoothness_rows, derived by the walk and dual_rows: no
+    # other module lists the single-cut forests, and steinmann judges no
+    # Fraction derivative
+    naming = {path.name for path in MODULES
+              if "_single_cut_forests" in _names_used_or_imported(_tree(path))}
+    assert naming == {"steinmann.py"}
+    steinmann = _names_used_or_imported(_tree(PACKAGE / "steinmann.py"))
+    assert "forest_derivative" not in steinmann

@@ -807,6 +807,51 @@ def test_rough_cut_is_the_first_single_cut_forest_that_fails():
     assert found == {True, False}
 
 
+def _counted_dual_rows(monkeypatch):
+    # the forests steinmann derives through dual_rows, in call order
+    forests, real = [], steinmann.dual_rows
+
+    def counted(F, vectors):
+        forests.append(F)
+        return real(F, vectors)
+    monkeypatch.setattr(steinmann, "dual_rows", counted)
+    return forests
+
+
+def test_duality_sweep_derives_each_single_cut_forest_once(monkeypatch):
+    from shardcalc.audit import _duality_sample, _duality_witness, _sweep
+    one = Partition.one_block(G5)
+    sample = _duality_sample(G5)
+    monkeypatch.setattr(context_for(one), "smoothness", None)
+    derived = _counted_dual_rows(monkeypatch)
+    assert _sweep(_duality_witness, sample) == (9, None)
+    assert [F.cuts for F in derived] == [
+        F.cuts for F in steinmann._single_cut_forests(one)]
+    assert len(derived) == 30
+    derived.clear()
+    assert _sweep(_duality_witness, sample) == (9, None)
+    assert derived == []
+
+
+def test_smoothness_rows_live_on_the_support_context(monkeypatch):
+    P = Partition.one_block(G4)
+
+    def plain(table):
+        return [(F.cuts, [sorted((Y.bits, c) for Y, c in row.items())
+                          for row in rows]) for F, rows in table]
+    old = steinmann._smoothness_rows(P)
+    assert context_for(P).smoothness is old
+    # a fresh context cache drops the rows with every other per-support cache
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    derived = _counted_dual_rows(monkeypatch)
+    new = steinmann._smoothness_rows(P)
+    assert new is not old and context_for(P).smoothness is new
+    assert len(derived) == len(new) == 14
+    assert plain(new) == plain(old) and any(rows for _, rows in new)
+    assert all(Y.ctx is context_for(P)
+               for _, rows in new for row in rows for Y in row)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_quotient_reduce_equals_one_evaluation_per_functional(n):
     # the reference is reduce as it was: {Y_j: f_j.evaluate_vector(v)}
