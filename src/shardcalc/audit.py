@@ -19,6 +19,7 @@ sweeps that stay affordable there, so reports are reproducible run to run.
 """
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -182,10 +183,17 @@ def _sweep(witness, instances):
     return count, None
 
 
-def _functionals_checked(functionals, ce):
-    """How many of a batch of functionals ran before `ce` was found."""
-    objs = [f.to_json_obj() for f in functionals]
-    return objs.index(ce["functional"]) + 1
+def _basis_sweep(witness, g, instances):
+    """_sweep with g's indexed annihilator basis passed first to the
+    witness.  An instance counts once per basis functional, and a failing
+    one up to the functional its counterexample names."""
+    index = steinmann_relations(g).annihilator_index()
+    basis = index[0]
+    count, ce = _sweep(functools.partial(witness, index), instances)
+    if ce is None:
+        return count * len(basis), None
+    objs = [f.to_json_obj() for f in basis]
+    return (count - 1) * len(basis) + objs.index(ce["functional"]) + 1, ce
 
 
 def _counterexample(claim, g, **fields):
@@ -265,6 +273,16 @@ def _ordered_groups(free, k, low=0):
         s = (s - 1) & free
 
 
+def _bracket_setup(g, groups, others):
+    """The trees of each of `groups` (lists of blocks) over the partition
+    that splits the groups' unions off beside `others`, and the function
+    taking one tree per group to the bracket's forests."""
+    Bs = [_union(p) for p in groups]
+    split = Partition(g, others + Bs)
+    return ([all_trees(split, B, p) for B, p in zip(Bs, groups)],
+            functools.partial(_bracket_terms, g, split, others, Bs))
+
+
 def _bracket_instances(g, claim):
     """Every instance of a bracket claim, with all shards of its support."""
     k = _BRACKET_PARTS[claim]
@@ -277,12 +295,9 @@ def _bracket_instances(g, claim):
         for masks in _ordered_groups(full, k):
             groups = [[blocks[i] for i in iter_bits(s)] for s in masks]
             others = [blocks[i] for i in iter_bits(full ^ _union(masks))]
-            Bs = [_union(p) for p in groups]
-            split = Partition(g, others + Bs)
-            choices = [all_trees(split, B, p) for B, p in zip(Bs, groups)]
+            choices, bracket = _bracket_setup(g, groups, others)
             for trees in itertools.product(*choices):
-                yield (claim, _bracket_terms(g, split, others, Bs, trees),
-                       shards)
+                yield claim, bracket(trees), shards
 
 
 def _sample_parts(rng, blocks, count):
@@ -314,11 +329,8 @@ def _check_lie(g, seed, per_claim=500):
         for _ in range(per_claim):
             P = rng.choice(supports)
             groups, others = _sample_parts(rng, list(P.blocks), k)
-            Bs = [_union(p) for p in groups]
-            split = Partition(g, others + Bs)
-            trees = [rng.choice(all_trees(split, B, p))
-                     for B, p in zip(Bs, groups)]
-            terms = _bracket_terms(g, split, others, Bs, trees)
+            choices, bracket = _bracket_setup(g, groups, others)
+            terms = bracket([rng.choice(c) for c in choices])
             X = rng.choice(enumerate_shards(P))
             depth = str(len(terms[0].cuts))
             depths[depth] = depths.get(depth, 0) + 1
@@ -416,7 +428,7 @@ def _coset_witness(index, T, v):
 
 
 def _coset_instances(g, max_cuts):
-    index = _annihilator_index(g)
+    index = steinmann_relations(g).annihilator_index()
     kernels = {}
     for T in iter_forests(Partition.one_block(g), max_cuts):
         Q = T.target
@@ -426,23 +438,18 @@ def _coset_instances(g, max_cuts):
             yield index, T, v
 
 
-def _layering_groups(g, max_cuts):
-    """The layerings, first layering first, of every delayered forest of
-    the one-block support with more than one layering."""
+def _layering_pairs(g, max_cuts):
+    """(first layering, another layering, shards of their target) for
+    every delayered forest of the one-block support with more than one
+    layering, the target's shards enumerated once per forest."""
     groups = {}
     for F in iter_forests(Partition.one_block(g), max_cuts):
         groups.setdefault(frozenset(F.cuts), []).append(F)
-    return [ms for ms in groups.values() if len(ms) > 1]
-
-
-def _layering_instances(g, max_cuts):
-    """Each (layering pair, shard), judged by every annihilating functional."""
-    index = _annihilator_index(g)
-    for F0, *others in _layering_groups(g, max_cuts):
-        shards = enumerate_shards(F0.target)
-        for Fi in others:
-            for X in shards:
-                yield "module.layering", index, [X], F0, Fi
+    for F0, *others in groups.values():
+        if others:
+            shards = enumerate_shards(F0.target)
+            for Fi in others:
+                yield F0, Fi, shards
 
 
 # ------------------------------------------------------------- kernel theorem
@@ -588,13 +595,6 @@ def _check_dimension(g):
 
 # --------------------------------------------------- main theorem, delayering
 
-def _annihilator_index(g):
-    """The indexed annihilator basis: a one-block row lies in the relation
-    span exactly when _totals finds no nonzero value on it."""
-    return _functional_index(steinmann_relations(g).annihilator_basis(),
-                             Partition.one_block(g))
-
-
 def _first_failure(pairs):
     """Least (functional position, pair position) whose functional tells
     apart the two sides of that pair of _totals, or None.
@@ -611,7 +611,7 @@ def _first_failure(pairs):
     return best
 
 
-def _annihilator_witness(F, index, shards, classes):
+def _annihilator_witness(index, F, shards, classes):
     """Each indexed functional must take one value on the dual derivatives
     along F of every shard in each class.  Every shard in `shards` is
     derived, so the sweep (all shards of F.target) also runs the
@@ -620,7 +620,7 @@ def _annihilator_witness(F, index, shards, classes):
     duals = dict(zip(shards, dual_rows(F, _units(shards))))
     pairs = [(cls[0], X) for cls in classes for X in cls[1:]]
     totals = {X: _totals(by_shard, duals[X])
-              for cls in classes for X in cls}
+              for cls in classes if len(cls) > 1 for X in cls}
     fail = _first_failure((totals[X0], totals[X]) for X0, X in pairs)
     if fail is None:
         return None
@@ -630,21 +630,6 @@ def _annihilator_witness(F, index, shards, classes):
         forests=[format_forest(F)],
         functional=functionals[i].to_json_obj(),
         shards=[_shard_ref(X) for X in pairs[pos]])
-
-
-def _check_maintheorem_annihilator(g, max_cuts):
-    index = _annihilator_index(g)
-    basis = index[0]
-    instances = 0
-    for F in iter_forests(Partition.one_block(g), max_cuts):
-        classes = [cls for cls in steinmann_classes(F.target, F.target)
-                   if len(cls) > 1]
-        ce = _annihilator_witness(
-            F, index, enumerate_shards(F.target), classes)
-        if ce is not None:
-            return instances + _functionals_checked(basis, ce), ce
-        instances += len(basis)
-    return instances, None
 
 
 def _converse_witness(g, f):
@@ -667,39 +652,19 @@ def _check_maintheorem_converse(g, seed=SAMPLE_SEED):
     return 1, _converse_witness(g, None), None
 
 
-def _delayering_witness(claim, index, shards, F0, *others):
-    """Each indexed functional must agree on the dual derivatives along
-    the first layering F0 and each other layering of each shard.  F0 is
-    derived once for the whole group; `claim` names the counterexample."""
+def _delayering_witness(index, claim, F0, F1, shards):
+    """Each indexed functional must agree on the dual derivatives along the
+    layerings F0 and F1 of each shard; `claim` names the counterexample."""
     functionals, by_shard, _ = index
-    totals0 = [_totals(by_shard, row) for row in dual_rows(F0, _units(shards))]
-    for Fi in others:
-        totalsi = [_totals(by_shard, row)
-                   for row in dual_rows(Fi, _units(shards))]
-        fail = _first_failure(zip(totals0, totalsi))
-        if fail is not None:
-            i, pos = fail
-            return _counterexample(
-                claim, F0.ground,
-                forests=[format_forest(F0), format_forest(Fi)],
-                functional=functionals[i].to_json_obj(),
-                shard=_shard_ref(shards[pos]))
-    return None
-
-
-def _check_delayering_annihilator(g, max_cuts):
-    index = _annihilator_index(g)
-    basis = index[0]
-    instances = 0
-    for F0, *others in _layering_groups(g, max_cuts):
-        ce = _delayering_witness("delayering.annihilator",
-                                 index, enumerate_shards(F0.target), F0, *others)
-        if ce is not None:
-            done = [format_forest(Fi) for Fi in others].index(ce["forests"][1])
-            return (instances + done * len(basis)
-                    + _functionals_checked(basis, ce)), ce
-        instances += len(others) * len(basis)
-    return instances, None
+    rows0, rows1 = (dual_rows(F, _units(shards)) for F in (F0, F1))
+    fail = _first_failure((_totals(by_shard, r0), _totals(by_shard, r1))
+                          for r0, r1 in zip(rows0, rows1))
+    if fail is None:
+        return None
+    i, pos = fail
+    return _counterexample(
+        claim, F0.ground, forests=[format_forest(F0), format_forest(F1)],
+        functional=functionals[i].to_json_obj(), shard=_shard_ref(shards[pos]))
 
 
 def _separation_witness(g, seed):
@@ -710,13 +675,11 @@ def _separation_witness(g, seed):
     one = Partition.one_block(g)
     index = _functional_index([random_functional(one, seed)], one)
     instances = 0
-    for F0, *others in _layering_groups(g, g.n - 1):
-        shards = enumerate_shards(F0.target)
-        for Fi in others:
-            instances += 1
-            if _delayering_witness("delayering.separation", index, shards,
-                                   F0, Fi) is not None:
-                return instances, None
+    for F0, F1, shards in _layering_pairs(g, g.n - 1):
+        instances += 1
+        if _delayering_witness(index, "delayering.separation",
+                               F0, F1, shards) is not None:
+            return instances, None
     return instances, _counterexample(
         "delayering.separation", g, seed=seed)
 
@@ -867,10 +830,11 @@ _CLAIMS = (
     _Row(None, 2, 5, {"maintheorem.annihilator": (
         "forest derivatives of relation-killing functionals stay semisimple",
         lambda g, d: _annihilator_witness(
-            *d["forests"],
             _functional_index([d["functional"]], d["forests"][0].source),
-            d["shards"], [d["shards"]]))},
-        lambda g, seed: [_check_maintheorem_annihilator(g, min(g.n - 1, 3))]),
+            *d["forests"], d["shards"], [d["shards"]]))},
+        lambda g, seed: [_basis_sweep(_annihilator_witness, g, (
+            (F, enumerate_shards(F.target), steinmann_classes(F.target, F.target))
+            for F in iter_forests(Partition.one_block(g), min(g.n - 1, 3))))]),
     _Row(None, 4, 5, {"maintheorem.converse": (
         "a functional pairing with a relation has a non-semisimple cut derivative",
         lambda g, d: _converse_witness(g, d["functional"]))},
@@ -878,10 +842,11 @@ _CLAIMS = (
     _Row(None, 4, 4, {"delayering.annihilator": (
         "relation-killing functionals do not see the layering order",
         lambda g, d: _delayering_witness(
-            "delayering.annihilator",
             _functional_index([d["functional"]], d["forests"][0].source),
-            [d["shard"]], *d["forests"]))},
-        lambda g, seed: [_check_delayering_annihilator(g, g.n - 1)]),
+            "delayering.annihilator", *d["forests"], [d["shard"]]))},
+        lambda g, seed: [_basis_sweep(_delayering_witness, g, (
+            ("delayering.annihilator", *pair)
+            for pair in _layering_pairs(g, g.n - 1)))]),
     _Row(None, 4, 4, {"delayering.separation": (
         "a fixed reference functional distinguishes two layerings of one forest",
         lambda g, d: _separation_witness(g, d["seed"])[1])},
@@ -909,15 +874,19 @@ _CLAIMS = (
     _Row("module", 2, 4, {"module.coset_kernel": (
         "dual tree derivatives map the blockwise relation kernel into the relation span",
         lambda g, d: _coset_witness(
-            _annihilator_index(g), *d["forests"], d["vector"]))},
+            steinmann_relations(g).annihilator_index(), *d["forests"],
+            d["vector"]))},
         lambda g, seed: [_sweep(_coset_witness, _coset_instances(g, g.n - 1))]),
     _Row("module", 2, 4, {"module.layering": (
         "layerings of one delayered forest agree modulo the relation span",
         lambda g, d: _delayering_witness(
-            "module.layering", _annihilator_index(g), [d["shard"]],
-            *d["forests"]))},
+            steinmann_relations(g).annihilator_index(), "module.layering",
+            *d["forests"], [d["shard"]]))},
         lambda g, seed: [_sweep(
-            _delayering_witness, _layering_instances(g, g.n - 1))]),
+            functools.partial(_delayering_witness,
+                              steinmann_relations(g).annihilator_index()),
+            (("module.layering", F0, F1, [X])
+             for F0, F1, shards in _layering_pairs(g, g.n - 1) for X in shards))]),
     _Row("kernel", 2, 5, {"kernel.span": (
         "within-class differences span the kernel of componentwise projection",
         lambda g, d: _span_witness(d["fine"], d["coarse"]))},

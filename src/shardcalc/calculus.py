@@ -239,8 +239,11 @@ class Functional:
     @classmethod
     def from_json_obj(cls, P, obj):
         """The inverse of to_json_obj: a "values" map or a bare map of shard
-        id to rational, naming every shard of P."""
-        return cls(P, _json_values(obj))
+        id to rational, naming every shard of P and no pattern that is not
+        a face of P."""
+        enumerate_shards(P)  # the walk certifies each shard: one lookup per id
+        return cls(P, {shard_from_signs(P, k, certify=True): c
+                       for k, c in _json_values(obj).items()})
 
     @classmethod
     def zero(cls, support):

@@ -29,6 +29,7 @@ checked in integers.  arrangement.py poses its LPs in the flat's own
 coordinates.
 """
 
+import re
 from fractions import Fraction as Rational
 from math import gcd, lcm
 
@@ -37,14 +38,23 @@ from ._backend import kernel
 ZERO = Rational(0)
 ONE = Rational(1)
 
+_MAX_EXPONENT = 4300  # Python's digit limit for int literals
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
 
 def rat(x):
     """The one reader of an exact number: an int, a Rational or a rational
     string such as "-2/5" becomes a Rational.  Bools, floats (inexact),
-    other types and zero denominators raise ValueError."""
+    other types, zero denominators and exponents above 4300 in magnitude,
+    which Fraction would evaluate in full, raise ValueError."""
     if isinstance(x, bool) or not isinstance(x, (int, Rational, str)):
         raise ValueError("expected an integer, a Rational or a rational "
                          "string, got %r" % (x,))
+    if isinstance(x, str) and (m := _EXPONENT.search(x)):
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError("exponent of %r is above %d in magnitude"
+                             % (x, _MAX_EXPONENT))
     try:
         return Rational(x)
     except ZeroDivisionError:

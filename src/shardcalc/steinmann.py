@@ -57,15 +57,19 @@ class RelationSet:
     Each relation equals X1^V - X1^W + X2^W - X2^V for a cut V of the
     ground into C and D, its reverse W and two shards X1, X2 over (C|D);
     the list is deduplicated up to overall sign, in cut-then-pair order.
+    The echelon, the free shards, the annihilator basis and its index are
+    each built once, on first use, and read by the quotient and the audit.
     """
 
-    __slots__ = ("ground", "relations", "_pivots", "_basis")
+    __slots__ = ("ground", "relations", "_pivots", "_free", "_basis", "_index")
 
     def __init__(self, ground, relations):
         self.ground = ground
         self.relations = tuple(relations)
         self._pivots = None
+        self._free = None
         self._basis = None
+        self._index = None
 
     def __len__(self):
         return len(self.relations)
@@ -91,8 +95,17 @@ class RelationSet:
     def rank(self):
         return len(self.pivots())
 
+    def free(self):
+        """The one-block shards at the free columns of the echelon, by id."""
+        if self._free is None:
+            pivots = self.pivots()
+            self._free = tuple(X for X in self.shard_basis()
+                               if X.bits not in pivots)
+        return self._free
+
     def annihilator_basis(self):
-        """Functionals over the one-block support killing every relation."""
+        """Functionals over the one-block support killing every relation;
+        the j-th is 1 at the j-th free shard and 0 at the others."""
         if self._basis is None:
             ctx = context_for(Partition.one_block(self.ground))
             columns = [X.bits for X in self.shard_basis()]
@@ -100,6 +113,15 @@ class RelationSet:
                 Functional._trusted(ctx, {ctx.intern(b): c for b, c in vec.items()})
                 for vec in kernel_basis(self.pivots(), columns))
         return list(self._basis)
+
+    def annihilator_index(self):
+        """The _functional_index of annihilator_basis(), built once: a
+        one-block row lies in the relation span exactly when _totals finds
+        no nonzero value on it."""
+        if self._index is None:
+            self._index = _functional_index(
+                self.annihilator_basis(), Partition.one_block(self.ground))
+        return self._index
 
 
 def steinmann_relations(ground):
@@ -160,20 +182,18 @@ class QuotientSpace:
     free holds the shards at the free columns of the relation echelon.  The
     j-th annihilator functional f_j is 1 at the j-th free shard Y_j and 0
     at the others, so sum_j f_j(v) Y_j is the unique member of v's coset
-    supported on free, its canonical representative; the f_j are indexed
-    once, on first use.
+    supported on free, its canonical representative.  The free shards and
+    the indexed f_j are the relation set's, built once per ground.
     """
 
-    __slots__ = ("ground", "relation_set", "shards", "free", "dim", "_index")
+    __slots__ = ("ground", "relation_set", "shards", "free", "dim")
 
     def __init__(self, ground):
         self.ground = ground
         self.relation_set = steinmann_relations(ground)
         self.shards = tuple(self.relation_set.shard_basis())
-        pivots = self.relation_set.pivots()
-        self.free = tuple(X for X in self.shards if X.bits not in pivots)
+        self.free = self.relation_set.free()
         self.dim = len(self.free)
-        self._index = None
 
     def reduce(self, v):
         """Canonical coset representative of a one-block ShardVector."""
@@ -181,10 +201,7 @@ class QuotientSpace:
             v = ShardVector.basis(v)
         if v.support != Partition.one_block(self.ground):
             raise SupportMismatchError("vector is not over the one-block support")
-        if self._index is None:
-            self._index = _functional_index(
-                self.relation_set.annihilator_basis(), v.support)
-        _, by_shard, scales = self._index
+        _, by_shard, scales = self.relation_set.annihilator_index()
         totals = _totals(by_shard, v.entries)
         return ShardVector._trusted(v.ctx, {
             self.free[j]: Rational(totals[j], scales[j]) for j in sorted(totals)})

@@ -18,7 +18,7 @@ from .arrangement import context_for, enumerate_shards
 from .calculus import InvariantViolation, ShardVector, dual_forest_derivative
 from .exactla import ONE, ZERO, integer_coefficients, rat, rat_str
 from .forests import parse_forest
-from .ground import GroundSet, Partition
+from .ground import GroundSet, Partition, popcount
 
 
 # ------------------------------------------------------- exact emission
@@ -109,7 +109,7 @@ def _region(signs, coeff):
 def _wall_class(ground, mask):
     # four-term relations need at least two labels on both sides of the
     # wall's two-block partition
-    k = bin(mask).count("1")
+    k = popcount(mask)
     return "wall steinmann" if k >= 2 and ground.n - k >= 2 else "wall"
 
 

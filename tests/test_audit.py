@@ -24,6 +24,7 @@ from shardcalc.calculus import (
     Functional,
     InvariantViolation,
     ShardVector,
+    _functional_index,
     dual_forest_derivative,
     dual_rows,
     random_functional,
@@ -512,11 +513,26 @@ def _counting_rows(monkeypatch):
     return calls
 
 
+def _main_sweep(max_cuts):
+    # the maintheorem.annihilator sweep at n=4 over forests of up to
+    # max_cuts cuts (the audit's row takes 3)
+    return audit._basis_sweep(audit._annihilator_witness, G4, (
+        (F, enumerate_shards(F.target), steinmann_classes(F.target, F.target))
+        for F in iter_forests(Partition.one_block(G4), max_cuts)))
+
+
+def _delayering_sweep():
+    # (instances, counterexample) of the audit's delayering.annihilator row
+    (row,) = [r for r in audit._CLAIMS if "delayering.annihilator" in r.claims]
+    (got,) = row.run(G4, SAMPLE_SEED)
+    return got
+
+
 def test_maintheorem_sweep_derives_every_shard(monkeypatch):
     # every derivation runs the derivative's own cut-by-cut cross-check,
     # so shards in singleton Steinmann classes are derived too
     calls = _counting_rows(monkeypatch)
-    assert audit._check_maintheorem_annihilator(G4, 2)[1] is None
+    assert _main_sweep(2)[1] is None
     assert calls == collections.Counter(
         (format_forest(F), X.id())
         for F in iter_forests(Partition.one_block(G4), 2)
@@ -524,13 +540,20 @@ def test_maintheorem_sweep_derives_every_shard(monkeypatch):
 
 
 def test_delayering_sweep_derives_each_layering_once(monkeypatch):
+    # every delayered forest of up to 3 cuts at n=4 with more than one
+    # layering has exactly two, so one pair per forest derives each once
+    groups = collections.defaultdict(list)
+    for F in iter_forests(Partition.one_block(G4), 3):
+        groups[frozenset(F.cuts)].append(F)
+    layered = [members for members in groups.values() if len(members) > 1]
+    assert len(layered) == 24 and {len(m) for m in layered} == {2}
     calls = _counting_rows(monkeypatch)
-    assert audit._check_delayering_annihilator(G4, 3)[1] is None
+    assert _delayering_sweep()[1] is None
     assert calls == collections.Counter(
         (format_forest(F), X.id())
-        for members in audit._layering_groups(G4, 3)
+        for members in layered
         for F in members
-        for X in enumerate_shards(members[0].target))
+        for X in enumerate_shards(F.target))
 
 
 def test_maintheorem_sweep_antisymmetrizes_once_per_forest(monkeypatch):
@@ -542,7 +565,7 @@ def test_maintheorem_sweep_antisymmetrizes_once_per_forest(monkeypatch):
         calls[format_forest(F)] += 1
         return forests.antisymmetrize(F)
     monkeypatch.setattr(calculus, "antisymmetrize", counted)
-    assert audit._check_maintheorem_annihilator(G4, 2)[1] is None
+    assert _main_sweep(2)[1] is None
     assert calls == collections.Counter(
         format_forest(F) for F in iter_forests(Partition.one_block(G4), 2))
 
@@ -557,7 +580,7 @@ def test_maintheorem_sweep_raises_on_a_flipped_switch_sign(monkeypatch):
         return terms[:-1] + [(-sign, G)]
     monkeypatch.setattr(calculus, "antisymmetrize", one_sign_flipped)
     with pytest.raises(InvariantViolation, match="disagree"):
-        audit._check_maintheorem_annihilator(G4, 2)
+        _main_sweep(2)
 
 
 def _with_extra_functionals(monkeypatch):
@@ -576,9 +599,16 @@ def _with_extra_functionals(monkeypatch):
     basis = list(steinmann_relations(G4).annihilator_basis())
     functionals = (basis[:3] + [Functional.indicator(late)] + basis[3:7]
                    + [random_functional(one, 11)] + basis[7:])
-    monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
-        types.SimpleNamespace(annihilator_basis=lambda: functionals)))
+    _fake_basis(monkeypatch, functionals)
     return functionals
+
+
+def _fake_basis(monkeypatch, functionals):
+    # the audit reads the annihilator basis only through the relation
+    # set's index
+    index = _functional_index(functionals, Partition.one_block(G4))
+    monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
+        types.SimpleNamespace(annihilator_index=lambda: index)))
 
 
 def _reference_annihilator(g, max_cuts, functionals,
@@ -607,26 +637,24 @@ def _reference_annihilator(g, max_cuts, functionals,
 def _reference_delayering(g, max_cuts, functionals,
                           derive=dual_forest_derivative):
     instances = 0
-    for F0, *others in audit._layering_groups(g, max_cuts):
-        shards = enumerate_shards(F0.target)
-        for Fi in others:
-            for f in functionals:
-                instances += 1
-                for X in shards:
-                    if (f.evaluate_vector(derive(F0, X))
-                            != f.evaluate_vector(derive(Fi, X))):
-                        return instances, {
-                            "claim": "delayering.annihilator",
-                            "ground": list(g.labels),
-                            "forests": [format_forest(F0), format_forest(Fi)],
-                            "functional": f.to_json_obj(),
-                            "shard": _shard_ref(X)}
+    for F0, Fi, shards in audit._layering_pairs(g, max_cuts):
+        for f in functionals:
+            instances += 1
+            for X in shards:
+                if (f.evaluate_vector(derive(F0, X))
+                        != f.evaluate_vector(derive(Fi, X))):
+                    return instances, {
+                        "claim": "delayering.annihilator",
+                        "ground": list(g.labels),
+                        "forests": [format_forest(F0), format_forest(Fi)],
+                        "functional": f.to_json_obj(),
+                        "shard": _shard_ref(X)}
     return instances, None
 
 
 def test_maintheorem_sparse_sweep_matches_functional_major_loop(monkeypatch):
     functionals = _with_extra_functionals(monkeypatch)
-    got = audit._check_maintheorem_annihilator(G4, 3)
+    got = _main_sweep(3)
     assert got[1]["forests"] == ["[12,34]"]
     assert got[1]["functional"] == functionals[3].to_json_obj()
     assert got == _reference_annihilator(G4, 3, functionals)
@@ -634,7 +662,7 @@ def test_maintheorem_sparse_sweep_matches_functional_major_loop(monkeypatch):
 
 def test_delayering_sparse_sweep_matches_functional_major_loop(monkeypatch):
     functionals = _with_extra_functionals(monkeypatch)
-    got = audit._check_delayering_annihilator(G4, 3)
+    got = _delayering_sweep()
     assert got[1] is not None
     assert got == _reference_delayering(G4, 3, functionals)
 
@@ -675,13 +703,12 @@ def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
     real = steinmann_relations(G4).annihilator_basis()
     basis = [Functional(f.support, {X: c / 2 + h(X) / 3 for X, c in f.items()})
              for f, h in zip(real, real[1:] + real[:1])]
-    monkeypatch.setattr(audit, "steinmann_relations", lambda g: (
-        types.SimpleNamespace(annihilator_basis=lambda: basis)))
+    _fake_basis(monkeypatch, basis)
     rows, ks = _fractional(shift)
     derive = _one_row(rows)
     monkeypatch.setattr(audit, "dual_rows", rows)
-    main = audit._check_maintheorem_annihilator(G4, 3)
-    delayering = audit._check_delayering_annihilator(G4, 3)
+    main = _main_sweep(3)
+    delayering = _delayering_sweep()
     # the sweeps derive through the stand-in: every shard of every forest
     # when nothing fails, else up to the first failure
     derived = set(ks)
@@ -696,8 +723,8 @@ def test_annihilator_sweeps_compare_fractional_derivatives_exactly(
     if shift:
         # the values are those of the true derivatives: nothing fails
         monkeypatch.setattr(audit, "dual_rows", dual_rows)
-        assert main == audit._check_maintheorem_annihilator(G4, 3)
-        assert delayering == audit._check_delayering_annihilator(G4, 3)
+        assert main == _main_sweep(3)
+        assert delayering == _delayering_sweep()
         assert main[1] is None and delayering[1] is None
 
 

@@ -373,6 +373,20 @@ def test_functional_totality_and_errors():
         f(zero_dim_shard(G3))
 
 
+def test_functional_reader_names_an_id_that_is_no_face():
+    # ++- over (123) asks for lambda_1, lambda_2 > 0 > lambda_12: the
+    # reader names that pattern, as the vector reader does, and interns
+    # nothing for it
+    P = Partition(G3, [0b111])
+    ctx = context_for(P)
+    values = {X.id(): "1" for X in enumerate_shards(P)}
+    assert Functional.from_json_obj(P, {"values": values}) == Functional(P, values)
+    with pytest.raises(ValueError, match="sign pattern 1:\\+ 2:\\+ 12:- is not "
+                                         "realizable over \\(123\\)"):
+        Functional.from_json_obj(P, {"values": {**values, "++-": "1"}})
+    assert ctx.encode([1, 1, -1]) not in ctx._interned
+
+
 def test_functional_stores_nonzero_values_only():
     P = Partition(G4, [0b0011, 0b1100])
     shards = enumerate_shards(P)

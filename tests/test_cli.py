@@ -803,6 +803,16 @@ def test_partition_text_must_be_parenthesized_and_nonempty(capsys, text, message
     assert message in err
 
 
+def test_derive_refuses_a_functional_id_that_is_no_face(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"kind": "functional", "support": "(123)",
+                                "values": {"+++": "1", "++-": "2"}}))
+    code, out, err = run_main(
+        capsys, ["derive", "--forest", "[[1,2],3]", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: sign pattern 1:+ 2:+ 12:- is not realizable over (123)\n"
+
+
 def test_derive_dual_refuses_a_vector_off_the_forest_target(tmp_path, capsys):
     path = tmp_path / "v.json"
     path.write_text(json.dumps({"kind": "shard_vector", "support": "(123)",

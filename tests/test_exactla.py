@@ -105,6 +105,17 @@ def test_rat_reads_only_exact_numbers(x):
         rat(x)
 
 
+def test_rat_refuses_a_decimal_exponent_above_the_int_digit_limit():
+    # Fraction evaluates a decimal exponent in full; these inputs are cheap
+    # either way, while "1e10000000" takes seconds without the bound
+    assert (rat("1e3"), rat("0.5"), rat("-2/5")) == (
+        1000, Fraction(1, 2), Fraction(-2, 5))
+    assert rat("1e-4300") == Fraction(1, 10 ** 4300)
+    for text in ("1e5000", "1e-5000", "1E+4301", "2.5e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+
+
 def test_row_api_guards():
     # a float entry is inexact, on either path into the echelon
     with pytest.raises(TypeError):

@@ -173,6 +173,16 @@ def test_only_calculus_scales_functionals_to_integers():
         assert "integer_coefficients" not in names, name
 
 
+def test_only_steinmann_indexes_the_annihilator_basis():
+    # RelationSet.annihilator_index indexes the basis once per ground; the
+    # quotient and the audit read it there
+    sites = {path.name for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_functional_index"
+             and "annihilator_basis" in _names_used(node)}
+    assert sites == {"steinmann.py"}
+
+
 def test_only_steinmann_lists_the_single_cut_forests():
     # semisimple differentiability is one set of integer rows per support,
     # steinmann._smoothness_rows, derived by the walk and dual_rows: no

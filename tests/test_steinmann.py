@@ -264,6 +264,29 @@ def test_annihilator_basis_solves_the_kernel_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_annihilator_basis_is_indexed_once_per_ground(monkeypatch):
+    # the quotient and the audit's span claims read the relation set's
+    # index: the full audit at n=5 indexes the bases at n=4 and n=5 once
+    # each, and quotients built afterwards index nothing again
+    from shardcalc.audit import run_suite
+    monkeypatch.setattr(arrangement, "_context_cache", {})
+    built = []
+    real = steinmann._functional_index
+
+    def counting(functionals, P):
+        if len(functionals) > 1:  # _rough_cut indexes a single functional
+            built.append(P.ground.n)
+        return real(functionals, P)
+    monkeypatch.setattr(steinmann, "_functional_index", counting)
+    assert run_suite("full", 5).passed
+    assert sorted(built) == [4, 5]
+    for g in (G4, G5, G4, G5):
+        qs = quotient_space(g)
+        assert qs.free is qs.relation_set.free()
+        assert qs.contains(qs.relation_set.relations[0])
+    assert sorted(built) == [4, 5]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_annihilator_functionals_are_reducer_coefficients(n):
     # functional j is 1 at the j-th free shard and 0 at the other free
